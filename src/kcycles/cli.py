@@ -24,7 +24,15 @@ from .coeffs import (
     table_document,
     witten_expansion,
 )
-from .exact import MultiPoly, format_rational, normalize_partition, partitions_of
+from .exact import (
+    MultiPoly,
+    check_odd_tuple,
+    format_rational,
+    latex_rational,
+    normalize_partition,
+    partitions_of,
+    signed_join,
+)
 from .oracles import (
     DEFAULT_LETTER_CAP,
     DEFAULT_TREE_CAP,
@@ -88,22 +96,6 @@ def _variant_arg(text: str) -> str:
 
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _signed_join(chunks: list[tuple[str, str]]) -> str:
-    # chunks: (sign, body) with sign in {"+", "-"}
-    first_sign, first_body = chunks[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in chunks[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _latex_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(abs(value.numerator))
-    return f"\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
 def _kappa_latex(parts: tuple[int, ...]) -> str:
@@ -180,8 +172,8 @@ def cmd_coeff(args) -> int:
 
 def cmd_table(args) -> int:
     weight = args.weight
-    if weight < 1:
-        raise ValueError(f"need weight >= 1, got {weight}")
+    if weight < 0:
+        raise ValueError(f"need weight >= 0, got {weight}")
     cache_dir = Path(args.cache_dir) if args.cache_dir else cache_mod.default_cache_dir()
     cache_path = cache_mod.document_path(cache_dir, "table", f"w{weight}")
     doc = cache_mod.load_document(cache_path)
@@ -204,10 +196,9 @@ def cmd_cup(args) -> int:
         chunks = []
         for key, value in doc["terms"].items():
             coeff = Fraction(value)
-            body = _latex_rational(coeff)
-            body += f"\\,[W^*_{{{key}}}]"
+            body = f"{latex_rational(coeff)}\\,[W^*_{{{key}}}]"
             chunks.append(("-" if coeff < 0 else "+", body))
-        _emit(_signed_join(chunks) if chunks else "0")
+        _emit(signed_join(chunks))
     else:
         lines = [f"{key}: {value}" for key, value in doc["terms"].items()]
         _emit("\n".join(lines) if lines else "0")
@@ -227,13 +218,11 @@ def cmd_witten(args) -> int:
         }
         _emit(cache_mod.canonical_json(obj))
     elif args.format == "latex":
-        chunks = []
-        for mu, value in ordered:
-            coeff = Fraction(value)
-            body = _latex_rational(coeff)
-            kappa = _kappa_latex(mu)
-            chunks.append(("-" if coeff < 0 else "+", f"{body}\\,{kappa}"))
-        _emit(_signed_join(chunks) if chunks else "0")
+        chunks = [
+            ("-" if value < 0 else "+", f"{latex_rational(value)}\\,{_kappa_latex(mu)}")
+            for mu, value in ordered
+        ]
+        _emit(signed_join(chunks))
     else:
         lines = [f"{partition_key(mu)}: {format_rational(v)}" for mu, v in ordered]
         _emit("\n".join(lines) if lines else "0")
@@ -289,14 +278,9 @@ def cmd_oracle(args) -> int:
 
 def _odd_tuple_arg(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(x) for x in text.split(","))
+        return check_odd_tuple(int(x) for x in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tuple {text!r}") from exc
-    if not values or len(values) % 2 == 0 or any(v < 1 or v % 2 == 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"need an odd-length tuple of positive odd integers, got {text!r}"
-        )
-    return values
+        raise argparse.ArgumentTypeError(f"bad tuple {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -66,9 +67,7 @@ def sym_count(values: Iterable[int]) -> int:
     return out
 
 
-_h_cache: dict[int, Fraction] = {0: Fraction(1)}
-
-
+@lru_cache(maxsize=None)
 def h_sequence(n: int) -> Fraction:
     """h(0) = 1 and h(n+1) = sum over a+b+c = n of h(a)h(b)h(c)(2a+1)(2c+1)/((2a+3)(n+1)).
 
@@ -77,20 +76,20 @@ def h_sequence(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n not in _h_cache:
-        prev = n - 1
-        total = Fraction(0)
-        for a in range(prev + 1):
-            for b in range(prev + 1 - a):
-                c = prev - a - b
-                total += (
-                    h_sequence(a)
-                    * h_sequence(b)
-                    * h_sequence(c)
-                    * Fraction((2 * a + 1) * (2 * c + 1), (2 * a + 3) * (prev + 1))
-                )
-        _h_cache[n] = total
-    return _h_cache[n]
+    if n == 0:
+        return Fraction(1)
+    prev = n - 1
+    total = Fraction(0)
+    for a in range(prev + 1):
+        for b in range(prev + 1 - a):
+            c = prev - a - b
+            total += (
+                h_sequence(a)
+                * h_sequence(b)
+                * h_sequence(c)
+                * Fraction((2 * a + 1) * (2 * c + 1), (2 * a + 3) * (prev + 1))
+            )
+    return total
 
 
 def closed_b_pair(r: int, k: int) -> Fraction:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -40,6 +41,38 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Coeff) -> str:
     """Canonical string form: "p/q" with q > 0 and gcd 1, or plain "p" if integral."""
     return str(Fraction(value))
+
+
+def latex_rational(value: Coeff) -> str:
+    """LaTeX form of |value|: "\\frac{p}{q}", or plain "p" if integral."""
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(abs(value.numerator))
+    return f"\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+def signed_join(chunks: list[tuple[str, str]]) -> str:
+    """Render (sign, body) terms, sign "+" or "-", as "a - b + c"; no terms is "0"."""
+    if not chunks:
+        return "0"
+    (first_sign, first_body), rest = chunks[0], chunks[1:]
+    head = "-" + first_body if first_sign == "-" else first_body
+    # head, sign, body, sign, body, ... joined by spaces is "head + body - body"
+    return " ".join([head, *chain.from_iterable(rest)])
+
+
+def check_odd_tuple(values: Iterable[int]) -> tuple[int, ...]:
+    """The values as a tuple, checked to be an odd number of positive odd ints.
+
+    Such tuples are the alphabets of cyclic shuffles and the points at
+    which the tree polynomials are evaluated.
+    """
+    values = tuple(values)
+    if len(values) % 2 == 0:
+        raise ValueError(f"need an odd number of entries, got {len(values)}")
+    if any(v < 1 or v % 2 == 0 for v in values):
+        raise ValueError(f"entries must be positive odd integers, got {values}")
+    return values
 
 
 def _normalize_coeff(value: Coeff) -> Coeff:
@@ -433,8 +466,6 @@ class MultiPoly:
         )
 
     def text(self) -> str:
-        if not self._terms:
-            return "0"
         chunks = []
         for exps, coeff in self._ordered_terms():
             factors = [
@@ -447,25 +478,10 @@ class MultiPoly:
                 body = "*".join(factors)
             else:
                 body = "*".join([format_rational(mag)] + factors)
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+            chunks.append(("-" if coeff < 0 else "+", body))
+        return signed_join(chunks)
 
     def latex(self) -> str:
-        if not self._terms:
-            return "0"
-
-        def render_coeff(c: Coeff) -> str:
-            c = Fraction(c)
-            if c.denominator == 1:
-                return str(c.numerator)
-            sign = "-" if c < 0 else ""
-            return f"{sign}\\frac{{{abs(c.numerator)}}}{{{c.denominator}}}"
-
         chunks = []
         for exps, coeff in self._ordered_terms():
             factors = [
@@ -473,19 +489,14 @@ class MultiPoly:
                 for i, e in enumerate(exps)
                 if e
             ]
-            mag = abs(Fraction(coeff))
             if not factors:
-                body = render_coeff(mag)
-            elif mag == 1:
+                body = latex_rational(coeff)
+            elif abs(coeff) == 1:
                 body = " ".join(factors)
             else:
-                body = " ".join([render_coeff(mag)] + factors)
+                body = " ".join([latex_rational(coeff)] + factors)
             chunks.append(("-" if coeff < 0 else "+", body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_join(chunks)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, {self.text()!r})"

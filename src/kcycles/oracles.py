@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from .exact import MultiPoly, double_factorial
+from .exact import MultiPoly, check_odd_tuple, double_factorial
 
 DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
 DEFAULT_LETTER_CAP = 11     # total letters in a cyclic-shuffle alphabet
@@ -102,15 +102,6 @@ def reduced_tree_poly_bruteforce(k: int, cap: int | None = None) -> MultiPoly:
 # cyclic shuffles
 # ---------------------------------------------------------------------------
 
-def _check_odd_kinds(kinds: Sequence[int]) -> tuple[int, ...]:
-    kinds = tuple(kinds)
-    if len(kinds) % 2 == 0 or not kinds:
-        raise ValueError(f"need an odd number of kinds, got {len(kinds)}")
-    if any(n < 1 or n % 2 == 0 for n in kinds):
-        raise ValueError(f"kind sizes must be positive odd integers, got {kinds}")
-    return kinds
-
-
 def enumerate_cyclic_shuffles(
     kinds: Sequence[int], cap: int | None = None
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -179,7 +170,7 @@ def oriented_sign_sum(word: Sequence[tuple[int, int]], kinds: Sequence[int]) -> 
 
 def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
     """Sum of oriented sign sums over every cyclic shuffle of the alphabet."""
-    kinds = _check_odd_kinds(kinds)
+    kinds = check_odd_tuple(kinds)
     return sum(
         oriented_sign_sum(word, kinds) for word in enumerate_cyclic_shuffles(kinds, cap)
     )

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .exact import MultiPoly, binomial, double_factorial
+from .exact import MultiPoly, binomial, check_odd_tuple, double_factorial
 from .series import TruncatedSeries, elementary_series
 
 # Exponent vectors are packed into one int, _PACK_BITS bits per variable,
@@ -204,15 +204,6 @@ def l_poly(k: int, n: int) -> MultiPoly:
     return acc / 4 ** k
 
 
-def _check_odd_tuple(values: Sequence[int]) -> tuple[int, ...]:
-    values = tuple(values)
-    if len(values) % 2 == 0 or not values:
-        raise ValueError(f"need an odd number of entries, got {len(values)}")
-    if any(v < 1 or v % 2 == 0 for v in values):
-        raise ValueError(f"entries must be positive odd integers, got {values}")
-    return values
-
-
 def q_eval(values: Sequence[int]) -> Fraction:
     """Average oriented sign sum over cyclic shuffles of the given alphabet.
 
@@ -220,7 +211,7 @@ def q_eval(values: Sequence[int]) -> Fraction:
     z0 z1 ... z_{2k-1}, where z_j is the j-th partial sum of the entries;
     the division is exact by construction.
     """
-    values = _check_odd_tuple(values)
+    values = check_odd_tuple(values)
     k = (len(values) - 1) // 2
     numerator = values[0] * reduced_tree_poly(k).eval(values)
     denominator = 1

@@ -4,51 +4,30 @@ One test per criterion; each asserts its identities at exact tolerance,
 checks the stated runtime budget, and prints one pass line (pytest's own
 PASSED/FAILED marks the verdict per criterion as well).  Run with -s to
 see the timing lines.
+
+Criteria 1-9 run checks from the `kcycles.verify.CHECKS` registry, the
+one place each identity sweep is written:
+
+  1  anchors/reduced-polys
+  2  anchors/coefficients, anchors/witten-cup
+  3  anchors/witten-cup
+  4  oracle/reduced-tree-poly, oracle/cyclic-shuffles
+  5  sweep/closed-ones, sweep/closed-main, sweep/pair-closed,
+     anchors/pair-closed
+  6  struct/reduced-poly, struct/l-poly, struct/g-recursion
+  7  matrix/duality, matrix/order-independence
+  8  oracle/xe-sweep, oracle/counting-sweep, oracle/even-cycles
+  9  anchors/degenerate, degenerate/inverses, anchors/stirling
+
+Criterion 10 drives the command line and runs `kcycles verify --level full`.
 """
 
 import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
-from math import comb, factorial
 
-from kcycles.coeffs import (
-    a_single,
-    closed_a_pair,
-    closed_b_pair,
-    degenerate_a,
-    degenerate_b,
-    shared_table,
-    sym_count,
-)
-from kcycles.exact import (
-    MultiPoly,
-    partitions_of,
-    stirling_first_signed,
-    stirling_second,
-)
-from kcycles.oracles import (
-    counting_identity_bruteforce,
-    counting_identity_closed,
-    even_cycle_closed_coeffs,
-    even_cycle_histogram,
-    reduced_tree_poly_bruteforce,
-    shuffle_sign_sum_bruteforce,
-    tree_poly_bruteforce,
-)
-from kcycles.treepoly import (
-    double_sum_identity,
-    l_poly,
-    q_closed_ones,
-    q_eval,
-    reduced_tree_poly,
-    t_closed_main,
-    t_closed_ones,
-    tree_poly,
-    verify_g_recursion,
-    xe_tables,
-)
+from kcycles.verify import run_checks
 
 CLI = [sys.executable, "-m", "kcycles.cli"]
 
@@ -59,209 +38,57 @@ def _finish(number: int, budget: float, start: float, description: str) -> None:
     assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s, budget {budget}s"
 
 
-def _odd_tuples(length, max_total):
-    def rec(slots, budget):
-        if slots == 0:
-            yield ()
-            return
-        value = 1
-        while value + (slots - 1) <= budget:
-            for rest in rec(slots - 1, budget - value):
-                yield (value,) + rest
-            value += 2
-
-    yield from rec(length, max_total)
+def _criterion(number: int, budget: float, description: str, *checks: str) -> None:
+    start = time.perf_counter()
+    for result in run_checks(checks):
+        assert result.ok, f"{result.name}: lhs={result.lhs} rhs={result.rhs}"
+    _finish(number, budget, start, description)
 
 
 def test_criterion_01_reduced_tree_polynomials():
-    start = time.perf_counter()
-    x = [MultiPoly.variable(3, i) for i in range(3)]
-    assert reduced_tree_poly(1) == (x[0] + x[1]) * x[2]
-
-    y = [MultiPoly.variable(5, i) for i in range(5)]
-    four_term = (
-        y[1] * y[1] * y[2] * y[4]
-        + y[1] * y[2] * y[2] * y[4]
-        + 2 * y[1] * y[1] * y[3] * y[4]
-        + 5 * y[1] * y[2] * y[3] * y[4]
-    )
-    assert reduced_tree_poly(2).substitute(0, MultiPoly.zero(5)) == four_term
-
-    t3 = reduced_tree_poly(3)
-    assert t3.coefficient((0, 1, 1, 1, 1, 1, 1)) == 61
-    assert t3.coefficient((0, 1, 1, 2, 1, 0, 1)) == 5
-    _finish(1, 1.0, start, "reduced tree polynomials match their explicit forms")
+    _criterion(1, 1.0, "reduced tree polynomials match their explicit forms",
+               "anchors/reduced-polys")
 
 
 def test_criterion_02_coefficient_anchors():
-    start = time.perf_counter()
-    table = shared_table()
-    assert table.b_lambda_n((1,)) == Fraction(1, 12)
-    assert table.b_lambda_n((1, 1)) == Fraction(29, 720)
-    assert table.b_lambda_n((1, 1, 1)) == Fraction(263, 6720)
-    assert table.b_lambda_n((1, 1, 1, 1)) == Fraction(23479, 403200)
-    assert table.b_lambda_mu((1, 1, 1), (2, 1)) == Fraction(29, 2880)
-    assert table.b_lambda_mu((2, 1), (2, 1)) == Fraction(-1, 1440)
-    assert table.b_lambda_n((2, 1)) == Fraction(-19, 3360)
-    assert table.witten_expansion((1, 1, 1)) == {
-        (1, 1, 1): 288,
-        (2, 1): 4176,
-        (3,): 20736,
-    }
-    _finish(2, 5.0, start, "coefficient anchors exact")
+    _criterion(2, 5.0, "coefficient anchors exact",
+               "anchors/coefficients", "anchors/witten-cup")
 
 
 def test_criterion_03_cup_product_anchor():
-    start = time.perf_counter()
-    assert shared_table().cup_coeff((1,), (1,)) == {(1, 1): 2, (2,): Fraction(29, 5)}
-    _finish(3, 1.0, start, "cup product of the two simplest dual cycles")
+    _criterion(3, 1.0, "cup product of the two simplest dual cycles",
+               "anchors/witten-cup")
 
 
 def test_criterion_04_oracle_equivalence():
-    start = time.perf_counter()
-    for k in range(6):
-        assert reduced_tree_poly(k) == reduced_tree_poly_bruteforce(k), f"k={k}"
-    for length in (1, 3, 5):
-        poly = tree_poly((length - 1) // 2)
-        for values in _odd_tuples(length, 9):
-            assert poly.eval(values) == tree_poly_bruteforce(values), values
-    _finish(4, 300.0, start, "brute-force enumeration equals the recursion route")
+    _criterion(4, 300.0, "brute-force enumeration equals the recursion route",
+               "oracle/reduced-tree-poly", "oracle/cyclic-shuffles")
 
 
 def test_criterion_05_closed_form_sweeps():
-    start = time.perf_counter()
-    table = shared_table()
-    for k in range(1, 6):
-        poly = tree_poly(k)
-        for n in range(1, 10, 2):
-            assert q_eval((n,) + (1,) * (2 * k)) == q_closed_ones(k, n)
-            for m in range(1, 10, 2):
-                values = (n,) + (1,) * (2 * k - 1) + (m,)
-                assert poly.eval(values) == t_closed_ones(k, n, m)
-    for k in range(1, 5):
-        poly = tree_poly(k)
-        for r in range(5):
-            for p in range(2 * k):
-                q = 2 * k - 1 - p
-                values = (3,) + (1,) * p + (2 * r + 1,) + (1,) * q
-                assert poly.eval(values) == t_closed_main(k, p, q, r)
-            lhs, rhs = double_sum_identity(k, r)
-            assert lhs == rhs, (k, r)
-    for total in range(2, 9):
-        for r in range(total // 2, total):
-            k = total - r
-            if k < 1:
-                continue
-            assert table.b_lambda_n((r, k)) == closed_b_pair(r, k), (r, k)
-            assert table.a_lambda_mu((r, k), (total,)) == closed_a_pair(r, k), (r, k)
-    # the (n, 1) special form
-    for n in range(1, 8):
-        expected = Fraction(
-            -12 * a_single(n) - (2 * n + 5) * a_single(n + 1), sym_count((n, 1))
-        )
-        assert closed_a_pair(n, 1) == expected
-    _finish(5, 120.0, start, "near-all-ones closed forms and pair coefficients")
+    _criterion(5, 120.0, "near-all-ones closed forms and pair coefficients",
+               "sweep/closed-ones", "sweep/closed-main", "sweep/pair-closed",
+               "anchors/pair-closed")
 
 
 def test_criterion_06_structural_invariants():
-    start = time.perf_counter()
-    for k in range(7):
-        poly = reduced_tree_poly(k)
-        assert poly.is_homogeneous(2 * k), f"k={k}"
-        assert all(isinstance(c, int) and c > 0 for _, c in poly.items()), f"k={k}"
-        assert poly.coefficient_sum() == factorial(2 * k), f"k={k}"
-        assert tree_poly(k).degree_in(2 * k) == 1, f"k={k}"
-        if k:
-            at_zero = poly.substitute(0, MultiPoly.zero(poly.num_vars))
-            shift = MultiPoly.variable(poly.num_vars, 0) + MultiPoly.variable(
-                poly.num_vars, 1
-            )
-            assert at_zero.substitute(1, shift) == poly, f"k={k}"
-    for k in range(5):
-        for n in range(4):
-            assert (
-                l_poly(k, n).coefficient_sum() == factorial(2 * k) * (2 * k + 1) ** (2 * n)
-            ), (k, n)
-    for k in range(3):
-        assert verify_g_recursion(k, 6), f"k={k}"
-    _finish(6, 180.0, start, "structural invariants through level six")
+    _criterion(6, 180.0, "structural invariants through level six",
+               "struct/reduced-poly", "struct/l-poly", "struct/g-recursion")
 
 
 def test_criterion_07_matrix_duality_and_order_independence():
-    start = time.perf_counter()
-    table = shared_table()
-    for n in range(1, 7):
-        parts = partitions_of(n)
-        b = table.b_matrix(n)
-        a = table.a_matrix(n)
-        size = len(parts)
-        for i in range(size):
-            for j in range(size):
-                assert sum(b[i][k] * a[k][j] for k in range(size)) == (
-                    1 if i == j else 0
-                ), (n, i, j)
-        for i, lam in enumerate(parts):
-            expected = Fraction(1, sym_count(lam))
-            for part in lam:
-                expected *= a_single(part)
-            assert a[i][i] == expected, lam
-    for weight in range(2, 8):
-        for lam in partitions_of(weight):
-            if len(lam) < 2:
-                continue
-            reference = table.b_lambda_n(lam)
-            for index in range(len(lam)):
-                assert table.b_lambda_n(lam, peel_index=index) == reference, (lam, index)
-    _finish(7, 120.0, start, "matrix duality and peel-order independence")
+    _criterion(7, 120.0, "matrix duality and peel-order independence",
+               "matrix/duality", "matrix/order-independence")
 
 
 def test_criterion_08_sign_sum_and_counting_tables():
-    start = time.perf_counter()
-    for variant in ("X0", "X1", "X2"):
-        for n in range(11):
-            for m in range(11 - n):
-                x_closed, e_closed = xe_tables(variant, n, m)
-                assert x_closed == shuffle_sign_sum_bruteforce(variant, n, m), (
-                    variant, n, m,
-                )
-                assert e_closed * comb(n + m, n) == x_closed, (variant, n, m)
-    for n in range(1, 7):
-        for s in range(5):
-            assert counting_identity_bruteforce(n, s) == counting_identity_closed(n, s), (n, s)
-    for k in range(1, 5):
-        assert even_cycle_histogram(2 * k) == even_cycle_closed_coeffs(2 * k), k
-    _finish(8, 120.0, start, "sign-sum tables, counting identity, cycle histogram")
+    _criterion(8, 120.0, "sign-sum tables, counting identity, cycle histogram",
+               "oracle/xe-sweep", "oracle/counting-sweep", "oracle/even-cycles")
 
 
 def test_criterion_09_degenerate_case():
-    start = time.perf_counter()
-    for m in range(7):
-        for n in range(7):
-            assert degenerate_b((), m, (), n) == Fraction(
-                factorial(n) * stirling_second(m, n), (-2) ** m
-            ), (m, n)
-    table = shared_table()
-    for weight in range(4):
-        index = [(lam, p) for lam in partitions_of(weight) for p in range(4)]
-        size = len(index)
-        b = [[degenerate_b(l, p, mm, q, table) for (mm, q) in index] for (l, p) in index]
-        a = [[degenerate_a(l, p, mm, q, table) for (mm, q) in index] for (l, p) in index]
-        for i in range(size):
-            for j in range(size):
-                assert sum(b[i][k] * a[k][j] for k in range(size)) == (
-                    1 if i == j else 0
-                ), ("BA", weight, i, j)
-                assert sum(a[i][k] * b[k][j] for k in range(size)) == (
-                    1 if i == j else 0
-                ), ("AB", weight, i, j)
-    for n in range(11):
-        for m in range(11):
-            total = sum(
-                stirling_first_signed(n, k) * stirling_second(k, m)
-                for k in range(n + 1)
-            )
-            assert total == (1 if n == m else 0), (n, m)
-    _finish(9, 30.0, start, "degenerate zero-padded coefficients")
+    _criterion(9, 30.0, "degenerate zero-padded coefficients",
+               "anchors/degenerate", "degenerate/inverses", "anchors/stirling")
 
 
 def _run_cli(*args, check=True):

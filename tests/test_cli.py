@@ -71,6 +71,8 @@ def test_bad_partition_is_usage_error():
     assert run_cli("coeff", "b", "--lambda", "1,x").returncode == 2
     assert run_cli("coeff", "b", "--lambda", "0,1").returncode == 2
     assert run_cli("treepoly", "2", "--variant", "nope").returncode == 2
+    assert run_cli("oracle", "shuffle-sum", "2,1,1").returncode == 2
+    assert run_cli("oracle", "shuffle-sum", "1,1").returncode == 2
 
 
 def test_cup_outputs():
@@ -148,6 +150,19 @@ def test_table_idempotent_and_cached(tmp_path):
     assert doc["b"][2][0] == "263/6720"
     cached = list(cache.glob("table-w3.v1.json"))
     assert len(cached) == 1
+
+
+def test_table_weight_zero_and_negative(tmp_path):
+    out = tmp_path / "w0.json"
+    cache = tmp_path / "cache"
+    result = run_cli("--cache-dir", str(cache), "table", "--weight", "0", "--out", str(out))
+    assert result.returncode == 0
+    doc = json.loads(out.read_text())
+    assert doc["order"] == [[]]
+    assert doc["b"] == doc["a"] == [["1"]]
+    negative = run_cli("--cache-dir", str(cache), "table", "--weight", "-1")
+    assert negative.returncode == 2
+    assert "weight >= 0" in negative.stderr
 
 
 def test_verify_detects_tampered_cache(tmp_path):

@@ -1,0 +1,30 @@
+"""The verify runner called in-process, with the cache directory as an argument."""
+
+import json
+
+from kcycles import cache as cache_mod
+from kcycles.coeffs import table_document
+from kcycles.verify import run_verify
+
+
+def _write_table(cache_dir, weight):
+    path = cache_mod.document_path(cache_dir, "table", f"w{weight}")
+    cache_mod.write_atomic(path, cache_mod.canonical_json(table_document(weight)))
+    return path
+
+
+def test_cache_dir_argument(tmp_path):
+    tampered = tmp_path / "tampered"
+    path = _write_table(tampered, 2)
+    doc = json.loads(path.read_text())
+    doc["b"][0][0] = "1/121"
+    path.write_text(cache_mod.canonical_json(doc))
+    report = run_verify("quick", cache_dir=tampered)
+    assert [r.name for r in report.results if not r.ok] == ["cache/tables"]
+
+    clean = tmp_path / "clean"
+    _write_table(clean, 2)
+    report = run_verify("quick", cache_dir=clean)
+    assert report.ok
+    cache_check = next(r for r in report.results if r.name == "cache/tables")
+    assert cache_check.lhs == "1 comparisons"  # the one table was compared
