@@ -7,7 +7,8 @@ Layout:
                compositions, Stirling numbers, double factorials
 * series    -- truncated formal power series in t
 * oracles   -- brute-force enumerations (increasing trees, cyclic
-               shuffles, sign-sum tables, cycle statistics)
+               shuffles, sign-sum tables, cycle statistics) and the
+               polynomial route for q_eval
 * treepoly  -- the production recursion for the tree polynomials and all
                closed forms attached to them
 * coeffs    -- the b/a coefficient tables, cup products, and the
@@ -37,6 +38,7 @@ from .oracles import (
     enumerate_increasing_trees,
     even_cycle_histogram,
     oriented_sign_sum,
+    q_eval_polynomial,
     reduced_tree_poly_bruteforce,
     shuffle_sign_sum_bruteforce,
     tree_monomial,

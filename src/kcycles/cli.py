@@ -4,7 +4,8 @@ Subcommands: treepoly, coeff, table, cup, witten, verify, oracle.  JSON is
 the canonical interchange format (LaTeX and text are conveniences with no
 round-trip guarantee); identical invocations produce byte-identical
 output.  Exit codes: 0 success, 2 usage error, 3 enumeration cap
-exceeded, 4 verification/oracle failure, 5 I/O failure.
+exceeded, 4 verification/oracle failure, 5 I/O failure, 6 internal
+arithmetic error (an ArithmeticError raised by the computation itself).
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
 EXIT_IO = 5
+EXIT_ARITH = 6
 
 ENV_CAPS = "KCYCLES_CAPS"
 
@@ -367,9 +369,12 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ARITH
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -11,8 +11,10 @@ Multi-part b-coefficients reduce to the one-superscript case b_lambda^n by
 a sum-of-products rule over surjections, and b_lambda^n itself is computed
 by peeling one part k at a time: peeling costs a weighted sum of average
 shuffle sign sums q_eval over compositions of the remaining weight into
-2k+1 slots.  Which part is peeled must not matter; the test suite checks
-that over all peel orders instead of assuming it.
+2k+1 slots.  Each q_eval is O(k^2) integer multiply-adds and builds no
+tree polynomial, so a peel at any k costs one such call per composition
+whose b-weight is nonzero.  Which part is peeled must not matter; the
+test suite checks that over all peel orders instead of assuming it.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
 Stirling-number factors; see degenerate_b and degenerate_a.
@@ -31,11 +33,11 @@ from typing import Iterable, Sequence
 
 from .exact import (
     Coeff,
+    arrangements,
     double_factorial,
     format_rational,
     normalize_partition,
     partitions_of,
-    compositions,
     stirling_first_signed,
     stirling_second,
 )
@@ -131,7 +133,8 @@ class CoeffTable:
         Sums b_lam^mu * (2m0+1)/(2m0+3) * q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1)
         over all compositions (m0..m_{2k}) of sum(lam) into 2k+1 slots, where
         mu is the partition of the nonzero slots, then divides by
-        (-2)^(k+1) (2k-1)!!.
+        (-2)^(k+1) (2k-1)!!.  The compositions are visited by partition, so
+        those whose b_lam^mu vanishes are never enumerated.
         """
         if k < 1:
             raise ValueError(f"need a peeled part k >= 1, got {k}")
@@ -139,13 +142,13 @@ class CoeffTable:
         with self._lock:
             m = sum(lam)
             total = Fraction(0)
-            for comp in compositions(m, 2 * k + 1):
-                mu = normalize_partition(x for x in comp if x)
+            for mu in partitions_of(m, 2 * k + 1):
                 weight = self.b_lambda_mu(lam, mu)
                 if not weight:
                     continue
-                tuple_q = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
-                total += weight * Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(tuple_q)
+                for comp in arrangements(mu, 2 * k + 1):
+                    tuple_q = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
+                    total += weight * Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(tuple_q)
             return total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))
 
     def b_lambda_n(self, lam: Sequence[int], peel_index: int | None = None) -> Fraction:

@@ -201,6 +201,34 @@ def compositions(m: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of `parts` padded with zeros to `slots` entries.
+
+    These are the compositions whose nonzero entries are a rearrangement of
+    `parts`.  Over the partitions of m with at most `slots` parts they give
+    every composition of m into `slots` slots exactly once.
+    """
+    parts = tuple(parts)
+    if len(parts) > slots or any(p < 1 for p in parts):
+        raise ValueError(f"need at most {slots} positive parts, got {parts}")
+    counts: dict[int, int] = {0: slots - len(parts)}
+    for p in parts:
+        counts[p] = counts.get(p, 0) + 1
+
+    def rec(left: int) -> Iterator[tuple[int, ...]]:
+        if left == 0:
+            yield ()
+            return
+        for value in counts:
+            if counts[value]:
+                counts[value] -= 1
+                for rest in rec(left - 1):
+                    yield (value,) + rest
+                counts[value] += 1
+
+    yield from rec(slots)
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Exhaustive enumeration oracles: increasing trees, cyclic shuffles,
-ordinary shuffle sign sums, and permutation cycle statistics.
+ordinary shuffle sign sums, and permutation cycle statistics, plus the
+polynomial route for the average sign sum, which the scalar q_eval
+replaced and which now checks it.
 
-Everything here is deliberately written from first definitions (explicit
-words, inversion counts, full enumeration) so it can serve as an
-independent check on the closed forms and recursions elsewhere in the
-package.  Costs are factorial; caps guard every entry point and exceeding
+The enumerations are deliberately written from first definitions
+(explicit words, inversion counts, full enumeration) so they can serve as
+an independent check on the closed forms and recursions elsewhere in the
+package.  Costs are factorial; caps guard every enumeration and exceeding
 one raises EnumerationCapError rather than truncating silently.
 
 Sign conventions.  A word is scored against the canonical letter order
@@ -21,9 +23,11 @@ three-kind sum factors as n0*(n0+n1)*n2, and the all-ones total is (2k)!.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import MultiPoly, check_odd_tuple, double_factorial
+from .treepoly import reduced_tree_poly
 
 DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
 DEFAULT_LETTER_CAP = 11     # total letters in a cyclic-shuffle alphabet
@@ -174,6 +178,21 @@ def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
     return sum(
         oriented_sign_sum(word, kinds) for word in enumerate_cyclic_shuffles(kinds, cap)
     )
+
+
+def q_eval_polynomial(values: Sequence[int]) -> Fraction:
+    """q_eval by the polynomial route: build the reduced tree polynomial of
+    the tuple's level, evaluate it, and divide x0 times that value by the
+    shuffle count z0 z1 ... z_{2k-1}.  Builds and caches the level."""
+    values = check_odd_tuple(values)
+    k = (len(values) - 1) // 2
+    numerator = values[0] * reduced_tree_poly(k).eval(values)
+    denominator = 1
+    partial = 0
+    for j in range(2 * k):
+        partial += values[j]
+        denominator *= partial
+    return Fraction(numerator) / denominator
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +351,7 @@ __all__ = [
     "enumerate_cyclic_shuffles",
     "oriented_sign_sum",
     "tree_poly_bruteforce",
+    "q_eval_polynomial",
     "shuffle_sign_sum_bruteforce",
     "counting_identity_bruteforce",
     "counting_identity_closed",

@@ -14,8 +14,13 @@ checked by verify_g_recursion.  Closed forms for near-all-ones
 evaluations and the shuffle sign-sum tables live here too, next to the
 recursion they cross-check.
 
+q_eval, the average sign sum that the coefficient peel needs, runs the
+same recursion on integers at one point instead: O(k^2) multiply-adds,
+with no level built, so it works at any level.
+
 Everything returned is immutable and cached per process; building a new
-level takes an internal lock, reads after that are lock-free.
+level takes an internal lock, and a built level is read from its cache
+dict without taking the lock.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .exact import MultiPoly, binomial, check_odd_tuple, double_factorial
@@ -149,6 +155,9 @@ def p_family(k: int) -> PFamily:
         raise ValueError(f"need k >= 0, got {k}")
     if k > _MAX_LEVEL:
         raise ValueError(f"level {k} exceeds the packed-exponent limit {_MAX_LEVEL}")
+    cached = _pfamily_cache.get(k)
+    if cached is not None:
+        return cached
     with _lock:
         if k not in _pfamily_cache:
             _extend_levels(k)
@@ -169,6 +178,9 @@ def reduced_tree_poly(k: int) -> MultiPoly:
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    cached = _reduced_cache.get(k)
+    if cached is not None:
+        return cached
     with _lock:
         if k not in _reduced_cache:
             _extend_levels(k)
@@ -208,18 +220,34 @@ def q_eval(values: Sequence[int]) -> Fraction:
     """Average oriented sign sum over cyclic shuffles of the given alphabet.
 
     Equals the full tree polynomial divided by the shuffle count
-    z0 z1 ... z_{2k-1}, where z_j is the j-th partial sum of the entries;
-    the division is exact by construction.
+    z0 z1 ... z_{2k-1}, where z_j is the j-th partial sum of the entries.
+    The three-term P_k^c recursion runs on exact integers at the point, so
+    a level-k call costs O(k^2) multiply-adds at any k; no level is built,
+    cached or locked.  oracles.q_eval_polynomial is the polynomial route.
     """
     values = check_odd_tuple(values)
     k = (len(values) - 1) // 2
-    numerator = values[0] * reduced_tree_poly(k).eval(values)
-    denominator = 1
-    partial = 0
-    for j in range(2 * k):
-        partial += values[j]
-        denominator *= partial
-    return Fraction(numerator) / denominator
+    z = list(accumulate(values))
+    family = [1]  # family[s] is P_j^{2s+1} at the point
+    for j in range(k):
+        y1, y2 = values[2 * j + 1], values[2 * j + 2]
+        z2j, z2j1, z2j2 = z[2 * j], z[2 * j + 1], z[2 * j + 2]
+        y1y2 = y1 * y2
+        z2j1_ysum = z2j1 * (y1 + y2)
+        z2j_z2j2 = z2j * z2j2
+        drop = z2j * (z2j1 - y2)
+        # P^{-1} = P^1 below, and P^{c} vanishes for c beyond 2j+1
+        padded = [family[0]] + family + [0, 0]
+        nxt = []
+        for s in range(j + 2):
+            c = 2 * s + 1
+            nxt.append(
+                padded[s + 1] * (2 * c * c * y1y2 - 2 * drop)
+                + padded[s] * ((c - 2) ** 2 * y1y2 + (c - 2) * z2j1_ysum + z2j_z2j2)
+                + padded[s + 2] * ((c + 2) ** 2 * y1y2 - (c + 2) * z2j1_ysum + z2j_z2j2)
+            )
+        family = nxt
+    return Fraction(values[0] * sum(family), 4 ** k * prod(z[: 2 * k]))
 
 
 # ---------------------------------------------------------------------------

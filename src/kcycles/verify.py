@@ -328,6 +328,12 @@ def check_oracle_shuffles() -> Iterator[Triple]:
             yield f"T{values}", oracles.tree_poly_bruteforce(values), poly.eval(values)
 
 
+def check_oracle_q_eval() -> Iterator[Triple]:
+    for length in range(1, 12, 2):
+        for values in _odd_tuples(length, 17):
+            yield f"Q{values}", q_eval(values), oracles.q_eval_polynomial(values)
+
+
 def check_shuffle_counts() -> Iterator[Triple]:
     for length in (1, 3, 5, 7, 9, 11):
         for values in _odd_tuples(length, 11):
@@ -371,10 +377,13 @@ def check_even_cycles() -> Iterator[Triple]:
 
 
 def check_closed_ones_sweep() -> Iterator[Triple]:
+    # q_eval reaches any level; the tree polynomials stop at the buildable ones
+    for k in range(1, 13):
+        for n in range(1, 10, 2):
+            yield f"Q k={k} n={n}", q_eval((n,) + (1,) * (2 * k)), q_closed_ones(k, n)
     for k in range(1, 6):
         poly = tree_poly(k)
         for n in range(1, 10, 2):
-            yield f"Q k={k} n={n}", q_eval((n,) + (1,) * (2 * k)), q_closed_ones(k, n)
             for m in range(1, 10, 2):
                 values = (n,) + (1,) * (2 * k - 1) + (m,)
                 yield f"T k={k} n={n} m={m}", poly.eval(values), t_closed_ones(k, n, m)
@@ -393,13 +402,15 @@ def check_closed_main_sweep() -> Iterator[Triple]:
 
 
 def check_pair_closed_sweep() -> Iterator[Triple]:
+    # the b side peels at any level; the a side inverts the whole weight table
     table = shared_table()
-    for total in range(2, 9):
+    for total in range(2, 15):
         for r in range(1, total):
             k = total - r
             yield f"b({r},{k})", table.b_lambda_n((r, k)), closed_b_pair(r, k)
-            yield (f"a({r},{k})", table.a_lambda_mu((r, k), (total,)),
-                   Fraction(closed_a_pair(r, k)))
+            if total <= 8:
+                yield (f"a({r},{k})", table.a_lambda_mu((r, k), (total,)),
+                       Fraction(closed_a_pair(r, k)))
 
 
 def check_structural() -> Iterator[Triple]:
@@ -499,6 +510,7 @@ CHECKS: tuple[tuple[str, str, Callable[..., Iterable[Triple]]], ...] = (
     ("cache/tables", "quick", check_cache_consistency),
     ("oracle/reduced-tree-poly", "full", check_oracle_reduced),
     ("oracle/cyclic-shuffles", "full", check_oracle_shuffles),
+    ("oracle/q-eval", "full", check_oracle_q_eval),
     ("oracle/shuffle-counts", "full", check_shuffle_counts),
     ("oracle/xe-sweep", "full", check_xe_sweep),
     ("oracle/counting-sweep", "full", check_counting_sweep),

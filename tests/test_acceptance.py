@@ -11,7 +11,7 @@ one place each identity sweep is written:
   1  anchors/reduced-polys
   2  anchors/coefficients, anchors/witten-cup
   3  anchors/witten-cup
-  4  oracle/reduced-tree-poly, oracle/cyclic-shuffles
+  4  oracle/reduced-tree-poly, oracle/cyclic-shuffles, oracle/q-eval
   5  sweep/closed-ones, sweep/closed-main, sweep/pair-closed,
      anchors/pair-closed
   6  struct/reduced-poly, struct/l-poly, struct/g-recursion
@@ -62,7 +62,7 @@ def test_criterion_03_cup_product_anchor():
 
 def test_criterion_04_oracle_equivalence():
     _criterion(4, 300.0, "brute-force enumeration equals the recursion route",
-               "oracle/reduced-tree-poly", "oracle/cyclic-shuffles")
+               "oracle/reduced-tree-poly", "oracle/cyclic-shuffles", "oracle/q-eval")
 
 
 def test_criterion_05_closed_form_sweeps():

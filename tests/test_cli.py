@@ -67,6 +67,19 @@ def test_coeff_weight_mismatch_is_usage_error():
     assert "weight mismatch" in result.stderr
 
 
+def test_internal_arithmetic_error_exit_code(monkeypatch, capsys):
+    from kcycles import cli
+
+    def broken(args):
+        raise ArithmeticError("closed form produced a non-integer: 1/2")
+
+    # a bad value is still a usage error
+    assert cli.main(["coeff", "b", "--lambda", "1,1", "--mu", "3"]) == cli.EXIT_USAGE
+    monkeypatch.setattr(cli, "cmd_coeff", broken)
+    assert cli.main(["coeff", "b", "--lambda", "1"]) == cli.EXIT_ARITH == 6
+    assert "non-integer" in capsys.readouterr().err
+
+
 def test_bad_partition_is_usage_error():
     assert run_cli("coeff", "b", "--lambda", "1,x").returncode == 2
     assert run_cli("coeff", "b", "--lambda", "0,1").returncode == 2

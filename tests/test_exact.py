@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kcycles.exact import (
     MultiPoly,
+    arrangements,
     binomial,
     compositions,
     double_factorial,
@@ -160,6 +161,20 @@ def test_compositions_counts_and_distinct():
             seen = list(compositions(m, slots))
             assert len(seen) == len(set(seen)) == comb(m + slots - 1, slots - 1)
             assert all(sum(c) == m and len(c) == slots for c in seen)
+
+
+def test_arrangements_partition_the_compositions():
+    assert sorted(arrangements((2, 1), 3)) == [
+        (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)
+    ]
+    assert list(arrangements((), 2)) == [(0, 0)]
+    with pytest.raises(ValueError):
+        list(arrangements((1, 1, 1), 2))
+    for m in range(9):
+        for slots in range(1, 8):
+            seen = [c for mu in partitions_of(m, slots) for c in arrangements(mu, slots)]
+            assert len(seen) == len(set(seen))
+            assert sorted(seen) == sorted(compositions(m, slots))
 
 
 # ---------------------------------------------------------------------------

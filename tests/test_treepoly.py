@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from kcycles import treepoly
 from kcycles.exact import MultiPoly
 from kcycles.oracles import (
     enumerate_increasing_trees,
@@ -214,6 +215,17 @@ def test_q_closed_ones():
             assert q_eval((n,) + (1,) * (2 * k)) == q_closed_ones(k, n)
 
 
+def test_q_eval_builds_no_level():
+    levels = len(treepoly._packed_levels)
+    families = len(treepoly._pfamily_cache)
+    reduced = len(treepoly._reduced_cache)
+    for n in (1, 3, 7):
+        assert q_eval((n,) + (1,) * 18) == q_closed_ones(9, n)
+    assert len(treepoly._packed_levels) == levels
+    assert len(treepoly._pfamily_cache) == families
+    assert len(treepoly._reduced_cache) == reduced
+
+
 def test_t_closed_main():
     assert t_closed_main(1, 0, 1, 0) == 12
     assert t_closed_main(1, 1, 0, 0) == 12
@@ -272,18 +284,30 @@ def test_g_recursion():
 
 
 def test_concurrent_family_builds():
-    # the per-process cache admits concurrent callers
+    # the per-process cache admits concurrent callers: reads outside the
+    # lock and builds inside it hand every caller the one cached object
+    import sys
     import threading
 
     results = []
 
     def worker():
-        results.append(reduced_tree_poly(4))
+        for k in range(5):
+            results.append((k, p_family(k), reduced_tree_poly(k)))
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
-    assert results[0].coefficient_sum() == factorial(8)
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8 * 5
+    for k, family, reduced in results:
+        assert family is p_family(k)
+        assert reduced is reduced_tree_poly(k)
+    assert reduced_tree_poly(4).coefficient_sum() == factorial(8)
