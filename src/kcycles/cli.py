@@ -14,6 +14,8 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import prod
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -45,7 +47,7 @@ from .oracles import (
     shuffle_sign_sum_bruteforce,
     tree_poly_bruteforce,
 )
-from .treepoly import l_poly, p_family, reduced_tree_poly, tree_poly, xe_tables
+from .treepoly import l_poly, p_family, q_eval, reduced_tree_poly, tree_poly, xe_tables
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -266,8 +268,7 @@ def cmd_oracle(args) -> int:
     if args.what == "shuffle-sum":
         values = args.tuple
         brute = tree_poly_bruteforce(values, cap_letters)
-        k = (len(values) - 1) // 2
-        closed = tree_poly(k).eval(values)
+        closed = q_eval(values) * prod(accumulate(values[:-1]))
         return _oracle_report(brute, closed, str(brute), format_rational(closed))
     if args.what == "counting":
         brute = counting_identity_bruteforce(args.n, args.s)

@@ -14,13 +14,16 @@ checked by verify_g_recursion.  Closed forms for near-all-ones
 evaluations and the shuffle sign-sum tables live here too, next to the
 recursion they cross-check.
 
-q_eval, the average sign sum that the coefficient peel needs, runs the
-same recursion on integers at one point instead: O(k^2) multiply-adds,
-with no level built, so it works at any level.
+One step of the recursion, _p_step, serves two routes.  The level build
+runs it on polynomials with packed exponents; q_eval, the average sign
+sum that the coefficient peel needs, runs it on integers at one point:
+O(k^2) multiply-adds, with no level built, so it works at any level.
 
-Everything returned is immutable and cached per process; building a new
-level takes an internal lock, and a built level is read from its cache
-dict without taking the lock.
+Values are immutable.  The packed levels, p_family(k) and
+reduced_tree_poly(k) are cached per process; tree_poly and l_poly unpack
+a new polynomial from the cached packed level on every call, and q_eval
+caches nothing.  Building a new level or cache entry takes an internal
+lock, and a built one is read without taking the lock.
 """
 
 from __future__ import annotations
@@ -35,100 +38,128 @@ from typing import Sequence
 from .exact import MultiPoly, binomial, check_odd_tuple, double_factorial
 from .series import TruncatedSeries, elementary_series
 
-# Exponent vectors are packed into one int, _PACK_BITS bits per variable,
-# while the recursion runs; multiplying monomials becomes a single integer
-# add.  Results are unpacked into canonical MultiPoly form at the API
-# boundary.  Six bits bound per-variable exponents by 63, far above the
-# 2k+2 reached while building any practical level.
+# Six bits bound per-variable exponents by 63, far above the 2k+2 reached
+# while building any practical level.
 _PACK_BITS = 6
 _PACK_MASK = (1 << _PACK_BITS) - 1
 _MAX_LEVEL = 30
 
+
+class _PackedPoly(dict):
+    """Integer polynomial as {packed exponent vector: nonzero coefficient}.
+
+    The exponent vector is packed into one int, _PACK_BITS bits per
+    variable, so multiplying two monomials is a single integer add.  Only
+    the arithmetic _p_step needs is defined: +, -, and * by an int or by
+    another _PackedPoly.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other: "_PackedPoly") -> "_PackedPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "_PackedPoly") -> "_PackedPoly":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "_PackedPoly", sign: int) -> "_PackedPoly":
+        out = _PackedPoly(self)
+        get = out.get
+        for e, c in other.items():
+            total = get(e, 0) + sign * c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return out
+
+    def __mul__(self, other: "int | _PackedPoly") -> "_PackedPoly":
+        if isinstance(other, int):
+            return _PackedPoly({e: c * other for e, c in self.items()} if other else {})
+        small, big = sorted((self, other), key=len)
+        out = _PackedPoly()
+        get = out.get
+        for e2, c2 in small.items():
+            for e1, c1 in big.items():
+                e = e1 + e2
+                c = get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        return out
+
+
+def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
+    """One step k -> k+1 of the P-family recursion; family[s] is P_k^{2s+1}.
+
+    y1 = x_{2k+1}, y2 = x_{2k+2} and z_i = x0 + ... + x_i, all ints (a
+    point) or all _PackedPoly (the variables).  With S_c = P_k^c, S_{-1} =
+    S_1 and S_c = 0 beyond c = 2k+1, the terms are grouped by multiplier so
+    that every product has a linear factor:
+
+        P_{k+1}^c = y1 y2 (2c^2 S_c + (c-2)^2 S_{c-2} + (c+2)^2 S_{c+2})
+                  + z_{2k+1} (y1 + y2) ((c-2) S_{c-2} - (c+2) S_{c+2})
+                  + z_{2k} (z_{2k+2} (S_{c-2} + S_{c+2}) - 2 (z_{2k+1} - y2) S_c)
+    """
+    zero = family[0] * 0
+    padded = [family[0], *family, zero, zero]  # padded[s] is S_{2s-1}
+    y1y2, ysum, drop = y1 * y2, y1 + y2, z2k1 - y2
+    step = []
+    for s in range(len(family) + 1):
+        c = 2 * s + 1
+        down, same, up = padded[s], padded[s + 1], padded[s + 2]
+        step.append(
+            y1y2 * (same * (2 * c * c) + down * (c - 2) ** 2 + up * (c + 2) ** 2)
+            + z2k1 * (ysum * (down * (c - 2) - up * (c + 2)))
+            + z2k * (z2k2 * (down + up) - drop * (same * 2))
+        )
+    return step
+
+
 _lock = threading.RLock()
-_packed_levels: list[dict[int, dict[int, int]]] = [{1: {0: 1}}]
+_packed_levels: list[list[_PackedPoly]] = [[_PackedPoly({0: 1})]]
 _pfamily_cache: dict[int, "PFamily"] = {}
 _reduced_cache: dict[int, MultiPoly] = {}
 
 
-def _pvar(i: int) -> dict[int, int]:
-    return {1 << (_PACK_BITS * i): 1}
+def _extend_levels(level: int) -> list[_PackedPoly]:
+    """The packed family of the given level, building the missing levels
+    under the lock; element s is P_level^{2s+1}."""
+    if level < 0:
+        raise ValueError(f"need k >= 0, got {level}")
+    if level > _MAX_LEVEL:
+        raise ValueError(f"level {level} exceeds the packed-exponent limit {_MAX_LEVEL}")
+    if level >= len(_packed_levels):
+        with _lock:
+            while len(_packed_levels) <= level:
+                k = len(_packed_levels) - 1
+                x = [_PackedPoly({1 << (_PACK_BITS * i): 1}) for i in range(2 * k + 3)]
+                z = list(accumulate(x))
+                _packed_levels.append(
+                    _p_step(_packed_levels[k], x[2 * k + 1], x[2 * k + 2],
+                            z[2 * k], z[2 * k + 1], z[2 * k + 2])
+                )
+    return _packed_levels[level]
 
 
-def _pzsum(j: int) -> dict[int, int]:
-    # x0 + x1 + ... + xj
-    return {1 << (_PACK_BITS * i): 1 for i in range(j + 1)}
-
-
-def _padd(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for e, c in q.items():
-        total = out.get(e, 0) + c
-        if total:
-            out[e] = total
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _pscale(p: dict, s: int) -> dict:
-    return {e: c * s for e, c in p.items()} if s else {}
-
-
-def _pmul(p: dict, q: dict) -> dict:
-    out: dict[int, int] = {}
-    get = out.get
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            c = get(e, 0) + c1 * c2
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-    return out
-
-
-def _unpack(packed: dict[int, int], num_vars: int) -> dict[tuple[int, ...], int]:
-    return {
-        tuple((e >> (_PACK_BITS * i)) & _PACK_MASK for i in range(num_vars)): c
+def _unpack(packed: _PackedPoly, num_vars: int, scale=1) -> MultiPoly:
+    return MultiPoly(num_vars, {
+        tuple((e >> (_PACK_BITS * i)) & _PACK_MASK for i in range(num_vars)): c * scale
         for e, c in packed.items()
-    }
+    })
 
 
-def _extend_levels(level: int) -> None:
-    # caller holds _lock
-    while len(_packed_levels) <= level:
-        k = len(_packed_levels) - 1
-        prev = _packed_levels[k]
-
-        def source(c: int) -> dict[int, int]:
-            return prev.get(abs(c), {})
-
-        y1, y2 = _pvar(2 * k + 1), _pvar(2 * k + 2)
-        z2k = _pzsum(2 * k)
-        z2k1 = _pzsum(2 * k + 1)
-        z2k2 = _pzsum(2 * k + 2)
-        y1y2 = _pmul(y1, y2)
-        z2k_z2k2 = _pmul(z2k, z2k2)
-        z2k1_ysum = _pmul(z2k1, _padd(y1, y2))
-        drop = _pmul(z2k, _padd(z2k1, _pscale(y2, -1)))  # z_{2k}(z_{2k+1} - y2)
-
-        nxt: dict[int, dict[int, int]] = {}
-        for c in range(1, 2 * k + 4, 2):
-            keep = _padd(_pscale(y1y2, 2 * c * c), _pscale(drop, -2))
-            down = _padd(
-                _padd(_pscale(y1y2, (c - 2) ** 2), _pscale(z2k1_ysum, c - 2)),
-                z2k_z2k2,
-            )
-            up = _padd(
-                _padd(_pscale(y1y2, (c + 2) ** 2), _pscale(z2k1_ysum, -(c + 2))),
-                z2k_z2k2,
-            )
-            acc = _pmul(source(c), keep)
-            acc = _padd(acc, _pmul(source(c - 2), down))
-            acc = _padd(acc, _pmul(source(c + 2), up))
-            nxt[c] = acc
-        _packed_levels.append(nxt)
+def _cached(cache: dict, k: int, build):
+    # a built value is read without the lock; the lock makes one build per k,
+    # so every caller gets the same object
+    value = cache.get(k)
+    if value is None:
+        with _lock:
+            value = cache.get(k)
+            if value is None:
+                value = cache[k] = build()
+    return value
 
 
 @dataclass(frozen=True)
@@ -151,23 +182,10 @@ class PFamily:
 
 def p_family(k: int) -> PFamily:
     """The level-k family, computed by iterating the three-term recursion."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if k > _MAX_LEVEL:
-        raise ValueError(f"level {k} exceeds the packed-exponent limit {_MAX_LEVEL}")
-    cached = _pfamily_cache.get(k)
-    if cached is not None:
-        return cached
-    with _lock:
-        if k not in _pfamily_cache:
-            _extend_levels(k)
-            num_vars = 2 * k + 1
-            polys = {
-                c: MultiPoly(num_vars, _unpack(packed, num_vars))
-                for c, packed in _packed_levels[k].items()
-            }
-            _pfamily_cache[k] = PFamily(k, polys)
-        return _pfamily_cache[k]
+    level = _extend_levels(k)
+    return _cached(_pfamily_cache, k, lambda: PFamily(k, {
+        2 * s + 1: _unpack(packed, 2 * k + 1) for s, packed in enumerate(level)
+    }))
 
 
 def reduced_tree_poly(k: int) -> MultiPoly:
@@ -175,23 +193,9 @@ def reduced_tree_poly(k: int) -> MultiPoly:
 
     Homogeneous of degree 2k with nonnegative integer coefficients summing
     to (2k)!; linear in x_{2k}; depends on x0 and x1 only through x0 + x1.
+    The cached l_poly(k, 0).
     """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    cached = _reduced_cache.get(k)
-    if cached is not None:
-        return cached
-    with _lock:
-        if k not in _reduced_cache:
-            _extend_levels(k)
-            acc: dict[int, int] = {}
-            for c in range(1, 2 * k + 2, 2):
-                acc = _padd(acc, _packed_levels[k][c])
-            num_vars = 2 * k + 1
-            scale = Fraction(1, 4 ** k)
-            terms = {e: c * scale for e, c in _unpack(acc, num_vars).items()}
-            _reduced_cache[k] = MultiPoly(num_vars, terms)
-        return _reduced_cache[k]
+    return _cached(_reduced_cache, k, lambda: l_poly(k, 0))
 
 
 def tree_poly(k: int) -> MultiPoly:
@@ -204,16 +208,15 @@ def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
     l_poly(k, 0) is the reduced tree polynomial; the coefficient sum is
-    (2k)! (2k+1)^(2n).
+    (2k)! (2k+1)^(2n).  The sum runs over the packed level and is unpacked
+    once.
     """
-    if k < 0 or n < 0:
-        raise ValueError(f"need k, n >= 0, got ({k}, {n})")
-    family = p_family(k)
-    num_vars = 2 * k + 1
-    acc = MultiPoly.zero(num_vars)
-    for s in range(k + 1):
-        acc = acc + family[2 * s + 1] * ((2 * s + 1) ** (2 * n))
-    return acc / 4 ** k
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    acc = _PackedPoly()
+    for s, packed in enumerate(_extend_levels(k)):
+        acc = acc + packed * (2 * s + 1) ** (2 * n)
+    return _unpack(acc, 2 * k + 1, Fraction(1, 4 ** k))
 
 
 def q_eval(values: Sequence[int]) -> Fraction:
@@ -221,32 +224,18 @@ def q_eval(values: Sequence[int]) -> Fraction:
 
     Equals the full tree polynomial divided by the shuffle count
     z0 z1 ... z_{2k-1}, where z_j is the j-th partial sum of the entries.
-    The three-term P_k^c recursion runs on exact integers at the point, so
-    a level-k call costs O(k^2) multiply-adds at any k; no level is built,
-    cached or locked.  oracles.q_eval_polynomial is the polynomial route.
+    The P-family step of the level build runs on exact integers at the
+    point, so a level-k call costs O(k^2) multiply-adds at any k; no level
+    is built, cached or locked.  oracles.q_eval_polynomial is the
+    polynomial route.
     """
     values = check_odd_tuple(values)
     k = (len(values) - 1) // 2
     z = list(accumulate(values))
     family = [1]  # family[s] is P_j^{2s+1} at the point
     for j in range(k):
-        y1, y2 = values[2 * j + 1], values[2 * j + 2]
-        z2j, z2j1, z2j2 = z[2 * j], z[2 * j + 1], z[2 * j + 2]
-        y1y2 = y1 * y2
-        z2j1_ysum = z2j1 * (y1 + y2)
-        z2j_z2j2 = z2j * z2j2
-        drop = z2j * (z2j1 - y2)
-        # P^{-1} = P^1 below, and P^{c} vanishes for c beyond 2j+1
-        padded = [family[0]] + family + [0, 0]
-        nxt = []
-        for s in range(j + 2):
-            c = 2 * s + 1
-            nxt.append(
-                padded[s + 1] * (2 * c * c * y1y2 - 2 * drop)
-                + padded[s] * ((c - 2) ** 2 * y1y2 + (c - 2) * z2j1_ysum + z2j_z2j2)
-                + padded[s + 2] * ((c + 2) ** 2 * y1y2 - (c + 2) * z2j1_ysum + z2j_z2j2)
-            )
-        family = nxt
+        family = _p_step(family, values[2 * j + 1], values[2 * j + 2],
+                         z[2 * j], z[2 * j + 1], z[2 * j + 2])
     return Fraction(values[0] * sum(family), 4 ** k * prod(z[: 2 * k]))
 
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -325,7 +326,11 @@ def check_oracle_shuffles() -> Iterator[Triple]:
     for length in (1, 3, 5):
         poly = tree_poly((length - 1) // 2)
         for values in _odd_tuples(length, 9):
-            yield f"T{values}", oracles.tree_poly_bruteforce(values), poly.eval(values)
+            brute = oracles.tree_poly_bruteforce(values)
+            yield f"T{values}", brute, poly.eval(values)
+            # the point route against words, not against the level build it
+            # shares its recursion step with
+            yield f"Q{values}", q_eval(values) * prod(accumulate(values[:-1])), brute
 
 
 def check_oracle_q_eval() -> Iterator[Triple]:

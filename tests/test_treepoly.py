@@ -145,6 +145,23 @@ def test_l_poly_against_bruteforce(k, n):
     assert l_poly(k, n) == l_poly_bruteforce(k, n)
 
 
+def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
+    family = p_family(3)
+    expected = {
+        n: sum((family[2 * s + 1] * (2 * s + 1) ** (2 * n) for s in range(4)),
+               MultiPoly.zero(7)) / 4 ** 3
+        for n in (0, 1)
+    }
+
+    def refuse(k):
+        raise AssertionError("the weighted sum unpacked the P family")
+
+    monkeypatch.setattr(treepoly, "p_family", refuse)
+    monkeypatch.setattr(treepoly, "_reduced_cache", {})
+    assert l_poly(3, 1) == expected[1] == l_poly_bruteforce(3, 1)
+    assert reduced_tree_poly(3) == expected[0] == reduced_tree_poly_bruteforce(3)
+
+
 def test_l_poly_closed_form_level_one():
     x0, x1, x2 = xs(3)
     s = x0 + x1
