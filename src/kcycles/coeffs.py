@@ -7,20 +7,24 @@ are exact rationals.  One-part coefficients are explicit:
 
     a_n = (-2)^(n+1) (2n+1)!!,   b_n = 1/a_n.
 
-Multi-part b-coefficients reduce to the one-superscript case b_lambda^n by
-a sum-of-products rule over surjections, and b_lambda^n itself is computed
-by peeling one part k at a time: peeling costs a weighted sum of average
-shuffle sign sums q_eval over compositions of the remaining weight into
-2k+1 slots.  Each q_eval is O(k^2) integer multiply-adds and builds no
-tree polynomial, so a peel at any k costs one such call per composition
-whose b-weight is nonzero.  Which part is peeled must not matter; the
-test suite checks that over all peel orders instead of assuming it.
+All b-coefficients come from one memoized recursion, b_lambda_mu.  A
+multi-part superscript mu is a sum of products over surjections: the block
+of lambda sent to mu[0] contributes its one-superscript value b_block^mu[0],
+the rest contributes b_rest^mu[1:], and both factors are read through the
+same memo.  A one-part superscript b_lambda^n is computed by peeling one
+part k at a time: peeling costs a weighted sum of average shuffle sign sums
+q_eval over compositions of the remaining weight into 2k+1 slots.  Each
+q_eval is O(k^2) integer multiply-adds and builds no tree polynomial, so a
+peel at any k costs one such call per composition whose b-weight is
+nonzero.  Which part is peeled must not matter; the test suite checks that
+over all peel orders instead of assuming it.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
 Stirling-number factors; see degenerate_b and degenerate_a.
 
-A CoeffTable memoizes everything behind a re-entrant lock; the module
-keeps one shared table so casual callers can use the free functions.
+A CoeffTable memoizes everything behind a re-entrant lock.  The module
+keeps one shared table, and the free functions (b_lambda_mu, a_matrix,
+cup_coeff, ...) are bound methods of it.
 """
 
 from __future__ import annotations
@@ -121,7 +125,6 @@ class CoeffTable:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._bn: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
         self._bmu: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
         self._matrices: dict[int, tuple[list[list[Fraction]], list[list[Fraction]]]] = {}
 
@@ -154,58 +157,58 @@ class CoeffTable:
     def b_lambda_n(self, lam: Sequence[int], peel_index: int | None = None) -> Fraction:
         """b of the partition lam with the one-part superscript sum(lam).
 
-        By default the smallest part is peeled (and the result memoized);
-        passing peel_index forces a specific part and skips the memo, which
-        is how order independence gets tested rather than assumed.
+        By default this is the memoized b_lambda_mu(lam, (sum(lam),)), which
+        peels the smallest part; passing peel_index forces a specific part and
+        skips the memo, which is how order independence gets tested rather
+        than assumed.
         """
         lam = normalize_partition(lam)
         if not lam:
             raise ValueError("b_lambda_n needs a nonempty partition")
-        if peel_index is not None:
-            if not 0 <= peel_index < len(lam):
-                raise ValueError(f"peel index {peel_index} out of range for {lam}")
-            if len(lam) == 1:
-                return b_single(lam[0])
-            rest = lam[:peel_index] + lam[peel_index + 1 :]
-            return self.b_extend(rest, lam[peel_index])
-        with self._lock:
-            if lam not in self._bn:
-                if len(lam) == 1:
-                    self._bn[lam] = b_single(lam[0])
-                else:
-                    # canonical order is weakly decreasing, so [-1] is the smallest part
-                    self._bn[lam] = self.b_extend(lam[:-1], lam[-1])
-            return self._bn[lam]
+        if peel_index is None:
+            return self.b_lambda_mu(lam, (sum(lam),))
+        if not 0 <= peel_index < len(lam):
+            raise ValueError(f"peel index {peel_index} out of range for {lam}")
+        if len(lam) == 1:
+            return b_single(lam[0])
+        rest = lam[:peel_index] + lam[peel_index + 1 :]
+        return self.b_extend(rest, lam[peel_index])
 
     def b_lambda_mu(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """Sum-of-products rule: sum over surjections of part slots of lam onto
-        part slots of mu whose blocks sum to the targeted part."""
+        part slots of mu whose blocks sum to the targeted part.
+
+        The block sent to mu[0] contributes b of the block with superscript
+        mu[0], the rest contributes b(rest, mu[1:]), and both are read
+        through the memo.  A one-part mu is the peel of the smallest part.
+        """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
         if sum(lam) != sum(mu):
             raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
         key = (lam, mu)
         with self._lock:
-            if key not in self._bmu:
-                self._bmu[key] = self._surjection_sum(lam, mu)
-            return self._bmu[key]
-
-    def _surjection_sum(self, available: tuple[int, ...], mu_rest: tuple[int, ...]) -> Fraction:
-        if not mu_rest:
-            return Fraction(1) if not available else Fraction(0)
-        target = mu_rest[0]
-        total = Fraction(0)
-        n = len(available)
-        # blocks are index subsets: equal parts in distinct slots count separately
-        for bits in range(1, 1 << n):
-            block = tuple(available[i] for i in range(n) if bits >> i & 1)
-            if sum(block) != target:
-                continue
-            factor = self.b_lambda_n(block)
-            if factor:
-                rest = tuple(available[i] for i in range(n) if not bits >> i & 1)
-                total += factor * self._surjection_sum(rest, mu_rest[1:])
-        return total
+            if key in self._bmu:
+                return self._bmu[key]
+            if not mu:
+                value = Fraction(1)
+            elif len(mu) == 1:
+                # canonical order is weakly decreasing, so [-1] is the smallest part
+                value = b_single(lam[0]) if len(lam) == 1 else self.b_extend(lam[:-1], lam[-1])
+            else:
+                value = Fraction(0)
+                n = len(lam)
+                # blocks are index subsets: equal parts in distinct slots count separately
+                for bits in range(1, 1 << n):
+                    block = tuple(lam[i] for i in range(n) if bits >> i & 1)
+                    if sum(block) != mu[0]:
+                        continue
+                    factor = self.b_lambda_mu(block, mu[:1])
+                    if factor:
+                        rest = tuple(lam[i] for i in range(n) if not bits >> i & 1)
+                        value += factor * self.b_lambda_mu(rest, mu[1:])
+            self._bmu[key] = value
+            return value
 
     # -- matrices and everything built on them --------------------------------
 
@@ -236,16 +239,12 @@ class CoeffTable:
         mu = normalize_partition(mu)
         if sum(lam) != sum(mu):
             raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-        parts = partitions_of(sum(lam))
-        _, a_rows = self._built_matrices(sum(lam))
-        return a_rows[parts.index(lam)][parts.index(mu)]
+        return self.witten_expansion(lam).get(mu, Fraction(0))
 
     def witten_expansion(self, lam: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
         """Row of the a-matrix for lam: the dual-cycle class expanded in
         kappa-monomials, nonzero entries only."""
         lam = normalize_partition(lam)
-        if not lam:
-            return {(): Fraction(1)}
         parts = partitions_of(sum(lam))
         _, a_rows = self._built_matrices(sum(lam))
         row = a_rows[parts.index(lam)]
@@ -370,36 +369,14 @@ def shared_table() -> CoeffTable:
     return _shared
 
 
-def b_extend(lam, k, table: CoeffTable | None = None) -> Fraction:
-    return (table or _shared).b_extend(lam, k)
-
-
-def b_lambda_n(lam, peel_index: int | None = None, table: CoeffTable | None = None) -> Fraction:
-    return (table or _shared).b_lambda_n(lam, peel_index)
-
-
-def b_lambda_mu(lam, mu, table: CoeffTable | None = None) -> Fraction:
-    return (table or _shared).b_lambda_mu(lam, mu)
-
-
-def a_lambda_mu(lam, mu, table: CoeffTable | None = None) -> Fraction:
-    return (table or _shared).a_lambda_mu(lam, mu)
-
-
-def b_matrix(n: int, table: CoeffTable | None = None) -> list[list[Fraction]]:
-    return (table or _shared).b_matrix(n)
-
-
-def a_matrix(n: int, table: CoeffTable | None = None) -> list[list[Fraction]]:
-    return (table or _shared).a_matrix(n)
-
-
-def witten_expansion(lam, table: CoeffTable | None = None) -> dict:
-    return (table or _shared).witten_expansion(lam)
-
-
-def cup_coeff(lam, mu, table: CoeffTable | None = None) -> dict:
-    return (table or _shared).cup_coeff(lam, mu)
+b_extend = _shared.b_extend
+b_lambda_n = _shared.b_lambda_n
+b_lambda_mu = _shared.b_lambda_mu
+a_lambda_mu = _shared.a_lambda_mu
+b_matrix = _shared.b_matrix
+a_matrix = _shared.a_matrix
+witten_expansion = _shared.witten_expansion
+cup_coeff = _shared.cup_coeff
 
 
 def partition_key(parts: Sequence[int]) -> str:

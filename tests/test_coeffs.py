@@ -91,6 +91,7 @@ def test_b_lambda_mu_examples(table):
         assert table.b_lambda_mu((n,), (n,)) == b_single(n)
     # no surjection: superscript with more parts than the subscript
     assert table.b_lambda_mu((2,), (1, 1)) == 0
+    assert table.b_lambda_mu((), ()) == 1
     with pytest.raises(ValueError):
         table.b_lambda_mu((2,), (1,))
 
@@ -312,17 +313,57 @@ def test_isolated_table_instance():
 
 
 def test_concurrent_table_access():
+    # the recursive b memo fills from many threads at once, switching often
+    import sys
     import threading
 
+    expected = CoeffTable().b_matrix(7)
     fresh = CoeffTable()
     results = []
 
     def worker():
-        results.append(fresh.b_lambda_n((2, 2, 1)))
+        results.append(fresh.b_matrix(7))
 
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(rows == expected for rows in results)
+
+
+# sha256 of canonical_json(table_document(w)) for w = 0..10: the exported
+# bytes that no change to how the tables are computed may alter
+TABLE_DIGESTS = [
+    "370a3796c58f6b89a5ef3f42851dc6cf2ed7539651912fb086beea603e4116f0",
+    "fc3b8cefd98f6173480e4f4eba8ed20d965d3424c5d2f9c5bd725be7e2fcee5a",
+    "46168d1f4401dc82ef424c56e4e03f5f8a807d5155021d481b42ce8aa1eabf4a",
+    "9100e739e8a8834e50db8dd61037c8bae62587d3c306793b1f6cd03634d6ffd3",
+    "048d89ed7782ac44e9c3e04ea7e87f155bc14f7c6f30aef54d2df4507dec1172",
+    "e64be020d3f3e82bc3f1e18b2bacd52c27d3a0b7ea77fcb8eb380e1a030c95b1",
+    "333b2e4223d8a8665123274903a14395bbb018aee4dac6a052d1d1a86eee5a8d",
+    "68fd2f4cfb48cdcb2dd322c11d267928e8c6a7d618b1450a2e6dfc87d4fa92ee",
+    "db1d05d10ccb9e99b22ecd561d928facc86a79c5f4f9c791f7937898c48fedde",
+    "5631e434b1c173c0fd4a2fd550b24d2fbe25daa91285892002ea70f9000a3fda",
+    "0969832d5366e978d57c9f279051ee2f76321406f5fd7ca1c8e31cd523ab22d0",
+]
+
+
+def test_table_document_bytes_pinned():
+    from hashlib import sha256
+
+    from kcycles.cache import canonical_json
+
+    fresh = CoeffTable()
+    digests = [
+        sha256(canonical_json(table_document(w, fresh)).encode()).hexdigest()
+        for w in range(len(TABLE_DIGESTS))
+    ]
+    assert digests == TABLE_DIGESTS
