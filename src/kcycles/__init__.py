@@ -7,8 +7,9 @@ Layout:
                compositions, Stirling numbers, double factorials
 * series    -- truncated formal power series in t
 * oracles   -- brute-force enumerations (increasing trees, cyclic
-               shuffles, sign-sum tables, cycle statistics) and the
-               polynomial route for q_eval
+               shuffles, sign-sum tables, cycle statistics), the
+               polynomial route for q_eval, and the P-family recursion
+               in x coordinates
 * treepoly  -- the production recursion for the tree polynomials and all
                closed forms attached to them
 * coeffs    -- the b/a coefficient tables, cup products, and the
@@ -38,6 +39,7 @@ from .oracles import (
     enumerate_increasing_trees,
     even_cycle_histogram,
     oriented_sign_sum,
+    p_family_x,
     q_eval_polynomial,
     reduced_tree_poly_bruteforce,
     shuffle_sign_sum_bruteforce,

@@ -1,7 +1,9 @@
 """Exhaustive enumeration oracles: increasing trees, cyclic shuffles,
-ordinary shuffle sign sums, and permutation cycle statistics, plus the
-polynomial route for the average sign sum, which the scalar q_eval
-replaced and which now checks it.
+ordinary shuffle sign sums, and permutation cycle statistics, plus two
+routes the production code replaced and which now check it: the
+polynomial route for the average sign sum (replaced by the scalar
+q_eval) and the P-family recursion run in x coordinates (replaced by the
+packed partial-sum build).
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -27,7 +29,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exact import MultiPoly, check_odd_tuple, double_factorial
-from .treepoly import reduced_tree_poly
+from .treepoly import PFamily, _p_step, reduced_tree_poly
 
 DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
 DEFAULT_LETTER_CAP = 11     # total letters in a cyclic-shuffle alphabet
@@ -183,7 +185,8 @@ def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
 def q_eval_polynomial(values: Sequence[int]) -> Fraction:
     """q_eval by the polynomial route: build the reduced tree polynomial of
     the tuple's level, evaluate it, and divide x0 times that value by the
-    shuffle count z0 z1 ... z_{2k-1}.  Builds and caches the level."""
+    shuffle count z0 z1 ... z_{2k-1}.  Builds and caches the level, which
+    comes from the packed partial-sum build and its conversion to x."""
     values = check_odd_tuple(values)
     k = (len(values) - 1) // 2
     numerator = values[0] * reduced_tree_poly(k).eval(values)
@@ -193,6 +196,25 @@ def q_eval_polynomial(values: Sequence[int]) -> Fraction:
         partial += values[j]
         denominator *= partial
     return Fraction(numerator) / denominator
+
+
+def p_family_x(k: int) -> PFamily:
+    """The level-k P-family by the recursion run directly in x coordinates.
+
+    Each step multiplies MultiPoly values, with y1 = x_{2j+1}, y2 =
+    x_{2j+2} and z_i = x0 + ... + x_i, so it shares only the step formula
+    with treepoly.p_family and neither its packed exponents nor its
+    change of coordinates.  Nothing is cached.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    family = [MultiPoly.constant(1, 1)]
+    for j in range(k):
+        n = 2 * j + 3
+        y1, y2 = MultiPoly.variable(n, 2 * j + 1), MultiPoly.variable(n, 2 * j + 2)
+        z2j, z2j1, z2j2 = (MultiPoly.var_sum(n, i) for i in range(2 * j, 2 * j + 3))
+        family = _p_step([p.extended(n) for p in family], y1, y2, z2j, z2j1, z2j2)
+    return PFamily(k, {2 * s + 1: p for s, p in enumerate(family)})
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +374,7 @@ __all__ = [
     "oriented_sign_sum",
     "tree_poly_bruteforce",
     "q_eval_polynomial",
+    "p_family_x",
     "shuffle_sign_sum_bruteforce",
     "counting_identity_bruteforce",
     "counting_identity_closed",

@@ -15,15 +15,21 @@ evaluations and the shuffle sign-sum tables live here too, next to the
 recursion they cross-check.
 
 One step of the recursion, _p_step, serves two routes.  The level build
-runs it on polynomials with packed exponents; q_eval, the average sign
-sum that the coefficient peel needs, runs it on integers at one point:
-O(k^2) multiply-adds, with no level built, so it works at any level.
+runs it on polynomials with packed exponents in the partial sums
+z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k} and y2 = z_{2k+2} -
+z_{2k+1}; there every P_k^c has exactly 2*4^(k-1) terms (k >= 1) and no
+exponent above 2, against tens of thousands of terms in x.  Unpacking
+converts to x once, substituting z_j = z_{j-1} + x_j slot by slot.
+q_eval, the average sign sum that the coefficient peel needs, runs the
+step on integers at one point: O(k^2) multiply-adds, with no level
+built, so it works at any level.  oracles.p_family_x runs it in x.
 
 Values are immutable.  The packed levels, p_family(k) and
-reduced_tree_poly(k) are cached per process; tree_poly and l_poly unpack
-a new polynomial from the cached packed level on every call, and q_eval
-caches nothing.  Building a new level or cache entry takes an internal
-lock, and a built one is read without taking the lock.
+reduced_tree_poly(k) are cached per process; l_poly converts a new
+polynomial from the cached packed level on every call, tree_poly
+multiplies the cached reduced one by x0, and q_eval caches nothing.
+Building a new level or cache entry takes an internal lock, and a built
+one is read without taking the lock.
 """
 
 from __future__ import annotations
@@ -38,9 +44,11 @@ from typing import Sequence
 from .exact import MultiPoly, binomial, check_odd_tuple, double_factorial
 from .series import TruncatedSeries, elementary_series
 
-# Six bits bound per-variable exponents by 63, far above the 2k+2 reached
-# while building any practical level.
-_PACK_BITS = 6
+# One byte per variable: decoding a key is one int.to_bytes.  A packed
+# z-level slot never exceeds 2, and the levels are homogeneous of degree
+# 2k, so an x exponent after conversion is at most 2k <= 60 through
+# _MAX_LEVEL, well below 256.
+_PACK_BITS = 8
 _PACK_MASK = (1 << _PACK_BITS) - 1
 _MAX_LEVEL = 30
 
@@ -94,7 +102,8 @@ def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
     """One step k -> k+1 of the P-family recursion; family[s] is P_k^{2s+1}.
 
     y1 = x_{2k+1}, y2 = x_{2k+2} and z_i = x0 + ... + x_i, all ints (a
-    point) or all _PackedPoly (the variables).  With S_c = P_k^c, S_{-1} =
+    point), all _PackedPoly (the level build, in z coordinates) or all
+    MultiPoly (the x-coordinate oracle).  With S_c = P_k^c, S_{-1} =
     S_1 and S_c = 0 beyond c = 2k+1, the terms are grouped by multiplier so
     that every product has a linear factor:
 
@@ -124,8 +133,9 @@ _reduced_cache: dict[int, MultiPoly] = {}
 
 
 def _extend_levels(level: int) -> list[_PackedPoly]:
-    """The packed family of the given level, building the missing levels
-    under the lock; element s is P_level^{2s+1}."""
+    """The packed family of the given level in partial-sum coordinates,
+    building the missing levels under the lock; element s is
+    P_level^{2s+1} with slot i holding the exponent of z_i."""
     if level < 0:
         raise ValueError(f"need k >= 0, got {level}")
     if level > _MAX_LEVEL:
@@ -134,19 +144,44 @@ def _extend_levels(level: int) -> list[_PackedPoly]:
         with _lock:
             while len(_packed_levels) <= level:
                 k = len(_packed_levels) - 1
-                x = [_PackedPoly({1 << (_PACK_BITS * i): 1}) for i in range(2 * k + 3)]
-                z = list(accumulate(x))
+                z2k, z2k1, z2k2 = (
+                    _PackedPoly({1 << (_PACK_BITS * i): 1}) for i in range(2 * k, 2 * k + 3)
+                )
                 _packed_levels.append(
-                    _p_step(_packed_levels[k], x[2 * k + 1], x[2 * k + 2],
-                            z[2 * k], z[2 * k + 1], z[2 * k + 2])
+                    _p_step(_packed_levels[k], z2k1 - z2k, z2k2 - z2k1, z2k, z2k1, z2k2)
                 )
     return _packed_levels[level]
 
 
-def _unpack(packed: _PackedPoly, num_vars: int, scale=1) -> MultiPoly:
-    return MultiPoly(num_vars, {
-        tuple((e >> (_PACK_BITS * i)) & _PACK_MASK for i in range(num_vars)): c * scale
-        for e, c in packed.items()
+def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> MultiPoly:
+    """The packed z-coordinate polynomial divided by the denominator, as a
+    MultiPoly in x.
+
+    Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down,
+    each a binomial expansion of the slot's exponent; z_0 = x_0 needs none.
+    """
+    terms = packed
+    for j in range(num_vars - 1, 0, -1):
+        shift = _PACK_BITS * j
+        # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
+        # moves[a] expands z_j^a, one entry per exponent b kept as x_j^b
+        carry = (1 << (shift - _PACK_BITS)) - (1 << shift)
+        moves = [[((a - b) * carry, comb(a, b)) for b in range(a + 1)]
+                 for a in range(num_vars)]
+        expanded: dict[int, int] = {}
+        get = expanded.get
+        for e, c in terms.items():
+            for move, weight in moves[(e >> shift) & _PACK_MASK]:
+                key = e + move
+                expanded[key] = get(key, 0) + c * weight
+        # the expansion cancels heavily; dropping zeros slot by slot keeps
+        # the lower slots' expansions small
+        terms = {e: c for e, c in expanded.items() if c}
+    # distinct keys and nonzero coefficients: the store is already canonical
+    return MultiPoly._raw(num_vars, {
+        tuple(e.to_bytes(num_vars, "little")):
+            c // denominator if c % denominator == 0 else Fraction(c, denominator)
+        for e, c in terms.items()
     })
 
 
@@ -181,7 +216,8 @@ class PFamily:
 
 
 def p_family(k: int) -> PFamily:
-    """The level-k family, computed by iterating the three-term recursion."""
+    """The level-k family, computed by iterating the three-term recursion;
+    each P_k^c is converted from the packed z level on its own."""
     level = _extend_levels(k)
     return _cached(_pfamily_cache, k, lambda: PFamily(k, {
         2 * s + 1: _unpack(packed, 2 * k + 1) for s, packed in enumerate(level)
@@ -208,15 +244,15 @@ def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
     l_poly(k, 0) is the reduced tree polynomial; the coefficient sum is
-    (2k)! (2k+1)^(2n).  The sum runs over the packed level and is unpacked
-    once.
+    (2k)! (2k+1)^(2n).  The sum runs over the packed z level and is
+    converted to x once.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     acc = _PackedPoly()
     for s, packed in enumerate(_extend_levels(k)):
         acc = acc + packed * (2 * s + 1) ** (2 * n)
-    return _unpack(acc, 2 * k + 1, Fraction(1, 4 ** k))
+    return _unpack(acc, 2 * k + 1, 4 ** k)
 
 
 def q_eval(values: Sequence[int]) -> Fraction:

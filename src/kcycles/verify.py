@@ -47,6 +47,7 @@ from .series import elementary_series
 from .treepoly import (
     double_sum_identity,
     l_poly,
+    p_family,
     q_closed_ones,
     q_eval,
     reduced_tree_poly,
@@ -322,6 +323,14 @@ def check_oracle_reduced() -> Iterator[Triple]:
         yield f"k={k}", reduced_tree_poly(k), oracles.reduced_tree_poly_bruteforce(k)
 
 
+def check_p_family_coordinates() -> Iterator[Triple]:
+    # the packed z build converted to x against the recursion run in x; both
+    # share the step formula, so this covers the coordinates, the packing
+    # and the conversion, and the brute-force checks cover the step
+    for k in range(6):
+        yield f"k={k}", p_family(k).polys, oracles.p_family_x(k).polys
+
+
 def check_oracle_shuffles() -> Iterator[Triple]:
     for length in (1, 3, 5):
         poly = tree_poly((length - 1) // 2)
@@ -370,8 +379,9 @@ def check_counting_sweep() -> Iterator[Triple]:
 
 def check_even_cycles() -> Iterator[Triple]:
     # histograms by full permutation enumeration up to degree 8, and the
-    # x0-degree profile of the reduced polynomial one level further
-    for k in range(1, 6):
+    # x0-degree profile of the reduced polynomial through level 7, where no
+    # enumeration reaches
+    for k in range(1, 8):
         closed = oracles.even_cycle_closed_coeffs(2 * k)
         if k <= 4:
             yield f"2k={2 * k}", oracles.even_cycle_histogram(2 * k), closed
@@ -420,7 +430,9 @@ def check_pair_closed_sweep() -> Iterator[Triple]:
 
 
 def check_structural() -> Iterator[Triple]:
-    for k in range(7):
+    # MultiPoly.substitute copies its partial result once per term, so the
+    # x0 + x1 re-expansion stops at level 6
+    for k in range(8):
         reduced = reduced_tree_poly(k)
         num_vars = 2 * k + 1
         yield f"homog k={k}", reduced.is_homogeneous(2 * k), True
@@ -428,7 +440,7 @@ def check_structural() -> Iterator[Triple]:
                all(isinstance(c, int) and c > 0 for _, c in reduced.items()), True)
         yield f"sum k={k}", reduced.coefficient_sum(), factorial(2 * k)
         yield f"linear last k={k}", tree_poly(k).degree_in(2 * k), 1
-        if k >= 1:
+        if 1 <= k <= 6:
             at_zero = reduced.substitute(0, MultiPoly.zero(num_vars))
             x0_plus_x1 = MultiPoly.variable(num_vars, 0) + MultiPoly.variable(num_vars, 1)
             yield f"x0+x1 k={k}", at_zero.substitute(1, x0_plus_x1), reduced
@@ -515,6 +527,7 @@ CHECKS: tuple[tuple[str, str, Callable[..., Iterable[Triple]]], ...] = (
     ("anchors/double-sum", "quick", check_double_sum_anchors),
     ("cache/tables", "quick", check_cache_consistency),
     ("oracle/reduced-tree-poly", "full", check_oracle_reduced),
+    ("oracle/p-family-coordinates", "full", check_p_family_coordinates),
     ("oracle/cyclic-shuffles", "full", check_oracle_shuffles),
     ("oracle/q-eval", "full", check_oracle_q_eval),
     ("oracle/shuffle-counts", "full", check_shuffle_counts),

@@ -11,7 +11,8 @@ one place each identity sweep is written:
   1  anchors/reduced-polys
   2  anchors/coefficients, anchors/witten-cup
   3  anchors/witten-cup
-  4  oracle/reduced-tree-poly, oracle/cyclic-shuffles, oracle/q-eval
+  4  oracle/reduced-tree-poly, oracle/p-family-coordinates,
+     oracle/cyclic-shuffles, oracle/q-eval
   5  sweep/closed-ones, sweep/closed-main, sweep/pair-closed,
      anchors/pair-closed
   6  struct/reduced-poly, struct/l-poly, struct/g-recursion
@@ -62,7 +63,8 @@ def test_criterion_03_cup_product_anchor():
 
 def test_criterion_04_oracle_equivalence():
     _criterion(4, 300.0, "brute-force enumeration equals the recursion route",
-               "oracle/reduced-tree-poly", "oracle/cyclic-shuffles", "oracle/q-eval")
+               "oracle/reduced-tree-poly", "oracle/p-family-coordinates",
+               "oracle/cyclic-shuffles", "oracle/q-eval")
 
 
 def test_criterion_05_closed_form_sweeps():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +52,15 @@ def test_treepoly_pfamily():
     lines = result.stdout.splitlines()
     assert lines[0].startswith("P[1] = ")
     assert lines[1].startswith("P[3] = ")
+
+
+def test_treepoly_level_six_json_pinned():
+    # no brute-force oracle reaches level 6, so the stdout bytes are pinned to
+    # the digest the earlier x-coordinate build printed
+    result = run_cli("treepoly", "6", "--format", "json")
+    assert result.returncode == 0, result.stderr
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert digest == "df9a5fcb607d1a013f285a08934ac9bb5d5e28a0381622c8d8f9f62a9a7ee31d"
 
 
 def test_coeff_values():

@@ -14,6 +14,7 @@ from kcycles.oracles import (
     even_cycle_closed_coeffs,
     even_cycle_histogram,
     oriented_sign_sum,
+    p_family_x,
     reduced_tree_poly_bruteforce,
     shuffle_sign_sum_bruteforce,
     tree_monomial,
@@ -65,6 +66,19 @@ def test_reduced_bruteforce_small():
     assert poly2.coefficient((0, 1, 2, 0, 1)) == 1
     assert poly2.coefficient((0, 2, 0, 1, 1)) == 2
     assert poly2.coefficient((0, 1, 1, 1, 1)) == 5
+
+
+def test_p_family_x_small():
+    assert p_family_x(0).polys == {1: MultiPoly.constant(1, 1)}
+    x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
+    family = p_family_x(1)
+    zero = MultiPoly.zero(3)
+    assert family[3].substitute(0, zero) == x1 * x1 + 2 * x1 * x2
+    assert family[1].substitute(0, zero) == -(x1 * x1) + 2 * x1 * x2
+    # 4^-1 (P^1 + P^3) is the reduced tree polynomial
+    assert (family[1] + family[3]) / 4 == (x0 + x1) * x2
+    with pytest.raises(ValueError):
+        p_family_x(-1)
 
 
 # ---------------------------------------------------------------------------

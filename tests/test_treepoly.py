@@ -65,6 +65,23 @@ def test_p_family_level_two_top():
     assert family[5].substitute(0, zero) == expected
 
 
+def test_packed_z_levels_have_the_fixed_shape():
+    # the build's speed rests on this shape: 2*4^(k-1) terms per P_k^c, no
+    # z exponent above 2, and degree 2k, so converted x exponents fit a slot
+    for k in range(1, 8):
+        level = treepoly._extend_levels(k)
+        assert len(level) == k + 1
+        for packed in level:
+            assert len(packed) == 2 * 4 ** (k - 1)
+            for e in packed:
+                exps = e.to_bytes(2 * k + 1, "little")
+                assert max(exps) <= 2
+                assert sum(exps) == 2 * k
+    for k in range(6):
+        for poly in p_family(k).polys.values():
+            assert poly.is_homogeneous(2 * k)
+
+
 def test_reduced_examples():
     x0, x1, x2 = xs(3)
     assert reduced_tree_poly(0) == MultiPoly.constant(1, 1)
