@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import prod
 from pathlib import Path
+from typing import Iterator
 
 from . import cache as cache_mod
 from .coeffs import (
@@ -116,12 +117,16 @@ def _kappa_latex(parts: tuple[int, ...]) -> str:
     return " ".join(factors)
 
 
-def _render_poly(poly: MultiPoly, fmt: str) -> str:
+def _render_poly(poly: MultiPoly, fmt: str, depth: int = 0) -> Iterator[str]:
+    """The polynomial in `fmt`, streamed as one piece per term and no newline.
+
+    JSON is `json.dumps(poly.to_obj(), indent=2)` nested `depth` levels
+    deep; text and LaTeX lead with the graded-lex highest term (x0 most
+    significant), sorted by `bytes` of the exponents while they fit a byte.
+    """
     if fmt == "json":
-        return cache_mod.canonical_json(poly.to_obj())
-    if fmt == "latex":
-        return poly.latex()
-    return poly.text()
+        return poly.json_pieces(depth)
+    return poly.term_pieces(latex=fmt == "latex")
 
 
 def _poly_summary(poly: MultiPoly) -> str:
@@ -133,32 +138,35 @@ def _poly_summary(poly: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_treepoly(args) -> int:
-    k = args.k
+    k, fmt, out = args.k, args.format, sys.stdout
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if args.variant == "reduced":
-        _emit(_render_poly(reduced_tree_poly(k), args.format))
-    elif args.variant == "full":
-        _emit(_render_poly(tree_poly(k), args.format))
-    elif args.variant.startswith("l:"):
-        _emit(_render_poly(l_poly(k, int(args.variant[2:])), args.format))
-    else:
-        family = p_family(k)
-        if args.format == "json":
-            obj = {
-                "k": k,
-                "polys": {str(c): family.polys[c].to_obj() for c in sorted(family.polys)},
-            }
-            _emit(cache_mod.canonical_json(obj))
+    if args.variant != "pfamily":
+        if args.variant == "reduced":
+            poly = reduced_tree_poly(k)
+        elif args.variant == "full":
+            poly = tree_poly(k)
         else:
-            lines = []
-            for c in sorted(family.polys):
-                rendered = (
-                    family.polys[c].latex() if args.format == "latex"
-                    else family.polys[c].text()
-                )
-                lines.append(f"P[{c}] = {rendered}")
-            _emit("\n".join(lines))
+            poly = l_poly(k, int(args.variant[2:]))
+        out.writelines(_render_poly(poly, fmt))
+    elif fmt == "json":
+        # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
+        polys = p_family(k).polys
+        out.write(f'{{\n  "k": {k},\n  "polys": {{')
+        separator = "\n    "
+        for c in sorted(polys):
+            out.write(f'{separator}"{c}": ')
+            out.writelines(_render_poly(polys[c], fmt, depth=2))
+            separator = ",\n    "
+        out.write("\n  }\n}")
+    else:
+        polys = p_family(k).polys
+        separator = ""
+        for c in sorted(polys):
+            out.write(f"{separator}P[{c}] = ")
+            out.writelines(_render_poly(polys[c], fmt))
+            separator = "\n"
+    out.write("\n")
     return EXIT_OK
 
 

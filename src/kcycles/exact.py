@@ -10,6 +10,13 @@ Conventions used throughout the package:
   empty tuple being the empty partition;
 * an exponent vector is a tuple of nonnegative ints, one per variable.
 
+Polynomials render in pieces, one per term: `MultiPoly.term_pieces` for
+text and LaTeX and `MultiPoly.json_pieces` for JSON, so a caller can
+stream a level of a million terms without holding its rendering, and
+`text()`/`latex()` join the same pieces.  Terms are sorted with `bytes` of
+the exponent vector as the key, which orders like the tuple while every
+exponent is below 256; a larger exponent falls back to the tuple sort.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
 """
@@ -20,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import factorial
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 Coeff = int | Fraction
@@ -40,11 +48,13 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Coeff) -> str:
     """Canonical string form: "p/q" with q > 0 and gcd 1, or plain "p" if integral."""
-    return str(Fraction(value))
+    return str(value) if type(value) is int else str(Fraction(value))
 
 
 def latex_rational(value: Coeff) -> str:
     """LaTeX form of |value|: "\\frac{p}{q}", or plain "p" if integral."""
+    if type(value) is int:
+        return str(abs(value))
     value = Fraction(value)
     if value.denominator == 1:
         return str(abs(value.numerator))
@@ -232,6 +242,42 @@ def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
+
+def _sorted_exponents(exponents: Iterable[tuple[int, ...]], reverse: bool = False) -> list:
+    """Exponent vectors sorted as tuples.
+
+    While every exponent is below 256, `bytes` of a vector orders like the
+    vector and compares much faster, so it is the sort key; a larger
+    exponent makes `bytes` raise and the tuples are sorted as they are.
+    """
+    try:
+        return sorted(exponents, key=bytes, reverse=reverse)
+    except ValueError:
+        return sorted(exponents, reverse=reverse)
+
+
+def _graded_lex(exponents: Iterable[tuple[int, ...]]) -> list:
+    """Graded-lex order with x0 most significant, leading vector first.
+
+    The order of the key (-sum(e), -e0, -e1, ...): a stable sort by
+    descending total degree of the descending lex order.
+    """
+    ordered = _sorted_exponents(exponents, reverse=True)
+    ordered.sort(key=sum, reverse=True)
+    return ordered
+
+
+class _Powers(dict):
+    """Rendered powers of one variable by exponent, each made on first use."""
+
+    def __init__(self, name: str, open_: str, close: str):
+        super().__init__({0: "", 1: name})
+        self.open, self.close = name + open_, close
+
+    def __missing__(self, exponent: int) -> str:
+        self[exponent] = rendered = f"{self.open}{exponent}{self.close}"
+        return rendered
+
 
 class MultiPoly:
     """Sparse polynomial in variables x0..x(N-1) with exact coefficients.
@@ -433,13 +479,18 @@ class MultiPoly:
                 powers[n] = power(n - 1) * replacement
             return powers[n]
 
-        result = MultiPoly.zero(self.num_vars)
+        # every term's expansion goes into one store; zeros and integral
+        # Fractions are settled once at the end
+        store: dict[tuple[int, ...], Coeff] = {}
+        get = store.get
         for exps, coeff in self._terms.items():
-            exp_i = exps[index]
             rest = exps[:index] + (0,) + exps[index + 1 :]
-            monomial = MultiPoly._raw(self.num_vars, {rest: coeff})
-            result = result + monomial * power(exp_i)
-        return result
+            for pexps, pcoeff in power(exps[index])._terms.items():
+                key = tuple(map(add, rest, pexps))
+                store[key] = get(key, 0) + coeff * pcoeff
+        return MultiPoly._raw(
+            self.num_vars, {e: _normalize_coeff(c) for e, c in store.items() if c}
+        )
 
     def eval(self, point: Iterable[Coeff]) -> Coeff:
         """Exact value at the point (one coordinate per variable)."""
@@ -487,44 +538,60 @@ class MultiPoly:
             raise ValueError("empty term list needs an explicit num_vars")
         return cls(num_vars, terms)
 
-    def _ordered_terms(self):
-        # graded-lex with x0 most significant, leading term first
-        return sorted(
-            self._terms.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0]))
-        )
+    def json_pieces(self, depth: int = 0) -> Iterator[str]:
+        """`json.dumps(self.to_obj(), indent=2)` in pieces, one per term.
+
+        The pieces join to the document as it appears nested `depth`
+        levels deep in an indent-2 `json.dumps` document, so a caller can
+        write a large polynomial without holding its rendering.
+        """
+        if not self._terms:
+            yield "[]"
+            return
+        item = "\n" + "  " * (depth + 1)
+        field = item + "  "
+        number = "," + field + "  "
+        # one %-template per term: the exponents, then the coefficient
+        row = (item + "{" + field + '"exp": [' + number[1:]
+               + number.join(["%d"] * self.num_vars)
+               + field + "]," + field + '"coeff": "%s"' + item + "}")
+        template = "[" + row
+        for exps in _sorted_exponents(self._terms):
+            yield template % (*exps, format_rational(self._terms[exps]))
+            template = "," + row
+        yield item[:-2] + "]"
+
+    def term_pieces(self, latex: bool = False) -> Iterator[str]:
+        """Text (or LaTeX) rendering in pieces, leading term first.
+
+        Terms come in graded-lex order with x0 most significant.  The first
+        piece is the leading term, every later one is " + body" or
+        " - body"; the zero polynomial is the single piece "0".
+        """
+        if not self._terms:
+            yield "0"
+            return
+        if latex:
+            powers = [_Powers(f"x_{{{i}}}", "^{", "}") for i in range(self.num_vars)]
+            times, magnitude = " ", latex_rational
+        else:
+            powers = [_Powers(f"x{i}", "^", "") for i in range(self.num_vars)]
+            times, magnitude = "*", format_rational
+        plus, minus = "", "-"
+        for exps in _graded_lex(self._terms):
+            coeff = self._terms[exps]
+            body = times.join(filter(None, map(_Powers.__getitem__, powers, exps)))
+            mag = -coeff if coeff < 0 else coeff
+            if mag != 1 or not body:
+                body = f"{magnitude(mag)}{times}{body}" if body else magnitude(mag)
+            yield (minus if coeff < 0 else plus) + body
+            plus, minus = " + ", " - "
 
     def text(self) -> str:
-        chunks = []
-        for exps, coeff in self._ordered_terms():
-            factors = [
-                f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e
-            ]
-            mag = abs(coeff)
-            if not factors:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([format_rational(mag)] + factors)
-            chunks.append(("-" if coeff < 0 else "+", body))
-        return signed_join(chunks)
+        return "".join(self.term_pieces())
 
     def latex(self) -> str:
-        chunks = []
-        for exps, coeff in self._ordered_terms():
-            factors = [
-                f"x_{{{i}}}" if e == 1 else f"x_{{{i}}}^{{{e}}}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            if not factors:
-                body = latex_rational(coeff)
-            elif abs(coeff) == 1:
-                body = " ".join(factors)
-            else:
-                body = " ".join([latex_rational(coeff)] + factors)
-            chunks.append(("-" if coeff < 0 else "+", body))
-        return signed_join(chunks)
+        return "".join(self.term_pieces(latex=True))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, {self.text()!r})"

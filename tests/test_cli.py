@@ -63,6 +63,25 @@ def test_treepoly_level_six_json_pinned():
     assert digest == "df9a5fcb607d1a013f285a08934ac9bb5d5e28a0381622c8d8f9f62a9a7ee31d"
 
 
+# sha256 of stdout as printed when each document was built in memory and
+# printed whole
+LEVEL_FIVE_DIGESTS = {
+    ("5", "--variant", "l:2", "--format", "latex"):
+        "131ea6003046394b4c5bdb14ecb4912a6505c7dae82314d9e357d17a8914fe6a",
+    ("5", "--variant", "pfamily", "--format", "json"):
+        "66b431d1a5f51a4f979f6bebfc603aa3f7faa6dd723501117592e61247adddf2",
+    ("5", "--variant", "pfamily", "--format", "text"):
+        "2487b8ee061d8f4fdd27648c9c628aa2d16fcd8e4a853e093d28d82910335514",
+}
+
+
+@pytest.mark.parametrize("args", sorted(LEVEL_FIVE_DIGESTS))
+def test_treepoly_level_five_outputs_pinned(args):
+    result = run_cli("treepoly", *args)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == LEVEL_FIVE_DIGESTS[args]
+
+
 def test_coeff_values():
     assert run_cli("coeff", "b", "--lambda", "1,1", "--mu", "2").stdout == "29/720\n"
     assert run_cli("coeff", "a", "--lambda", "1,1,1", "--mu", "3").stdout == "20736\n"

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic core."""
 
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -14,9 +15,11 @@ from kcycles.exact import (
     compositions,
     double_factorial,
     format_rational,
+    latex_rational,
     normalize_partition,
     parse_rational,
     partitions_of,
+    signed_join,
     stirling_first_signed,
     stirling_second,
 )
@@ -275,6 +278,65 @@ def test_poly_rendering():
     assert p.latex() == "2 x_{0}^{2} - x_{1}"
     assert MultiPoly.zero(2).text() == "0"
     assert (Fraction(-1, 2) * x1).latex() == "-\\frac{1}{2} x_{1}"
+
+
+def _reference_render(p, latex):
+    # the renderer as first written: sort key (-total degree, -e0, -e1, ...),
+    # one (sign, body) chunk per term
+    chunks = []
+    ordered = sorted(p.items(), key=lambda item: (-sum(item[0]), tuple(-e for e in item[0])))
+    for exps, coeff in ordered:
+        if latex:
+            factors = [f"x_{{{i}}}" if e == 1 else f"x_{{{i}}}^{{{e}}}"
+                       for i, e in enumerate(exps) if e]
+            magnitude, times = latex_rational(coeff), " "
+        else:
+            factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e]
+            magnitude, times = format_rational(abs(coeff)), "*"
+        if factors and abs(coeff) == 1:
+            body = times.join(factors)
+        else:
+            body = times.join([magnitude] + factors)
+        chunks.append(("-" if coeff < 0 else "+", body))
+    return signed_join(chunks)
+
+
+# exponents past 255 have no byte, so they take the plain tuple sort
+render_exp_st = st.one_of(st.integers(0, 3), st.integers(254, 300))
+render_coeff_st = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+render_poly_st = st.integers(1, 4).flatmap(
+    lambda n: st.dictionaries(
+        st.one_of(st.just((0,) * n), st.tuples(*[render_exp_st] * n)),
+        render_coeff_st,
+        max_size=8,
+    ).map(lambda d: MultiPoly(n, d))
+)
+
+
+@given(render_poly_st)
+@settings(max_examples=200, deadline=None)
+def test_poly_renderers_match_reference(p):
+    assert p.text() == _reference_render(p, latex=False)
+    assert p.latex() == _reference_render(p, latex=True)
+    assert "".join(p.json_pieces(0)) == json.dumps(p.to_obj(), indent=2)
+    # two levels deep, as each polynomial of `treepoly --variant pfamily`
+    nested = json.dumps({"k": 1, "polys": {"3": p.to_obj()}}, indent=2)
+    assert nested == '{\n  "k": 1,\n  "polys": {\n    "3": ' + "".join(
+        p.json_pieces(2)) + "\n  }\n}"
+
+
+def test_poly_renderers_of_zero_and_constants():
+    assert list(MultiPoly.zero(3).term_pieces()) == ["0"]
+    assert list(MultiPoly.zero(3).json_pieces(2)) == ["[]"]
+    assert MultiPoly.constant(2, -1).text() == "-1"
+    assert MultiPoly.constant(2, Fraction(-3, 2)).latex() == "-\\frac{3}{2}"
+    x0, x1 = xvars(2)
+    one = MultiPoly.constant(2, 1)
+    assert list((x1 - x0 * x0 + one).term_pieces()) == ["-x0^2", " + x1", " + 1"]
 
 
 def test_poly_immutable():
