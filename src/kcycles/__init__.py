@@ -8,8 +8,9 @@ Layout:
 * series    -- truncated formal power series in t
 * oracles   -- brute-force enumerations (increasing trees, cyclic
                shuffles, sign-sum tables, cycle statistics), the
-               polynomial route for q_eval, and the P-family recursion
-               in x coordinates
+               polynomial route for q_eval, the P-family recursion in
+               x coordinates, the index-subset b sum and Gauss-Jordan
+               inversion
 * treepoly  -- the production recursion for the tree polynomials and all
                closed forms attached to them
 * coeffs    -- the b/a coefficient tables, cup products, and the

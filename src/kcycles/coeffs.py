@@ -11,13 +11,24 @@ All b-coefficients come from one memoized recursion, b_lambda_mu.  A
 multi-part superscript mu is a sum of products over surjections: the block
 of lambda sent to mu[0] contributes its one-superscript value b_block^mu[0],
 the rest contributes b_rest^mu[1:], and both factors are read through the
-same memo.  A one-part superscript b_lambda^n is computed by peeling one
-part k at a time: peeling costs a weighted sum of average shuffle sign sums
-q_eval over compositions of the remaining weight into 2k+1 slots.  Each
-q_eval is O(k^2) integer multiply-adds and builds no tree polynomial, so a
-peel at any k costs one such call per composition whose b-weight is
-nonzero.  Which part is peeled must not matter; the test suite checks that
-over all peel orders instead of assuming it.
+same memo.  Blocks are enumerated as sub-multisets of lambda (t_i of the
+m_i copies of each distinct part, pruned on the running sum) and weighted
+by prod C(m_i, t_i), the number of slot subsets giving that block, so 1^8
+has 9 candidate blocks rather than 255.
+
+A one-part superscript b_lambda^n is computed by peeling one part k at a
+time: peeling costs a weighted sum of average shuffle sign sums q_eval
+over compositions of the remaining weight into 2k+1 slots.  Each q_eval is
+O(k^2) integer multiply-adds and builds no tree polynomial, so a peel at
+any k costs one such call per composition whose b-weight is nonzero.
+Which part is peeled must not matter; the test suite checks that over all
+peel orders instead of assuming it.
+
+b_lambda^mu vanishes unless mu coarsens lambda, and a coarsening has fewer
+parts or is lambda itself, so in partitions_of order (part count first) the
+b-matrix is lower triangular.  Only its lower triangle is computed, and the
+a-matrix is its inverse by forward substitution over the nonzero entries of
+each row.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
 Stirling-number factors; see degenerate_b and degenerate_a.
@@ -33,7 +44,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact import (
     Coeff,
@@ -45,6 +56,7 @@ from .exact import (
     stirling_first_signed,
     stirling_second,
 )
+from .oracles import invert_rational_matrix  # noqa: F401 -- perfbench/layers.py imports it here
 from .treepoly import q_eval
 
 SCHEMA_VERSION = 1
@@ -180,7 +192,9 @@ class CoeffTable:
 
         The block sent to mu[0] contributes b of the block with superscript
         mu[0], the rest contributes b(rest, mu[1:]), and both are read
-        through the memo.  A one-part mu is the peel of the smallest part.
+        through the memo; equal blocks are visited once, as a sub-multiset
+        counted by its slot subsets.  A one-part mu is the peel of the
+        smallest part.
         """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
@@ -197,16 +211,10 @@ class CoeffTable:
                 value = b_single(lam[0]) if len(lam) == 1 else self.b_extend(lam[:-1], lam[-1])
             else:
                 value = Fraction(0)
-                n = len(lam)
-                # blocks are index subsets: equal parts in distinct slots count separately
-                for bits in range(1, 1 << n):
-                    block = tuple(lam[i] for i in range(n) if bits >> i & 1)
-                    if sum(block) != mu[0]:
-                        continue
+                for block, rest, count in _blocks(lam, mu[0]):
                     factor = self.b_lambda_mu(block, mu[:1])
                     if factor:
-                        rest = tuple(lam[i] for i in range(n) if not bits >> i & 1)
-                        value += factor * self.b_lambda_mu(rest, mu[1:])
+                        value += count * factor * self.b_lambda_mu(rest, mu[1:])
             self._bmu[key] = value
             return value
 
@@ -218,10 +226,14 @@ class CoeffTable:
         with self._lock:
             if n not in self._matrices:
                 parts = partitions_of(n)
+                # mu after lam in partitions_of order never coarsens lam, so
+                # the zeros above the diagonal are structural
                 b_rows = [
-                    [self.b_lambda_mu(lam, mu) for mu in parts] for lam in parts
+                    [self.b_lambda_mu(lam, mu) if j <= i else Fraction(0)
+                     for j, mu in enumerate(parts)]
+                    for i, lam in enumerate(parts)
                 ]
-                self._matrices[n] = (b_rows, invert_rational_matrix(b_rows))
+                self._matrices[n] = (b_rows, invert_lower_triangular(b_rows))
             return self._matrices[n]
 
     def b_matrix(self, n: int) -> list[list[Fraction]]:
@@ -230,7 +242,7 @@ class CoeffTable:
         return [list(row) for row in rows]
 
     def a_matrix(self, n: int) -> list[list[Fraction]]:
-        """Exact inverse of b_matrix(n)."""
+        """Exact inverse of b_matrix(n), lower triangular like it."""
         _, rows = self._built_matrices(n)
         return [list(row) for row in rows]
 
@@ -273,27 +285,60 @@ class CoeffTable:
         return {nu: value for nu, value in out.items() if value}
 
 
-def invert_rational_matrix(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination over the rationals."""
+def _blocks(
+    lam: tuple[int, ...], target: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Sub-multisets of the weakly decreasing lam that sum to target > 0.
+
+    Yields (block, rest, count): block takes t_i of the m_i copies of each
+    distinct part, rest takes the others, both weakly decreasing, and
+    count = prod C(m_i, t_i) is the number of slot subsets of lam giving
+    this block.
+    """
+    groups = [(part, lam.count(part)) for part in sorted(set(lam), reverse=True)]
+
+    def rec(i, remaining, block, rest, count):
+        if remaining == 0:
+            yield block, rest + lam[len(block) + len(rest):], count
+            return
+        if i == len(groups):
+            return
+        part, mult = groups[i]
+        for t in range(min(mult, remaining // part), -1, -1):
+            yield from rec(
+                i + 1, remaining - t * part, block + (part,) * t,
+                rest + (part,) * (mult - t), count * comb(mult, t),
+            )
+
+    yield from rec(0, target, (), (), 1)
+
+
+def invert_lower_triangular(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
+    """Exact inverse of a lower-triangular matrix by forward substitution.
+
+    Row i of the inverse is (e_i - sum over k < i of rows[i][k] times row k
+    of the inverse) / rows[i][i], summed over the nonzero entries only.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    work = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
+    if any(rows[i][j] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("matrix must be lower triangular")
+    inverse: list[list[Fraction]] = []
+    for i, row in enumerate(rows):
+        pivot = row[i]
+        if not pivot:
             raise ValueError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                scale = work[r][col]
-                work[r] = [x - scale * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+        acc = [Fraction(0)] * n
+        acc[i] = Fraction(1)
+        for k in range(i):
+            scale = row[k]
+            if scale:
+                for j, value in enumerate(inverse[k][: k + 1]):
+                    if value:
+                        acc[j] -= scale * value
+        inverse.append([x / pivot for x in acc])
+    return inverse
 
 
 # -- degenerate (zero-padded) extension ---------------------------------------

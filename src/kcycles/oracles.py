@@ -1,9 +1,11 @@
 """Exhaustive enumeration oracles: increasing trees, cyclic shuffles,
-ordinary shuffle sign sums, and permutation cycle statistics, plus two
+ordinary shuffle sign sums, and permutation cycle statistics, plus the
 routes the production code replaced and which now check it: the
 polynomial route for the average sign sum (replaced by the scalar
-q_eval) and the P-family recursion run in x coordinates (replaced by the
-packed partial-sum build).
+q_eval), the P-family recursion run in x coordinates (replaced by the
+packed partial-sum build), the sum over index subsets behind multi-part
+b-coefficients (replaced by sub-multiset blocks) and Gauss-Jordan
+inversion (replaced by forward substitution on the triangular b-matrix).
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -26,9 +28,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .exact import MultiPoly, check_odd_tuple, double_factorial
+from .exact import Coeff, MultiPoly, check_odd_tuple, double_factorial, normalize_partition
 from .treepoly import PFamily, _p_step, reduced_tree_poly
 
 DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
@@ -218,6 +220,74 @@ def p_family_x(k: int) -> PFamily:
 
 
 # ---------------------------------------------------------------------------
+# conversion coefficients
+# ---------------------------------------------------------------------------
+
+def b_lambda_mu_subsets(
+    lam: Sequence[int],
+    mu: Sequence[int],
+    one_part: Callable[[tuple[int, ...]], Fraction],
+    memo: dict | None = None,
+) -> Fraction:
+    """b_lam^mu by the sum over all 2^n - 1 nonempty index subsets of the n
+    part slots of lam as the block sent to mu[0].
+
+    Equal parts in distinct slots count separately, and no entry is assumed
+    to vanish.  One-part superscripts come from one_part(lam), the value
+    b_lam^|lam|; `memo`, if given, keeps multi-part values between calls.
+    """
+    lam = normalize_partition(lam)
+    mu = normalize_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+    memo = {} if memo is None else memo
+
+    def b(lam: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
+        if not mu:
+            return Fraction(1)
+        if len(mu) == 1:
+            return one_part(lam)
+        if (lam, mu) not in memo:
+            value = Fraction(0)
+            n = len(lam)
+            for bits in range(1, 1 << n):
+                block = tuple(lam[i] for i in range(n) if bits >> i & 1)
+                if sum(block) != mu[0]:
+                    continue
+                factor = b(block, mu[:1])
+                if factor:
+                    rest = tuple(lam[i] for i in range(n) if not bits >> i & 1)
+                    value += factor * b(rest, mu[1:])
+            memo[lam, mu] = value
+        return memo[lam, mu]
+
+    return b(lam, mu)
+
+
+def invert_rational_matrix(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination over the rationals."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    work = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        work[col] = [x / pivot for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                scale = work[r][col]
+                work[r] = [x - scale * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+# ---------------------------------------------------------------------------
 # plain shuffles of two letters
 # ---------------------------------------------------------------------------
 
@@ -375,6 +445,8 @@ __all__ = [
     "tree_poly_bruteforce",
     "q_eval_polynomial",
     "p_family_x",
+    "b_lambda_mu_subsets",
+    "invert_rational_matrix",
     "shuffle_sign_sum_bruteforce",
     "counting_identity_bruteforce",
     "counting_identity_closed",

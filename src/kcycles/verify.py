@@ -26,6 +26,7 @@ from . import oracles
 from .exact import (
     MultiPoly,
     double_factorial,
+    normalize_partition,
     partitions_of,
     stirling_first_signed,
     stirling_second,
@@ -135,6 +136,11 @@ def _matrix_product(first: list[list], second: list[list]) -> list[list]:
 
 def _identity(size: int) -> list[list[Fraction]]:
     return [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+
+
+def _closed_diagonal(lam: tuple[int, ...]) -> Fraction:
+    """a_lam^lam in closed form: the product of the one-part a_i over Sym(lam)."""
+    return Fraction(prod(a_single(part) for part in lam), sym_count(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +469,45 @@ def check_matrix_duality() -> Iterator[Triple]:
         product = _matrix_product(table.b_matrix(n), a_rows)
         yield f"B.A weight {n}", product, _identity(len(a_rows))
         for idx, lam in enumerate(partitions_of(n)):
-            expected = Fraction(1)
-            for part in lam:
-                expected *= a_single(part)
-            expected /= sym_count(lam)
-            yield f"diag {lam}", a_rows[idx][idx], expected
+            yield f"diag {lam}", a_rows[idx][idx], _closed_diagonal(lam)
+
+
+def check_oracle_b_matrix() -> Iterator[Triple]:
+    # every entry of the b-matrix by index subsets, none assumed zero,
+    # against the triangular production matrix, and its Gauss-Jordan
+    # inverse against the forward substitution
+    table = shared_table()
+    memo: dict = {}
+    for n in range(11):
+        parts = partitions_of(n)
+        full = [
+            [oracles.b_lambda_mu_subsets(lam, mu, table.b_lambda_n, memo) for mu in parts]
+            for lam in parts
+        ]
+        above = [(parts[i], parts[j]) for i in range(len(parts))
+                 for j in range(i + 1, len(parts)) if full[i][j]]
+        yield f"above diagonal weight {n}", above, []
+        yield f"b weight {n}", table.b_matrix(n), full
+        yield f"a weight {n}", table.a_matrix(n), oracles.invert_rational_matrix(full)
+
+
+def check_next_coefficient() -> Iterator[Triple]:
+    # merging two parts of lam gives a mu with no partition strictly between
+    # them in the coarsening order, so a_lam^mu = -D_lam b_lam^mu D_mu with
+    # the closed-form diagonal D, independent of the rest of the inverse
+    table = shared_table()
+    for n in range(2, 15):
+        parts = partitions_of(n)
+        index = {lam: i for i, lam in enumerate(parts)}
+        a_rows = table.a_matrix(n)
+        for i, lam in enumerate(parts):
+            merged = {
+                normalize_partition(lam[:x] + lam[x + 1:y] + lam[y + 1:] + (lam[x] + lam[y],))
+                for x in range(len(lam)) for y in range(x + 1, len(lam))
+            }
+            for mu in sorted(merged, key=index.__getitem__):
+                closed = -_closed_diagonal(lam) * table.b_lambda_mu(lam, mu) * _closed_diagonal(mu)
+                yield f"{lam} -> {mu}", a_rows[i][index[mu]], closed
 
 
 def check_order_independence() -> Iterator[Triple]:
@@ -539,6 +579,8 @@ CHECKS: tuple[tuple[str, str, Callable[..., Iterable[Triple]]], ...] = (
     ("struct/l-poly", "full", check_l_poly_sweep),
     ("struct/g-recursion", "full", check_g_recursion_sweep),
     ("matrix/duality", "full", check_matrix_duality),
+    ("oracle/b-matrix", "full", check_oracle_b_matrix),
+    ("matrix/next-coefficient", "full", check_next_coefficient),
     ("matrix/order-independence", "full", check_order_independence),
     ("degenerate/inverses", "full", check_degenerate_inverses),
     ("cup/symmetry", "full", check_cup_symmetry),

@@ -16,7 +16,8 @@ one place each identity sweep is written:
   5  sweep/closed-ones, sweep/closed-main, sweep/pair-closed,
      anchors/pair-closed
   6  struct/reduced-poly, struct/l-poly, struct/g-recursion
-  7  matrix/duality, matrix/order-independence
+  7  matrix/duality, matrix/order-independence, oracle/b-matrix,
+     matrix/next-coefficient
   8  oracle/xe-sweep, oracle/counting-sweep, oracle/even-cycles
   9  anchors/degenerate, degenerate/inverses, anchors/stirling
 
@@ -74,13 +75,15 @@ def test_criterion_05_closed_form_sweeps():
 
 
 def test_criterion_06_structural_invariants():
-    _criterion(6, 180.0, "structural invariants through level six",
+    _criterion(6, 180.0, "structural invariants through level seven",
                "struct/reduced-poly", "struct/l-poly", "struct/g-recursion")
 
 
 def test_criterion_07_matrix_duality_and_order_independence():
-    _criterion(7, 120.0, "matrix duality and peel-order independence",
-               "matrix/duality", "matrix/order-independence")
+    _criterion(7, 120.0,
+               "matrix duality, peel-order independence, b-matrix oracle, next coefficient",
+               "matrix/duality", "matrix/order-independence", "oracle/b-matrix",
+               "matrix/next-coefficient")
 
 
 def test_criterion_08_sign_sum_and_counting_tables():

@@ -15,13 +15,14 @@ from kcycles.coeffs import (
     degenerate_a,
     degenerate_b,
     h_sequence,
-    invert_rational_matrix,
+    invert_lower_triangular,
     partition_key,
     shared_table,
     sym_count,
     table_document,
 )
 from kcycles.exact import partitions_of, stirling_second
+from kcycles.oracles import b_lambda_mu_subsets, invert_rational_matrix
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,19 @@ def test_b_lambda_mu_examples(table):
         table.b_lambda_mu((2,), (1,))
 
 
+@pytest.mark.parametrize(
+    "lam", [(1,) * 8, (2, 2, 2, 1, 1), (3, 3, 1, 1, 1, 1), (4, 2, 2, 1, 1, 1, 1)]
+)
+def test_sub_multiset_blocks_match_index_subsets(lam):
+    # repeated parts are where a block stands for several slot subsets
+    fresh = CoeffTable()
+    memo = {}
+    multi = [mu for mu in partitions_of(sum(lam)) if len(mu) > 1]
+    for mu in multi:
+        assert fresh.b_lambda_mu(lam, mu) == b_lambda_mu_subsets(lam, mu, fresh.b_lambda_n, memo)
+    assert any(fresh.b_lambda_mu(lam, mu) for mu in multi if mu != lam)
+
+
 def test_b_diagonal_is_sym_times_product(table):
     for lam in [(1, 1), (2, 1), (2, 2), (3, 1, 1)]:
         expected = Fraction(sym_count(lam))
@@ -138,6 +152,28 @@ def test_invert_rational_matrix():
         invert_rational_matrix([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
     with pytest.raises(ValueError):
         invert_rational_matrix([[Fraction(1), Fraction(0)]])
+
+
+def test_invert_lower_triangular():
+    m = [
+        [Fraction(2), Fraction(0), Fraction(0)],
+        [Fraction(1), Fraction(1, 3), Fraction(0)],
+        [Fraction(0), Fraction(-4), Fraction(5)],
+    ]
+    inv = invert_lower_triangular(m)
+    assert inv == [
+        [Fraction(1, 2), 0, 0],
+        [Fraction(-3, 2), 3, 0],
+        [Fraction(-6, 5), Fraction(12, 5), Fraction(1, 5)],
+    ]
+    assert inv == invert_rational_matrix(m)
+    assert invert_lower_triangular([]) == []
+    with pytest.raises(ValueError, match="matrix is singular"):
+        invert_lower_triangular([[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]])
+    with pytest.raises(ValueError):
+        invert_lower_triangular([[Fraction(1), Fraction(0)]])
+    with pytest.raises(ValueError):
+        invert_lower_triangular([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
 
 
 def test_matrix_weight_one(table):
@@ -339,7 +375,7 @@ def test_concurrent_table_access():
     assert all(rows == expected for rows in results)
 
 
-# sha256 of canonical_json(table_document(w)) for w = 0..10: the exported
+# sha256 of canonical_json(table_document(w)) for w = 0..12: the exported
 # bytes that no change to how the tables are computed may alter
 TABLE_DIGESTS = [
     "370a3796c58f6b89a5ef3f42851dc6cf2ed7539651912fb086beea603e4116f0",
@@ -353,6 +389,8 @@ TABLE_DIGESTS = [
     "db1d05d10ccb9e99b22ecd561d928facc86a79c5f4f9c791f7937898c48fedde",
     "5631e434b1c173c0fd4a2fd550b24d2fbe25daa91285892002ea70f9000a3fda",
     "0969832d5366e978d57c9f279051ee2f76321406f5fd7ca1c8e31cd523ab22d0",
+    "c1028ac739b8535bc5e4e6bbcefcec101f3b8cc5ef4e1cefb761ec08eb882c8e",
+    "a832d0bbe0c0ae92321745bc14be1fa9e8dcc55b1d030ee5a9684db60a12d794",
 ]
 
 
