@@ -4,13 +4,12 @@ relating dual Kontsevich cycles to adjusted Miller-Morita-Mumford classes.
 Layout:
 
 * exact     -- rationals, sparse multivariate polynomials, partitions,
-               compositions, Stirling numbers, double factorials
+               arrangements, Stirling numbers, double factorials
 * series    -- truncated formal power series in t
 * oracles   -- brute-force enumerations (increasing trees, cyclic
-               shuffles, sign-sum tables, cycle statistics), the
-               polynomial route for q_eval, the P-family recursion in
-               x coordinates, the index-subset b sum and Gauss-Jordan
-               inversion
+               shuffles, sign-sum tables, cycle statistics,
+               compositions), the P-family recursion in x coordinates,
+               the index-subset b sum and Gauss-Jordan inversion
 * treepoly  -- the production recursion for the tree polynomials and all
                closed forms attached to them
 * coeffs    -- the b/a coefficient tables, cup products, and the
@@ -22,7 +21,6 @@ Layout:
 from .exact import (
     MultiPoly,
     binomial,
-    compositions,
     double_factorial,
     format_rational,
     normalize_partition,
@@ -34,6 +32,7 @@ from .exact import (
 from .series import TruncatedSeries, elementary_series
 from .oracles import (
     EnumerationCapError,
+    compositions,
     counting_identity_bruteforce,
     counting_identity_closed,
     enumerate_cyclic_shuffles,
@@ -41,7 +40,6 @@ from .oracles import (
     even_cycle_histogram,
     oriented_sign_sum,
     p_family_x,
-    q_eval_polynomial,
     reduced_tree_poly_bruteforce,
     shuffle_sign_sum_bruteforce,
     tree_monomial,

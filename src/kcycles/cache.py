@@ -53,14 +53,14 @@ def write_atomic(path: Path, text: str) -> None:
 
 
 def load_document(path: Path) -> dict | None:
-    """Parsed document, or None if absent or from another schema version."""
+    """Parsed document, or None if absent, unparsable or from another schema version."""
     path = Path(path)
     if not path.is_file():
         return None
     with open(path) as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError:
+        except ValueError:  # bad JSON, and bytes that are not text
             return None
     if not isinstance(obj, dict) or obj.get("version") != SCHEMA_VERSION:
         return None

@@ -195,22 +195,6 @@ def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]
     return out
 
 
-def compositions(m: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of `slots` nonnegative ints summing to m.
-
-    Deterministic order: first slot descending, then recursively the rest.
-    Yields binomial(m + slots - 1, slots - 1) tuples.
-    """
-    if m < 0 or slots < 1:
-        raise ValueError(f"need m >= 0 and slots >= 1, got m={m}, slots={slots}")
-    if slots == 1:
-        yield (m,)
-        return
-    for first in range(m, -1, -1):
-        for rest in compositions(m - first, slots - 1):
-            yield (first,) + rest
-
-
 def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
     """The distinct orderings of `parts` padded with zeros to `slots` entries.
 
@@ -444,19 +428,6 @@ class MultiPoly:
         if not scalar:
             raise ZeroDivisionError("division of polynomial by zero")
         return self * (Fraction(1) / scalar)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial powers need a nonnegative int, got {exponent!r}")
-        result = MultiPoly.constant(self.num_vars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):

@@ -1,8 +1,7 @@
 """Exhaustive enumeration oracles: increasing trees, cyclic shuffles,
-ordinary shuffle sign sums, and permutation cycle statistics, plus the
-routes the production code replaced and which now check it: the
-polynomial route for the average sign sum (replaced by the scalar
-q_eval), the P-family recursion run in x coordinates (replaced by the
+ordinary shuffle sign sums, permutation cycle statistics and
+compositions, plus the routes the production code replaced and which now
+check it: the P-family recursion run in x coordinates (replaced by the
 packed partial-sum build), the sum over index subsets behind multi-part
 b-coefficients (replaced by sub-multiset blocks) and Gauss-Jordan
 inversion (replaced by forward substitution on the triangular b-matrix).
@@ -31,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exact import Coeff, MultiPoly, check_odd_tuple, double_factorial, normalize_partition
-from .treepoly import PFamily, _p_step, reduced_tree_poly
+from .treepoly import PFamily, _p_step
 
 DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
 DEFAULT_LETTER_CAP = 11     # total letters in a cyclic-shuffle alphabet
@@ -184,22 +183,6 @@ def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
     )
 
 
-def q_eval_polynomial(values: Sequence[int]) -> Fraction:
-    """q_eval by the polynomial route: build the reduced tree polynomial of
-    the tuple's level, evaluate it, and divide x0 times that value by the
-    shuffle count z0 z1 ... z_{2k-1}.  Builds and caches the level, which
-    comes from the packed partial-sum build and its conversion to x."""
-    values = check_odd_tuple(values)
-    k = (len(values) - 1) // 2
-    numerator = values[0] * reduced_tree_poly(k).eval(values)
-    denominator = 1
-    partial = 0
-    for j in range(2 * k):
-        partial += values[j]
-        denominator *= partial
-    return Fraction(numerator) / denominator
-
-
 def p_family_x(k: int) -> PFamily:
     """The level-k P-family by the recursion run directly in x coordinates.
 
@@ -220,6 +203,27 @@ def p_family_x(k: int) -> PFamily:
 
 
 # ---------------------------------------------------------------------------
+# compositions
+# ---------------------------------------------------------------------------
+
+def compositions(m: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """All ordered tuples of `slots` nonnegative ints summing to m; the
+    oracle of exact.arrangements.
+
+    Deterministic order: first slot descending, then recursively the rest.
+    Yields binomial(m + slots - 1, slots - 1) tuples.
+    """
+    if m < 0 or slots < 1:
+        raise ValueError(f"need m >= 0 and slots >= 1, got m={m}, slots={slots}")
+    if slots == 1:
+        yield (m,)
+        return
+    for first in range(m, -1, -1):
+        for rest in compositions(m - first, slots - 1):
+            yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
 # conversion coefficients
 # ---------------------------------------------------------------------------
 
@@ -227,20 +231,19 @@ def b_lambda_mu_subsets(
     lam: Sequence[int],
     mu: Sequence[int],
     one_part: Callable[[tuple[int, ...]], Fraction],
-    memo: dict | None = None,
+    memo: dict,
 ) -> Fraction:
     """b_lam^mu by the sum over all 2^n - 1 nonempty index subsets of the n
     part slots of lam as the block sent to mu[0].
 
     Equal parts in distinct slots count separately, and no entry is assumed
     to vanish.  One-part superscripts come from one_part(lam), the value
-    b_lam^|lam|; `memo`, if given, keeps multi-part values between calls.
+    b_lam^|lam|; `memo` keeps multi-part values between calls.
     """
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-    memo = {} if memo is None else memo
 
     def b(lam: tuple[int, ...], mu: tuple[int, ...]) -> Fraction:
         if not mu:
@@ -443,8 +446,8 @@ __all__ = [
     "enumerate_cyclic_shuffles",
     "oriented_sign_sum",
     "tree_poly_bruteforce",
-    "q_eval_polynomial",
     "p_family_x",
+    "compositions",
     "b_lambda_mu_subsets",
     "invert_rational_matrix",
     "shuffle_sign_sum_bruteforce",

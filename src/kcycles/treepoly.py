@@ -24,12 +24,12 @@ q_eval, the average sign sum that the coefficient peel needs, runs the
 step on integers at one point: O(k^2) multiply-adds, with no level
 built, so it works at any level.  oracles.p_family_x runs it in x.
 
-Values are immutable.  The packed levels, p_family(k) and
-reduced_tree_poly(k) are cached per process; l_poly converts a new
-polynomial from the cached packed level on every call, tree_poly
-multiplies the cached reduced one by x0, and q_eval caches nothing.
-Building a new level or cache entry takes an internal lock, and a built
-one is read without taking the lock.
+Values are immutable.  The packed levels and reduced_tree_poly(k) are
+cached per process; p_family and l_poly convert new polynomials from the
+cached packed level on every call, tree_poly multiplies the cached
+reduced one by x0, and q_eval caches nothing.  Building a new level or
+reduced polynomial takes an internal lock, and a built one is read
+without taking the lock.
 """
 
 from __future__ import annotations
@@ -128,7 +128,6 @@ def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
 
 _lock = threading.RLock()
 _packed_levels: list[list[_PackedPoly]] = [[_PackedPoly({0: 1})]]
-_pfamily_cache: dict[int, "PFamily"] = {}
 _reduced_cache: dict[int, MultiPoly] = {}
 
 
@@ -185,18 +184,6 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> MultiPo
     })
 
 
-def _cached(cache: dict, k: int, build):
-    # a built value is read without the lock; the lock makes one build per k,
-    # so every caller gets the same object
-    value = cache.get(k)
-    if value is None:
-        with _lock:
-            value = cache.get(k)
-            if value is None:
-                value = cache[k] = build()
-    return value
-
-
 @dataclass(frozen=True)
 class PFamily:
     """The polynomials P_k^c for one level, keyed by c in {1, 3, ..., 2k+1}.
@@ -217,11 +204,11 @@ class PFamily:
 
 def p_family(k: int) -> PFamily:
     """The level-k family, computed by iterating the three-term recursion;
-    each P_k^c is converted from the packed z level on its own."""
-    level = _extend_levels(k)
-    return _cached(_pfamily_cache, k, lambda: PFamily(k, {
-        2 * s + 1: _unpack(packed, 2 * k + 1) for s, packed in enumerate(level)
-    }))
+    each P_k^c is converted from the packed z level on its own, on every
+    call."""
+    return PFamily(k, {
+        2 * s + 1: _unpack(packed, 2 * k + 1) for s, packed in enumerate(_extend_levels(k))
+    })
 
 
 def reduced_tree_poly(k: int) -> MultiPoly:
@@ -231,7 +218,15 @@ def reduced_tree_poly(k: int) -> MultiPoly:
     to (2k)!; linear in x_{2k}; depends on x0 and x1 only through x0 + x1.
     The cached l_poly(k, 0).
     """
-    return _cached(_reduced_cache, k, lambda: l_poly(k, 0))
+    # a built value is read without the lock; the lock makes one build per k,
+    # so every caller gets the same object
+    value = _reduced_cache.get(k)
+    if value is None:
+        with _lock:
+            value = _reduced_cache.get(k)
+            if value is None:
+                value = _reduced_cache[k] = l_poly(k, 0)
+    return value
 
 
 def tree_poly(k: int) -> MultiPoly:
@@ -262,8 +257,8 @@ def q_eval(values: Sequence[int]) -> Fraction:
     z0 z1 ... z_{2k-1}, where z_j is the j-th partial sum of the entries.
     The P-family step of the level build runs on exact integers at the
     point, so a level-k call costs O(k^2) multiply-adds at any k; no level
-    is built, cached or locked.  oracles.q_eval_polynomial is the
-    polynomial route.
+    is built, cached or locked.  The verify check oracle/reduced-tree-poly
+    compares it with the polynomial from enumerated increasing trees.
     """
     values = check_odd_tuple(values)
     k = (len(values) - 1) // 2

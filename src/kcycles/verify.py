@@ -311,13 +311,12 @@ def check_cache_consistency(cache_dir=None) -> Iterator[Triple]:
     if not cache_dir.is_dir():
         return
     for path in sorted(cache_dir.glob(f"table-w*.v{SCHEMA_VERSION}.json")):
-        try:
-            weight = int(path.name.split(".")[0].removeprefix("table-w"))
-        except ValueError:
-            continue
-        fresh = cache_mod.canonical_json(table_document(weight))
+        weight = path.name.split(".")[0].removeprefix("table-w")
+        if not (weight.isascii() and weight.isdigit()):
+            continue  # not a name `table` writes
+        fresh = cache_mod.canonical_json(table_document(int(weight))).encode()
         # a boolean keeps a failure line short; the documents can be large
-        yield f"{path.name} equals a fresh build", path.read_text() == fresh, True
+        yield f"{path.name} equals a fresh build", path.read_bytes() == fresh, True
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +324,15 @@ def check_cache_consistency(cache_dir=None) -> Iterator[Triple]:
 # ---------------------------------------------------------------------------
 
 def check_oracle_reduced() -> Iterator[Triple]:
+    # the levels, and q_eval at every odd tuple of total <= 17, against the
+    # enumerated trees; q_eval times the shuffle count is the full tree
+    # polynomial at the point
     for k in range(6):
-        yield f"k={k}", reduced_tree_poly(k), oracles.reduced_tree_poly_bruteforce(k)
+        brute = oracles.reduced_tree_poly_bruteforce(k)
+        yield f"k={k}", reduced_tree_poly(k), brute
+        for values in _odd_tuples(2 * k + 1, 17):
+            yield (f"Q{values}", q_eval(values) * prod(accumulate(values[:-1])),
+                   values[0] * brute.eval(values))
 
 
 def check_p_family_coordinates() -> Iterator[Triple]:
@@ -346,12 +352,6 @@ def check_oracle_shuffles() -> Iterator[Triple]:
             # the point route against words, not against the level build it
             # shares its recursion step with
             yield f"Q{values}", q_eval(values) * prod(accumulate(values[:-1])), brute
-
-
-def check_oracle_q_eval() -> Iterator[Triple]:
-    for length in range(1, 12, 2):
-        for values in _odd_tuples(length, 17):
-            yield f"Q{values}", q_eval(values), oracles.q_eval_polynomial(values)
 
 
 def check_shuffle_counts() -> Iterator[Triple]:
@@ -567,7 +567,6 @@ CHECKS: tuple[tuple[str, str, Callable[..., Iterable[Triple]]], ...] = (
     ("oracle/reduced-tree-poly", "full", check_oracle_reduced),
     ("oracle/p-family-coordinates", "full", check_p_family_coordinates),
     ("oracle/cyclic-shuffles", "full", check_oracle_shuffles),
-    ("oracle/q-eval", "full", check_oracle_q_eval),
     ("oracle/shuffle-counts", "full", check_shuffle_counts),
     ("oracle/xe-sweep", "full", check_xe_sweep),
     ("oracle/counting-sweep", "full", check_counting_sweep),

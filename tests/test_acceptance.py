@@ -12,7 +12,7 @@ one place each identity sweep is written:
   2  anchors/coefficients, anchors/witten-cup
   3  anchors/witten-cup
   4  oracle/reduced-tree-poly, oracle/p-family-coordinates,
-     oracle/cyclic-shuffles, oracle/q-eval
+     oracle/cyclic-shuffles
   5  sweep/closed-ones, sweep/closed-main, sweep/pair-closed,
      anchors/pair-closed
   6  struct/reduced-poly, struct/l-poly, struct/g-recursion
@@ -65,7 +65,7 @@ def test_criterion_03_cup_product_anchor():
 def test_criterion_04_oracle_equivalence():
     _criterion(4, 300.0, "brute-force enumeration equals the recursion route",
                "oracle/reduced-tree-poly", "oracle/p-family-coordinates",
-               "oracle/cyclic-shuffles", "oracle/q-eval")
+               "oracle/cyclic-shuffles")
 
 
 def test_criterion_05_closed_form_sweeps():

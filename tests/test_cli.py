@@ -221,6 +221,19 @@ def test_verify_detects_tampered_cache(tmp_path):
     assert "FAIL cache/tables" in bad.stdout
 
 
+def test_cache_file_that_is_not_text_is_rebuilt(tmp_path):
+    cache = tmp_path / "cache"
+    assert run_cli("--cache-dir", str(cache), "table", "--weight", "2").returncode == 0
+    path = next(cache.glob("table-w2.v1.json"))
+    canonical = path.read_bytes()
+    path.write_bytes(b"\xff" + canonical)
+    bad = run_cli("--cache-dir", str(cache), "verify", "--level", "quick")
+    assert bad.returncode == 4
+    assert "FAIL cache/tables" in bad.stdout
+    assert run_cli("--cache-dir", str(cache), "table", "--weight", "2").returncode == 0
+    assert path.read_bytes() == canonical
+
+
 def test_verify_quick_deterministic(tmp_path):
     cache = tmp_path / "cache"
     one = run_cli("--cache-dir", str(cache), "verify", "--level", "quick")

@@ -12,7 +12,6 @@ from kcycles.exact import (
     MultiPoly,
     arrangements,
     binomial,
-    compositions,
     double_factorial,
     format_rational,
     latex_rational,
@@ -23,6 +22,7 @@ from kcycles.exact import (
     stirling_first_signed,
     stirling_second,
 )
+from kcycles.oracles import compositions
 
 
 # ---------------------------------------------------------------------------

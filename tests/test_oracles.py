@@ -213,3 +213,14 @@ def test_even_cycle_histogram():
 def test_histogram_matches_closed_coeffs():
     for k in range(1, 5):
         assert even_cycle_histogram(2 * k) == even_cycle_closed_coeffs(2 * k)
+
+
+def test_star_import_and_package_exports():
+    # every __all__ name resolves, and the package re-exports the oracle
+    import kcycles
+    from kcycles import oracles
+
+    namespace = {}
+    exec("from kcycles.oracles import *", namespace)
+    assert set(oracles.__all__) <= namespace.keys()
+    assert kcycles.compositions is oracles.compositions

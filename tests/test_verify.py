@@ -28,3 +28,18 @@ def test_cache_dir_argument(tmp_path):
     assert report.ok
     cache_check = next(r for r in report.results if r.name == "cache/tables")
     assert cache_check.lhs == "1 comparisons"  # the one table was compared
+
+
+def test_cache_file_that_is_not_text_fails_the_cache_check(tmp_path):
+    path = _write_table(tmp_path, 2)
+    path.write_bytes(b"\xff" + path.read_bytes())
+    report = run_verify("quick", cache_dir=tmp_path)
+    assert [r.name for r in report.results if not r.ok] == ["cache/tables"]
+
+
+def test_stray_cache_name_is_skipped(tmp_path):
+    (tmp_path / "table-w-1.v1.json").write_text("{}\n")
+    report = run_verify("quick", cache_dir=tmp_path)
+    assert report.ok
+    cache_check = next(r for r in report.results if r.name == "cache/tables")
+    assert cache_check.lhs == "0 comparisons"
