@@ -65,3 +65,14 @@ def load_document(path: Path) -> dict | None:
     if not isinstance(obj, dict) or obj.get("version") != SCHEMA_VERSION:
         return None
     return obj
+
+
+def load_table(path: Path, weight: int) -> dict | None:
+    """The cached weight-`weight` table document at path, or None if it does
+    not load under the schema version or is for another weight.
+
+    This is the rule by which `kcycles table` reuses a cached file and the
+    cache check decides whether a file is worth comparing with a fresh build.
+    """
+    doc = load_document(path)
+    return doc if doc is not None and doc.get("weight") == weight else None

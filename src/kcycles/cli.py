@@ -13,17 +13,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from itertools import accumulate
 from math import prod
 from pathlib import Path
-from typing import Iterator
 
 from . import cache as cache_mod
 from .coeffs import (
+    SCHEMA_VERSION,
     a_lambda_mu,
     b_lambda_mu,
-    cup_document,
+    cup_coeff,
     partition_key,
     table_document,
     witten_expansion,
@@ -117,16 +116,24 @@ def _kappa_latex(parts: tuple[int, ...]) -> str:
     return " ".join(factors)
 
 
-def _render_poly(poly: MultiPoly, fmt: str, depth: int = 0) -> Iterator[str]:
-    """The polynomial in `fmt`, streamed as one piece per term and no newline.
+def _emit_terms(terms, fmt: str, head: dict, latex_basis) -> None:
+    """An ordered list of (partition, value) pairs in `fmt`.
 
-    JSON is `json.dumps(poly.to_obj(), indent=2)` nested `depth` levels
-    deep; text and LaTeX lead with the graded-lex highest term (x0 most
-    significant), sorted by `bytes` of the exponents while they fit a byte.
+    Text is one `partition: value` line per pair ("0" for none), LaTeX the
+    signed sum of value times `latex_basis(partition)`, and JSON the `head`
+    fields followed by a "terms" map in the same order.
     """
     if fmt == "json":
-        return poly.json_pieces(depth)
-    return poly.term_pieces(latex=fmt == "latex")
+        obj = {**head, "terms": {partition_key(p): format_rational(v) for p, v in terms}}
+        _emit(cache_mod.canonical_json(obj))
+    elif fmt == "latex":
+        _emit(signed_join([
+            ("-" if value < 0 else "+", f"{latex_rational(value)}\\,{latex_basis(p)}")
+            for p, value in terms
+        ]))
+    else:
+        lines = [f"{partition_key(p)}: {format_rational(v)}" for p, v in terms]
+        _emit("\n".join(lines) if lines else "0")
 
 
 def _poly_summary(poly: MultiPoly) -> str:
@@ -148,7 +155,7 @@ def cmd_treepoly(args) -> int:
             poly = tree_poly(k)
         else:
             poly = l_poly(k, int(args.variant[2:]))
-        out.writelines(_render_poly(poly, fmt))
+        out.writelines(poly.json_pieces() if fmt == "json" else poly.term_pieces(fmt == "latex"))
     elif fmt == "json":
         # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
         polys = p_family(k).polys
@@ -156,7 +163,7 @@ def cmd_treepoly(args) -> int:
         separator = "\n    "
         for c in sorted(polys):
             out.write(f'{separator}"{c}": ')
-            out.writelines(_render_poly(polys[c], fmt, depth=2))
+            out.writelines(polys[c].json_pieces(2))
             separator = ",\n    "
         out.write("\n  }\n}")
     else:
@@ -164,7 +171,7 @@ def cmd_treepoly(args) -> int:
         separator = ""
         for c in sorted(polys):
             out.write(f"{separator}P[{c}] = ")
-            out.writelines(_render_poly(polys[c], fmt))
+            out.writelines(polys[c].term_pieces(fmt == "latex"))
             separator = "\n"
     out.write("\n")
     return EXIT_OK
@@ -175,8 +182,6 @@ def cmd_coeff(args) -> int:
     if not lam:
         raise ValueError("--lambda must be a nonempty partition")
     mu = args.mu if args.mu is not None else (sum(lam),)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"weight mismatch: |{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
     value = b_lambda_mu(lam, mu) if args.kind == "b" else a_lambda_mu(lam, mu)
     _emit(format_rational(value))
     return EXIT_OK
@@ -188,8 +193,8 @@ def cmd_table(args) -> int:
         raise ValueError(f"need weight >= 0, got {weight}")
     cache_dir = Path(args.cache_dir) if args.cache_dir else cache_mod.default_cache_dir()
     cache_path = cache_mod.document_path(cache_dir, "table", f"w{weight}")
-    doc = cache_mod.load_document(cache_path)
-    if doc is None or doc.get("weight") != weight:
+    doc = cache_mod.load_table(cache_path, weight)
+    if doc is None:
         doc = table_document(weight)
         cache_mod.write_atomic(cache_path, cache_mod.canonical_json(doc))
     if args.out:
@@ -201,43 +206,19 @@ def cmd_table(args) -> int:
 
 
 def cmd_cup(args) -> int:
-    doc = cup_document(args.lam, args.mu if args.mu is not None else ())
-    if args.format == "json":
-        _emit(cache_mod.canonical_json(doc))
-    elif args.format == "latex":
-        chunks = []
-        for key, value in doc["terms"].items():
-            coeff = Fraction(value)
-            body = f"{latex_rational(coeff)}\\,[W^*_{{{key}}}]"
-            chunks.append(("-" if coeff < 0 else "+", body))
-        _emit(signed_join(chunks))
-    else:
-        lines = [f"{key}: {value}" for key, value in doc["terms"].items()]
-        _emit("\n".join(lines) if lines else "0")
+    lam, mu = args.lam, args.mu if args.mu is not None else ()
+    terms = cup_coeff(lam, mu)
+    ordered = [(nu, terms[nu]) for nu in partitions_of(sum(lam) + sum(mu)) if nu in terms]
+    head = {"version": SCHEMA_VERSION, "lambda": list(lam), "mu": list(mu)}
+    _emit_terms(ordered, args.format, head, lambda nu: f"[W^*_{{{partition_key(nu)}}}]")
     return EXIT_OK
 
 
 def cmd_witten(args) -> int:
     lam = args.lam
     expansion = witten_expansion(lam)
-    ordered = [
-        (mu, expansion[mu]) for mu in partitions_of(sum(lam)) if mu in expansion
-    ]
-    if args.format == "json":
-        obj = {
-            "lambda": list(lam),
-            "terms": {partition_key(mu): format_rational(v) for mu, v in ordered},
-        }
-        _emit(cache_mod.canonical_json(obj))
-    elif args.format == "latex":
-        chunks = [
-            ("-" if value < 0 else "+", f"{latex_rational(value)}\\,{_kappa_latex(mu)}")
-            for mu, value in ordered
-        ]
-        _emit(signed_join(chunks))
-    else:
-        lines = [f"{partition_key(mu)}: {format_rational(v)}" for mu, v in ordered]
-        _emit("\n".join(lines) if lines else "0")
+    ordered = [(mu, expansion[mu]) for mu in partitions_of(sum(lam)) if mu in expansion]
+    _emit_terms(ordered, args.format, {"lambda": list(lam)}, _kappa_latex)
     return EXIT_OK
 
 

@@ -31,11 +31,12 @@ a-matrix is its inverse by forward substitution over the nonzero entries of
 each row.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
-Stirling-number factors; see degenerate_b and degenerate_a.
+Stirling-number factors; see CoeffTable.degenerate_b and degenerate_a.
 
-A CoeffTable memoizes everything behind a re-entrant lock.  The module
-keeps one shared table, and the free functions (b_lambda_mu, a_matrix,
-cup_coeff, ...) are bound methods of it.
+Every coefficient, the degenerate ones included, is a CoeffTable method,
+and a CoeffTable memoizes everything behind a re-entrant lock.  The module
+keeps one shared table, and the free names (b_lambda_mu, a_matrix,
+cup_coeff, degenerate_b, ...) are its bound methods.
 """
 
 from __future__ import annotations
@@ -166,25 +167,18 @@ class CoeffTable:
                     total += weight * Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(tuple_q)
             return total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))
 
-    def b_lambda_n(self, lam: Sequence[int], peel_index: int | None = None) -> Fraction:
+    def b_lambda_n(self, lam: Sequence[int]) -> Fraction:
         """b of the partition lam with the one-part superscript sum(lam).
 
-        By default this is the memoized b_lambda_mu(lam, (sum(lam),)), which
-        peels the smallest part; passing peel_index forces a specific part and
-        skips the memo, which is how order independence gets tested rather
-        than assumed.
+        This is the memoized b_lambda_mu(lam, (sum(lam),)), which peels the
+        smallest part.  Peeling any other part k is b_extend of the rest and
+        k; the order-independence checks compare those peels with this value
+        rather than assume they agree.
         """
         lam = normalize_partition(lam)
         if not lam:
             raise ValueError("b_lambda_n needs a nonempty partition")
-        if peel_index is None:
-            return self.b_lambda_mu(lam, (sum(lam),))
-        if not 0 <= peel_index < len(lam):
-            raise ValueError(f"peel index {peel_index} out of range for {lam}")
-        if len(lam) == 1:
-            return b_single(lam[0])
-        rest = lam[:peel_index] + lam[peel_index + 1 :]
-        return self.b_extend(rest, lam[peel_index])
+        return self.b_lambda_mu(lam, (sum(lam),))
 
     def b_lambda_mu(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """Sum-of-products rule: sum over surjections of part slots of lam onto
@@ -284,6 +278,49 @@ class CoeffTable:
                         out[nu] = out.get(nu, Fraction(0)) + scale * factor
         return {nu: value for nu, value in out.items() if value}
 
+    # -- degenerate (zero-padded) extension ------------------------------------
+
+    def degenerate_b(self, lam: Sequence[int], p: int, mu: Sequence[int], q: int) -> Fraction:
+        """b with p zero parts appended below and q above.
+
+        Equals b_lam^mu times sum over m of C(p, m) q! S2(p-m, q) (2n+r)^m / (-2)^p,
+        where n is the common weight and r the part count of the superscript mu
+        (each zero attached to a part of size mu_j contributes 2*mu_j + 1, and
+        summing over the attachment point gives 2n + r per zero).  Zero when
+        q > p: every appended zero above needs its own zero below.
+        """
+        if p < 0 or q < 0:
+            raise ValueError(f"need p, q >= 0, got ({p}, {q})")
+        base = self.b_lambda_mu(lam, mu)  # first, so a weight mismatch raises even if q > p
+        if q > p or not base:
+            return Fraction(0)
+        n, r = sum(mu), len(mu)
+        total = sum(
+            comb(p, m) * factorial(q) * stirling_second(p - m, q) * (2 * n + r) ** m
+            for m in range(p - q + 1)
+        )
+        return Fraction(total, (-2) ** p) * base
+
+    def degenerate_a(self, lam: Sequence[int], m: int, mu: Sequence[int], i: int) -> Fraction:
+        """a with m zero parts appended below and i above.
+
+        Equals (1/m!) sum_{j=i}^{m} S1(m, j) C(j, i) (-2n-r)^(j-i) (-2)^i a_lam^mu,
+        with n the weight and r the part count of the subscript lam.  Zero when
+        i > m.  Padded a- and b-matrices over (partition, zero count) pairs are
+        exact mutual inverses.
+        """
+        if m < 0 or i < 0:
+            raise ValueError(f"need m, i >= 0, got ({m}, {i})")
+        base = self.a_lambda_mu(lam, mu)  # first, so a weight mismatch raises even if i > m
+        if i > m or not base:
+            return Fraction(0)
+        n, r = sum(lam), len(lam)
+        total = sum(
+            stirling_first_signed(m, j) * comb(j, i) * (-2 * n - r) ** (j - i)
+            for j in range(i, m + 1)
+        )
+        return Fraction(total, factorial(m)) * (-2) ** i * base
+
 
 def _blocks(
     lam: tuple[int, ...], target: int
@@ -341,69 +378,6 @@ def invert_lower_triangular(rows: Sequence[Sequence[Coeff]]) -> list[list[Fracti
     return inverse
 
 
-# -- degenerate (zero-padded) extension ---------------------------------------
-
-def degenerate_b(
-    lam: Sequence[int], p: int, mu: Sequence[int], q: int, table: "CoeffTable | None" = None
-) -> Fraction:
-    """b with p zero parts appended below and q above.
-
-    Equals b_lam^mu times sum over m of C(p, m) q! S2(p-m, q) (2n+r)^m / (-2)^p,
-    where n is the common weight and r the part count of the superscript mu
-    (each zero attached to a part of size mu_j contributes 2*mu_j + 1, and
-    summing over the attachment point gives 2n + r per zero).  Zero when
-    q > p: every appended zero above needs its own zero below.
-    """
-    if p < 0 or q < 0:
-        raise ValueError(f"need p, q >= 0, got ({p}, {q})")
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-    if q > p:
-        return Fraction(0)
-    table = table if table is not None else _shared
-    base = table.b_lambda_mu(lam, mu)
-    if not base:
-        return Fraction(0)
-    n, r = sum(mu), len(mu)
-    total = sum(
-        comb(p, m) * factorial(q) * stirling_second(p - m, q) * (2 * n + r) ** m
-        for m in range(p - q + 1)
-    )
-    return Fraction(total, (-2) ** p) * base
-
-
-def degenerate_a(
-    lam: Sequence[int], m: int, mu: Sequence[int], i: int, table: "CoeffTable | None" = None
-) -> Fraction:
-    """a with m zero parts appended below and i above.
-
-    Equals (1/m!) sum_{j=i}^{m} S1(m, j) C(j, i) (-2n-r)^(j-i) (-2)^i a_lam^mu,
-    with n the weight and r the part count of the subscript lam.  Zero when
-    i > m.  Padded a- and b-matrices over (partition, zero count) pairs are
-    exact mutual inverses.
-    """
-    if m < 0 or i < 0:
-        raise ValueError(f"need m, i >= 0, got ({m}, {i})")
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-    if i > m:
-        return Fraction(0)
-    table = table if table is not None else _shared
-    base = table.a_lambda_mu(lam, mu)
-    if not base:
-        return Fraction(0)
-    n, r = sum(lam), len(lam)
-    total = sum(
-        stirling_first_signed(m, j) * comb(j, i) * (-2 * n - r) ** (j - i)
-        for j in range(i, m + 1)
-    )
-    return Fraction(total, factorial(m)) * (-2) ** i * base
-
-
 # -- shared table and document export ------------------------------------------
 
 _shared = CoeffTable()
@@ -422,6 +396,8 @@ b_matrix = _shared.b_matrix
 a_matrix = _shared.a_matrix
 witten_expansion = _shared.witten_expansion
 cup_coeff = _shared.cup_coeff
+degenerate_b = _shared.degenerate_b
+degenerate_a = _shared.degenerate_a
 
 
 def partition_key(parts: Sequence[int]) -> str:
@@ -441,20 +417,3 @@ def table_document(n: int, table: CoeffTable | None = None) -> dict:
         "a": [[format_rational(x) for x in row] for row in table.a_matrix(n)],
     }
 
-
-def cup_document(lam, mu, table: CoeffTable | None = None) -> dict:
-    """Exported cup-product coefficients, keys in canonical partition order."""
-    table = table if table is not None else _shared
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
-    terms = table.cup_coeff(lam, mu)
-    ordered = {}
-    for nu in partitions_of(sum(lam) + sum(mu)):
-        if nu in terms:
-            ordered[partition_key(nu)] = format_rational(terms[nu])
-    return {
-        "version": SCHEMA_VERSION,
-        "lambda": list(lam),
-        "mu": list(mu),
-        "terms": ordered,
-    }

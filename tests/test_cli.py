@@ -123,6 +123,8 @@ def test_cup_outputs():
     js = run_cli("cup", "--lambda", "1", "--mu", "1", "--format", "json")
     obj = json.loads(js.stdout)
     assert obj["terms"] == {"2": "29/5", "1,1": "2"}
+    assert obj["lambda"] == [1] and obj["mu"] == [1]
+    assert obj["version"] == 1
     empty_mu = run_cli("cup", "--lambda", "1")
     assert empty_mu.stdout == "1: 1\n"
 
@@ -135,6 +137,37 @@ def test_witten_outputs():
         "20736\\,\\tilde{\\kappa}_{3} + 4176\\,\\tilde{\\kappa}_{2} "
         "\\tilde{\\kappa}_{1} + 288\\,\\tilde{\\kappa}_{1}^{3}\n"
     )
+
+
+# sha256 of stdout as printed when cup and witten each had a renderer of
+# their own
+EXPANSION_DIGESTS = {
+    ("cup", "--lambda", "1", "--mu", "1", "--format", "text"):
+        "190586a8a6855c2f9023bea2394d4c445c902f61ec5f5210b16a69a1b84e7cae",
+    ("cup", "--lambda", "1", "--mu", "1", "--format", "json"):
+        "bdc2a95f2dffa8c652fa66ecacec41c2f1b07ae6ec3120690bfb00392556c70f",
+    ("cup", "--lambda", "1", "--mu", "1", "--format", "latex"):
+        "b3398267917d677eaaa37d686828f9b9a691a2ca2b55dc1cf1d132dc3e7bff9e",
+    ("cup", "--lambda", "2,1", "--mu", "1", "--format", "text"):
+        "8dcf5cb54483043f6e07f2f310a36f88299c838f372f4d484a774b7d0aaa85b5",
+    ("cup", "--lambda", "2,1", "--mu", "1", "--format", "json"):
+        "73a50ce9a8a50c619eab2aa54a8a98393b1ccb2c8e32f76c506978d459eae082",
+    ("cup", "--lambda", "2,1", "--mu", "1", "--format", "latex"):
+        "0225c4b8885c7a61fe9a1a39b3f18a4a449b98dbbc0ec88913f0132b5b0dfb01",
+    ("witten", "--lambda", "2,1", "--format", "text"):
+        "4a4b60468c7385c0a3b1769b19972a01cf27e555fa0423f69ab27482992cfefc",
+    ("witten", "--lambda", "2,1", "--format", "json"):
+        "95148d30c92d565e5c0356e7bee637729abb7c778ad115046e0774868d302f34",
+    ("witten", "--lambda", "2,1", "--format", "latex"):
+        "2e65f12d50593f0085f98436eaf8575d755536cac8b14137ce3dd214ba583ba3",
+}
+
+
+@pytest.mark.parametrize("args", sorted(EXPANSION_DIGESTS))
+def test_expansion_outputs_pinned(args):
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == EXPANSION_DIGESTS[args]
 
 
 def test_oracle_counting():

@@ -11,7 +11,6 @@ from kcycles.coeffs import (
     b_single,
     closed_a_pair,
     closed_b_pair,
-    cup_document,
     degenerate_a,
     degenerate_b,
     h_sequence,
@@ -120,7 +119,7 @@ def test_b_diagonal_is_sym_times_product(table):
 
 def test_order_independence_small(table):
     for lam in [(2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2), (2, 2, 1)]:
-        values = {table.b_lambda_n(lam, peel_index=i) for i in range(len(lam))}
+        values = {table.b_extend(lam[:i] + lam[i + 1:], lam[i]) for i in range(len(lam))}
         assert len(values) == 1
         assert values.pop() == table.b_lambda_n(lam)
 
@@ -291,6 +290,22 @@ def test_degenerate_examples(table):
         degenerate_b((1,), 1, (2,), 0)
 
 
+def test_degenerate_methods_on_a_fresh_table():
+    fresh = CoeffTable()
+    for weight in range(4):
+        index = [(lam, p) for lam in partitions_of(weight) for p in range(4)]
+        for lam, p in index:
+            for mu, q in index:
+                assert fresh.degenerate_b(lam, p, mu, q) == degenerate_b(lam, p, mu, q)
+                assert fresh.degenerate_a(lam, p, mu, q) == degenerate_a(lam, p, mu, q)
+    # a weight mismatch raises even where the padding alone gives zero
+    for table in (fresh, shared_table()):
+        with pytest.raises(ValueError, match="weight mismatch"):
+            table.degenerate_b((1,), 2, (2,), 3)  # q > p
+        with pytest.raises(ValueError, match="weight mismatch"):
+            table.degenerate_a((1,), 1, (2,), 2)  # i > m
+
+
 def test_degenerate_a_pure_zero():
     from kcycles.exact import stirling_first_signed
 
@@ -305,8 +320,8 @@ def test_degenerate_mutual_inverse(weight, table):
     pad = 3
     index = [(lam, p) for lam in partitions_of(weight) for p in range(pad + 1)]
     size = len(index)
-    b = [[degenerate_b(l, p, m, q, table) for (m, q) in index] for (l, p) in index]
-    a = [[degenerate_a(l, p, m, q, table) for (m, q) in index] for (l, p) in index]
+    b = [[table.degenerate_b(l, p, m, q) for (m, q) in index] for (l, p) in index]
+    a = [[table.degenerate_a(l, p, m, q) for (m, q) in index] for (l, p) in index]
     for i in range(size):
         for j in range(size):
             ba = sum(b[i][k] * a[k][j] for k in range(size))
@@ -334,13 +349,7 @@ def test_table_document():
     row = parts.index([1, 1, 1])
     assert doc3["b"][row][parts.index([3])] == "263/6720"
     assert doc3["a"][row] == ["20736", "4176", "288"]
-
-
-def test_cup_document():
-    doc = cup_document((1,), (1,))
-    assert doc["terms"] == {"2": "29/5", "1,1": "2"}
-    assert doc["lambda"] == [1] and doc["mu"] == [1]
-    assert partition_key((1, 2)) == "2,1"
+    assert partition_key((1, 2)) == "2,1"  # the key form of exported documents
 
 
 def test_isolated_table_instance():

@@ -1,6 +1,9 @@
 """The verify runner called in-process, with the cache directory as an argument."""
 
 import json
+import os
+import subprocess
+import sys
 
 from kcycles import cache as cache_mod
 from kcycles.coeffs import table_document
@@ -43,3 +46,19 @@ def test_stray_cache_name_is_skipped(tmp_path):
     assert report.ok
     cache_check = next(r for r in report.results if r.name == "cache/tables")
     assert cache_check.lhs == "0 comparisons"
+
+
+def test_cache_file_with_a_bad_header_fails_without_a_build(tmp_path):
+    # the name claims weight 40, which no check budget could build; the
+    # content is not a table document, so the file fails as it is.  A
+    # subprocess, so that a build which does start is cut off by the timeout
+    (tmp_path / "table-w40.v1.json").write_text("{}")
+    env = {k: v for k, v in os.environ.items() if k != "KCYCLES_CACHE_DIR"}
+    result = subprocess.run(
+        [sys.executable, "-m", "kcycles.cli", "--cache-dir", str(tmp_path),
+         "verify", "--level", "quick"],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert result.returncode == 4
+    failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL ")]
+    assert [line.split(":")[0] for line in failed] == ["FAIL cache/tables"]
