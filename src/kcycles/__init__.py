@@ -9,11 +9,12 @@ Layout:
 * oracles   -- brute-force enumerations (increasing trees, cyclic
                shuffles, sign-sum tables, cycle statistics,
                compositions), the P-family recursion in x coordinates,
-               the index-subset b sum and Gauss-Jordan inversion
+               the index-subset b sum, and Gauss-Jordan and whole-matrix
+               forward-substitution inversion
 * treepoly  -- the production recursion for the tree polynomials and all
                closed forms attached to them
-* coeffs    -- the b/a coefficient tables, cup products, and the
-               degenerate zero-padded extension
+* coeffs    -- the b coefficients, the a-rows over coarsenings, cup
+               products, and the degenerate zero-padded extension
 * verify    -- named self-checks comparing independent routes
 * cli       -- the `kcycles` command-line tool
 """

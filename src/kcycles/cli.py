@@ -33,7 +33,6 @@ from .exact import (
     format_rational,
     latex_rational,
     normalize_partition,
-    partitions_of,
     signed_join,
 )
 from .oracles import (
@@ -117,7 +116,7 @@ def _kappa_latex(parts: tuple[int, ...]) -> str:
 
 
 def _emit_terms(terms, fmt: str, head: dict, latex_basis) -> None:
-    """An ordered list of (partition, value) pairs in `fmt`.
+    """Ordered (partition, value) pairs in `fmt`.
 
     Text is one `partition: value` line per pair ("0" for none), LaTeX the
     signed sum of value times `latex_basis(partition)`, and JSON the `head`
@@ -207,18 +206,15 @@ def cmd_table(args) -> int:
 
 def cmd_cup(args) -> int:
     lam, mu = args.lam, args.mu if args.mu is not None else ()
-    terms = cup_coeff(lam, mu)
-    ordered = [(nu, terms[nu]) for nu in partitions_of(sum(lam) + sum(mu)) if nu in terms]
     head = {"version": SCHEMA_VERSION, "lambda": list(lam), "mu": list(mu)}
-    _emit_terms(ordered, args.format, head, lambda nu: f"[W^*_{{{partition_key(nu)}}}]")
+    _emit_terms(cup_coeff(lam, mu).items(), args.format, head,
+                lambda nu: f"[W^*_{{{partition_key(nu)}}}]")
     return EXIT_OK
 
 
 def cmd_witten(args) -> int:
     lam = args.lam
-    expansion = witten_expansion(lam)
-    ordered = [(mu, expansion[mu]) for mu in partitions_of(sum(lam)) if mu in expansion]
-    _emit_terms(ordered, args.format, {"lambda": list(lam)}, _kappa_latex)
+    _emit_terms(witten_expansion(lam).items(), args.format, {"lambda": list(lam)}, _kappa_latex)
     return EXIT_OK
 
 

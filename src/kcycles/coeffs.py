@@ -26,9 +26,11 @@ peel orders instead of assuming it.
 
 b_lambda^mu vanishes unless mu coarsens lambda, and a coarsening has fewer
 parts or is lambda itself, so in partitions_of order (part count first) the
-b-matrix is lower triangular.  Only its lower triangle is computed, and the
-a-matrix is its inverse by forward substitution over the nonzero entries of
-each row.
+b-matrix is lower triangular and so is its inverse a.  Row lambda of b.a = 1
+gives a_lambda = (e_lambda - sum b_lambda^nu a_nu) / b_lambda^lambda over the
+coarsenings nu != lambda, so one a-row needs only the rows of partitions
+with fewer parts and never the whole weight.  The rows are memoized, and
+a_lambda_mu, witten_expansion, cup_coeff and a_matrix all read them.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
 Stirling-number factors; see CoeffTable.degenerate_b and degenerate_a.
@@ -130,7 +132,7 @@ def closed_a_pair(r: int, k: int) -> Coeff:
 
 
 class CoeffTable:
-    """Memoized b/a coefficient tables over partitions, one lock per table.
+    """Memoized b-coefficients and a-rows over partitions, one lock per table.
 
     Reads after a value is built are cheap dictionary hits; building takes
     the re-entrant lock, so a table can be shared between threads.
@@ -139,7 +141,7 @@ class CoeffTable:
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._bmu: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
-        self._matrices: dict[int, tuple[list[list[Fraction]], list[list[Fraction]]]] = {}
+        self._arows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
     # -- the b side ----------------------------------------------------------
 
@@ -212,49 +214,62 @@ class CoeffTable:
             self._bmu[key] = value
             return value
 
-    # -- matrices and everything built on them --------------------------------
+    # -- the a side and everything built on it --------------------------------
 
-    def _built_matrices(self, n: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-        if n < 0:
-            raise ValueError(f"need weight >= 0, got {n}")
-        with self._lock:
-            if n not in self._matrices:
-                parts = partitions_of(n)
-                # mu after lam in partitions_of order never coarsens lam, so
-                # the zeros above the diagonal are structural
-                b_rows = [
-                    [self.b_lambda_mu(lam, mu) if j <= i else Fraction(0)
-                     for j, mu in enumerate(parts)]
-                    for i, lam in enumerate(parts)
-                ]
-                self._matrices[n] = (b_rows, invert_lower_triangular(b_rows))
-            return self._matrices[n]
+    def _a_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        # b.a = 1 read along row lam: a_lam = (e_lam - sum b_lam^nu a_nu) / b_lam^lam
+        # over the coarsenings nu != lam, which all have fewer parts than lam;
+        # the caller holds the lock and must not mutate the memoized row
+        row = self._arows.get(lam)
+        if row is None:
+            acc = {lam: Fraction(1)}
+            parts = partitions_of(sum(lam), len(lam))
+            for nu in parts:
+                if len(nu) == len(lam):
+                    break
+                scale = self.b_lambda_mu(lam, nu)
+                if scale:
+                    for mu, value in self._a_row(nu).items():
+                        acc[mu] = acc.get(mu, 0) - scale * value
+            pivot = self.b_lambda_mu(lam, lam)
+            row = {mu: acc[mu] / pivot for mu in parts if acc.get(mu)}
+            self._arows[lam] = row
+        return row
 
     def b_matrix(self, n: int) -> list[list[Fraction]]:
         """Matrix of b over partitions of n, rows and columns in partitions_of order."""
-        rows, _ = self._built_matrices(n)
-        return [list(row) for row in rows]
+        parts = partitions_of(n)
+        # mu after lam in partitions_of order never coarsens lam, so the
+        # zeros above the diagonal are structural
+        return [
+            [self.b_lambda_mu(lam, mu) if j <= i else Fraction(0) for j, mu in enumerate(parts)]
+            for i, lam in enumerate(parts)
+        ]
 
     def a_matrix(self, n: int) -> list[list[Fraction]]:
-        """Exact inverse of b_matrix(n), lower triangular like it."""
-        _, rows = self._built_matrices(n)
-        return [list(row) for row in rows]
+        """Exact inverse of b_matrix(n), lower triangular like it: row i is the
+        a-row of the i-th partition of n."""
+        parts = partitions_of(n)
+        with self._lock:
+            rows = [self._a_row(lam) for lam in parts]
+        return [[row.get(mu, Fraction(0)) for mu in parts] for row in rows]
 
     def a_lambda_mu(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
+        """a_lam^mu, the coefficient of the kappa-monomial mu in the dual cycle
+        of lam: one entry of lam's a-row, zero unless mu coarsens lam."""
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
         if sum(lam) != sum(mu):
             raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-        return self.witten_expansion(lam).get(mu, Fraction(0))
+        with self._lock:
+            return self._a_row(lam).get(mu, Fraction(0))
 
     def witten_expansion(self, lam: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
         """Row of the a-matrix for lam: the dual-cycle class expanded in
-        kappa-monomials, nonzero entries only."""
+        kappa-monomials, nonzero entries only, in partitions_of order."""
         lam = normalize_partition(lam)
-        parts = partitions_of(sum(lam))
-        _, a_rows = self._built_matrices(sum(lam))
-        row = a_rows[parts.index(lam)]
-        return {mu: value for mu, value in zip(parts, row) if value}
+        with self._lock:
+            return dict(self._a_row(lam))
 
     def cup_coeff(
         self, lam: Sequence[int], mu: Sequence[int]
@@ -262,21 +277,23 @@ class CoeffTable:
         """Structure constants of the dual-cycle basis under cup product.
 
         m_{lam,mu}^nu = sum over alpha, beta of a_lam^alpha a_mu^beta times
-        b of the concatenation alpha+beta with superscript nu.
+        b of the concatenation alpha+beta with superscript nu.  Only the
+        coarsenings nu of alpha+beta contribute, and the nonzero terms come
+        back in partitions_of order.
         """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
-        total_weight = sum(lam) + sum(mu)
+        total = sum(lam) + sum(mu)
         out: dict[tuple[int, ...], Fraction] = {}
         for alpha, a_left in self.witten_expansion(lam).items():
             for beta, a_right in self.witten_expansion(mu).items():
                 joined = normalize_partition(alpha + beta)
                 scale = a_left * a_right
-                for nu in partitions_of(total_weight):
+                for nu in partitions_of(total, len(joined)):
                     factor = self.b_lambda_mu(joined, nu)
                     if factor:
                         out[nu] = out.get(nu, Fraction(0)) + scale * factor
-        return {nu: value for nu, value in out.items() if value}
+        return {nu: out[nu] for nu in partitions_of(total, len(lam) + len(mu)) if out.get(nu)}
 
     # -- degenerate (zero-padded) extension ------------------------------------
 
@@ -348,34 +365,6 @@ def _blocks(
             )
 
     yield from rec(0, target, (), (), 1)
-
-
-def invert_lower_triangular(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
-    """Exact inverse of a lower-triangular matrix by forward substitution.
-
-    Row i of the inverse is (e_i - sum over k < i of rows[i][k] times row k
-    of the inverse) / rows[i][i], summed over the nonzero entries only.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix must be square")
-    if any(rows[i][j] for i in range(n) for j in range(i + 1, n)):
-        raise ValueError("matrix must be lower triangular")
-    inverse: list[list[Fraction]] = []
-    for i, row in enumerate(rows):
-        pivot = row[i]
-        if not pivot:
-            raise ValueError("matrix is singular")
-        acc = [Fraction(0)] * n
-        acc[i] = Fraction(1)
-        for k in range(i):
-            scale = row[k]
-            if scale:
-                for j, value in enumerate(inverse[k][: k + 1]):
-                    if value:
-                        acc[j] -= scale * value
-        inverse.append([x / pivot for x in acc])
-    return inverse
 
 
 # -- shared table and document export ------------------------------------------

@@ -3,8 +3,8 @@ ordinary shuffle sign sums, permutation cycle statistics and
 compositions, plus the routes the production code replaced and which now
 check it: the P-family recursion run in x coordinates (replaced by the
 packed partial-sum build), the sum over index subsets behind multi-part
-b-coefficients (replaced by sub-multiset blocks) and Gauss-Jordan
-inversion (replaced by forward substitution on the triangular b-matrix).
+b-coefficients (replaced by sub-multiset blocks), and Gauss-Jordan and
+whole-matrix forward substitution (replaced by a-rows over coarsenings).
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -290,6 +290,34 @@ def invert_rational_matrix(rows: Sequence[Sequence[Coeff]]) -> list[list[Fractio
     return [row[n:] for row in work]
 
 
+def invert_lower_triangular(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
+    """Exact inverse of a lower-triangular matrix by forward substitution.
+
+    Row i of the inverse is (e_i - sum over k < i of rows[i][k] times row k
+    of the inverse) / rows[i][i], summed over the nonzero entries only.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix must be square")
+    if any(rows[i][j] for i in range(n) for j in range(i + 1, n)):
+        raise ValueError("matrix must be lower triangular")
+    inverse: list[list[Fraction]] = []
+    for i, row in enumerate(rows):
+        pivot = row[i]
+        if not pivot:
+            raise ValueError("matrix is singular")
+        acc = [Fraction(0)] * n
+        acc[i] = Fraction(1)
+        for k in range(i):
+            scale = row[k]
+            if scale:
+                for j, value in enumerate(inverse[k][: k + 1]):
+                    if value:
+                        acc[j] -= scale * value
+        inverse.append([x / pivot for x in acc])
+    return inverse
+
+
 # ---------------------------------------------------------------------------
 # plain shuffles of two letters
 # ---------------------------------------------------------------------------
@@ -450,6 +478,7 @@ __all__ = [
     "compositions",
     "b_lambda_mu_subsets",
     "invert_rational_matrix",
+    "invert_lower_triangular",
     "shuffle_sign_sum_bruteforce",
     "counting_identity_bruteforce",
     "counting_identity_closed",

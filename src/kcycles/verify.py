@@ -426,16 +426,13 @@ def check_closed_main_sweep() -> Iterator[Triple]:
 
 
 def check_pair_closed_sweep() -> Iterator[Triple]:
-    # the b side peels at any level; the a side inverts the whole weight
-    # table, whose partition count grows fast, so it stops at weight 11
     table = shared_table()
     for total in range(2, 15):
         for r in range(1, total):
             k = total - r
             yield f"b({r},{k})", table.b_lambda_n((r, k)), closed_b_pair(r, k)
-            if total <= 11:
-                yield (f"a({r},{k})", table.a_lambda_mu((r, k), (total,)),
-                       Fraction(closed_a_pair(r, k)))
+            yield (f"a({r},{k})", table.a_lambda_mu((r, k), (total,)),
+                   Fraction(closed_a_pair(r, k)))
 
 
 def check_structural() -> Iterator[Triple]:
@@ -473,12 +470,16 @@ def check_matrix_duality() -> Iterator[Triple]:
         yield f"B.A weight {n}", product, _identity(len(a_rows))
         for idx, lam in enumerate(partitions_of(n)):
             yield f"diag {lam}", a_rows[idx][idx], _closed_diagonal(lam)
+    # the a-rows against forward substitution over the whole weight matrix
+    for n in range(15):
+        yield (f"a weight {n}", table.a_matrix(n),
+               oracles.invert_lower_triangular(table.b_matrix(n)))
 
 
 def check_oracle_b_matrix() -> Iterator[Triple]:
     # every entry of the b-matrix by index subsets, none assumed zero,
     # against the triangular production matrix, and its Gauss-Jordan
-    # inverse against the forward substitution
+    # inverse against the a-rows
     table = shared_table()
     memo: dict = {}
     for n in range(11):

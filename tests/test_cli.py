@@ -140,7 +140,8 @@ def test_witten_outputs():
 
 
 # sha256 of stdout as printed when cup and witten each had a renderer of
-# their own
+# their own; the last two as printed when every a-coefficient came from
+# inverting the whole weight matrix
 EXPANSION_DIGESTS = {
     ("cup", "--lambda", "1", "--mu", "1", "--format", "text"):
         "190586a8a6855c2f9023bea2394d4c445c902f61ec5f5210b16a69a1b84e7cae",
@@ -160,6 +161,10 @@ EXPANSION_DIGESTS = {
         "95148d30c92d565e5c0356e7bee637729abb7c778ad115046e0774868d302f34",
     ("witten", "--lambda", "2,1", "--format", "latex"):
         "2e65f12d50593f0085f98436eaf8575d755536cac8b14137ce3dd214ba583ba3",
+    ("witten", "--lambda", "4,3,3,2", "--format", "text"):
+        "301da70d55b53502ad0182155a4a98a43b4529c14c39caef6534e844953ee4fd",
+    ("cup", "--lambda", "3,2", "--mu", "4,1", "--format", "text"):
+        "d292968a563fb769fc0404f962d7d744dc422ed9daa7033d87f7c49f039cb404",
 }
 
 

@@ -14,14 +14,13 @@ from kcycles.coeffs import (
     degenerate_a,
     degenerate_b,
     h_sequence,
-    invert_lower_triangular,
     partition_key,
     shared_table,
     sym_count,
     table_document,
 )
 from kcycles.exact import partitions_of, stirling_second
-from kcycles.oracles import b_lambda_mu_subsets, invert_rational_matrix
+from kcycles.oracles import b_lambda_mu_subsets, invert_lower_triangular, invert_rational_matrix
 
 
 @pytest.fixture(scope="module")
@@ -357,17 +356,28 @@ def test_isolated_table_instance():
     assert fresh.b_lambda_n((1, 1)) == Fraction(29, 720)
 
 
+def test_single_a_coefficient_reads_its_coarsenings_only():
+    # a_(9,9)^(18) needs the rows of (9,9) and (18) only, not the weight-18
+    # matrix; `coeff a --lambda 9,9` prints this value
+    fresh = CoeffTable()
+    value = fresh.a_lambda_mu((9, 9), (18,))
+    assert value == closed_a_pair(9, 9) == 83841549449967559011041280000
+    assert len(fresh._bmu) < 100
+
+
 def test_concurrent_table_access():
-    # the recursive b memo fills from many threads at once, switching often
+    # the recursive b memo and a-row memo fill from many threads at once,
+    # switching often
     import sys
     import threading
 
-    expected = CoeffTable().b_matrix(7)
+    serial = CoeffTable()
+    expected = (serial.a_matrix(7), serial.b_matrix(7))
     fresh = CoeffTable()
     results = []
 
     def worker():
-        results.append(fresh.b_matrix(7))
+        results.append((fresh.a_matrix(7), fresh.b_matrix(7)))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     interval = sys.getswitchinterval()
