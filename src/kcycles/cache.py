@@ -10,10 +10,11 @@ files.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from pathlib import Path
+
+# json and tempfile are imported inside the functions that use them, so a
+# command that never touches the cache or renders JSON does not load them
 
 from .coeffs import SCHEMA_VERSION
 
@@ -33,10 +34,14 @@ def document_path(cache_dir: Path, operation: str, params: str) -> Path:
 
 def canonical_json(obj) -> str:
     """The single byte-stable rendering used for files and stdout."""
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
 def write_atomic(path: Path, text: str) -> None:
+    import tempfile
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -57,6 +62,8 @@ def load_document(path: Path) -> dict | None:
     path = Path(path)
     if not path.is_file():
         return None
+    import json
+
     with open(path) as handle:
         try:
             obj = json.load(handle)

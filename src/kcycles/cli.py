@@ -47,7 +47,6 @@ from .oracles import (
     tree_poly_bruteforce,
 )
 from .treepoly import l_poly, p_family, q_eval, reduced_tree_poly, tree_poly, xe_tables
-from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +74,13 @@ def _parse_caps_env() -> dict[str, int]:
             )
         caps[name.strip()] = int(value.strip())
     return caps
+
+
+def _cap_arg(text: str) -> int:
+    # the digits-only rule of KCYCLES_CAPS, so a negative cap is a usage error
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"bad cap {text!r}; need an integer >= 0")
+    return int(text)
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
@@ -219,6 +225,8 @@ def cmd_witten(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verify  # the check registry loads only for this command
+
     cache_dir = Path(args.cache_dir) if args.cache_dir else cache_mod.default_cache_dir()
     report = run_verify(args.level, cache_dir=cache_dir)
     for line in report.lines(timings=args.timings):
@@ -281,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--cache-dir", default=None, help="result cache directory")
     parser.add_argument(
-        "--cap-trees", type=int, default=None,
+        "--cap-trees", type=_cap_arg, default=None,
         help=f"max level for full tree enumeration (default {DEFAULT_TREE_CAP})",
     )
     parser.add_argument(
-        "--cap-letters", type=int, default=None,
+        "--cap-letters", type=_cap_arg, default=None,
         help=f"max letters for shuffle enumeration (default {DEFAULT_LETTER_CAP})",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -35,7 +35,6 @@ without taking the lock.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
@@ -184,7 +183,6 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> MultiPo
     })
 
 
-@dataclass(frozen=True)
 class PFamily:
     """The polynomials P_k^c for one level, keyed by c in {1, 3, ..., 2k+1}.
 
@@ -192,8 +190,24 @@ class PFamily:
     read-only.
     """
 
-    k: int
-    polys: dict[int, MultiPoly] = field(repr=False)
+    __slots__ = ("k", "polys")
+
+    def __init__(self, k: int, polys: dict[int, MultiPoly]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "polys", polys)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PFamily is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.polys) == (other.k, other.polys)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PFamily(k={self.k!r})"
 
     def __getitem__(self, c: int) -> MultiPoly:
         c = abs(c)

@@ -14,12 +14,11 @@ choose an exit code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import cache as cache_mod
 from . import oracles
@@ -60,8 +59,7 @@ from .treepoly import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     lhs: str
@@ -69,8 +67,7 @@ class CheckResult:
     seconds: float
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     level: str
     results: list[CheckResult]
 

@@ -215,6 +215,34 @@ def test_cap_exceeded_exit_code():
     )
 
 
+def test_negative_cap_is_usage_error():
+    for flag, command in (("--cap-trees", ("oracle", "treepoly", "0")),
+                          ("--cap-letters", ("oracle", "shuffle-sum", "13"))):
+        result = run_cli(flag, "-1", *command)
+        assert result.returncode == 2, flag
+        assert "bad cap" in result.stderr, flag
+
+
+def test_startup_loads_only_what_commands_run():
+    # one process, so whatever `site` preloads is in both snapshots
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kcycles\n"
+        "package = set(sys.modules) - before\n"
+        "import kcycles.cli\n"
+        "print(' '.join(sorted(package)))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=True)
+    package, cli = (set(line.split()) for line in result.stdout.splitlines())
+    assert not {name for name in package if name.startswith("kcycles.")}
+    assert "kcycles.cli" in cli
+    deferred = {"kcycles.verify", "kcycles.stats", "dataclasses", "inspect", "json", "hashlib"}
+    assert not cli & deferred
+
+
 def test_table_idempotent_and_cached(tmp_path):
     out = tmp_path / "w3.json"
     cache = tmp_path / "cache"

@@ -1,5 +1,6 @@
 """Tests for the brute-force enumeration oracles."""
 
+import importlib
 from math import factorial
 
 import pytest
@@ -224,3 +225,18 @@ def test_star_import_and_package_exports():
     exec("from kcycles.oracles import *", namespace)
     assert set(oracles.__all__) <= namespace.keys()
     assert kcycles.compositions is oracles.compositions
+
+    # each package name is its home module's object, listed and star-importable
+    package_namespace = {}
+    exec("from kcycles import *", package_namespace)
+    listed = dir(kcycles)
+    for name in kcycles.__all__:
+        home = importlib.import_module(f"kcycles.{kcycles._HOMES[name]}")
+        value = getattr(kcycles, name)
+        assert value is getattr(home, name), name
+        assert value.__module__ == home.__name__, name
+        assert package_namespace[name] is value, name
+        assert name in listed, name
+    assert kcycles.cache is importlib.import_module("kcycles.cache")
+    with pytest.raises(AttributeError):
+        kcycles.no_such_name
