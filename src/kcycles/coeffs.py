@@ -7,14 +7,15 @@ are exact rationals.  One-part coefficients are explicit:
 
     a_n = (-2)^(n+1) (2n+1)!!,   b_n = 1/a_n.
 
-All b-coefficients come from one memoized recursion, b_lambda_mu.  A
-multi-part superscript mu is a sum of products over surjections: the block
-of lambda sent to mu[0] contributes its one-superscript value b_block^mu[0],
-the rest contributes b_rest^mu[1:], and both factors are read through the
-same memo.  Blocks are enumerated as sub-multisets of lambda (t_i of the
-m_i copies of each distinct part, pruned on the running sum) and weighted
-by prod C(m_i, t_i), the number of slot subsets giving that block, so 1^8
-has 9 candidate blocks rather than 255.
+b_lambda^mu vanishes unless mu coarsens lambda, so all b-coefficients come
+from one memo of rows: the row of lambda maps each coarsening nu to
+b_lambda^nu and holds the nonzero entries only.  Its one-part entry is b_n
+or a peel (below).  A multi-part nu is a sum of products over surjections:
+the block of lambda sent to nu[0] contributes its own one-part entry, the
+rest contributes its entry at nu[1:].  So the row is assembled from the rows
+of the sub-multisets of lambda, each block taking t_i of the m_i copies of
+each distinct part and weighted by prod C(m_i, t_i), the number of slot
+subsets giving it: 1^8 has 7 proper blocks rather than 254 slot subsets.
 
 A one-part superscript b_lambda^n is computed by peeling one part k at a
 time: peeling costs a weighted sum of average shuffle sign sums q_eval
@@ -24,13 +25,13 @@ any k costs one such call per composition whose b-weight is nonzero.
 Which part is peeled must not matter; the test suite checks that over all
 peel orders instead of assuming it.
 
-b_lambda^mu vanishes unless mu coarsens lambda, and a coarsening has fewer
-parts or is lambda itself, so in partitions_of order (part count first) the
-b-matrix is lower triangular and so is its inverse a.  Row lambda of b.a = 1
-gives a_lambda = (e_lambda - sum b_lambda^nu a_nu) / b_lambda^lambda over the
-coarsenings nu != lambda, so one a-row needs only the rows of partitions
-with fewer parts and never the whole weight.  The rows are memoized, and
-a_lambda_mu, witten_expansion, cup_coeff and a_matrix all read them.
+A coarsening has fewer parts or is lambda itself, so in partitions_of order
+(part count first) the b-matrix is lower triangular and so is its inverse a.
+Row lambda of b.a = 1 gives a_lambda = (e_lambda - sum b_lambda^nu a_nu) /
+b_lambda^lambda over the entries nu != lambda of lambda's b-row, so one
+a-row needs only the rows of its coarsenings and never the whole weight.
+The a-rows are memoized too.  b_extend, cup_coeff and b_matrix walk b-rows;
+a_lambda_mu, witten_expansion, cup_coeff and a_matrix read a-rows.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
 Stirling-number factors; see CoeffTable.degenerate_b and degenerate_a.
@@ -46,6 +47,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -132,18 +134,43 @@ def closed_a_pair(r: int, k: int) -> Coeff:
 
 
 class CoeffTable:
-    """Memoized b-coefficients and a-rows over partitions, one lock per table.
+    """Memoized b-rows and a-rows over partitions, one lock per table.
 
-    Reads after a value is built are cheap dictionary hits; building takes
-    the re-entrant lock, so a table can be shared between threads.
+    The row of lam holds b_lam^nu for the coarsenings nu of lam, nonzero
+    entries only; every b reader walks or indexes it.  Reads after a row is
+    built are cheap dictionary hits; building takes the re-entrant lock, so
+    a table can be shared between threads.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._bmu: dict[tuple[tuple[int, ...], tuple[int, ...]], Fraction] = {}
+        self._brows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         self._arows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
 
     # -- the b side ----------------------------------------------------------
+
+    def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        # the nonzero b_lam^nu by coarsening nu; the caller holds the lock and
+        # must not mutate the memoized row
+        row = self._brows.get(lam)
+        if row is None:
+            if len(lam) < 2:
+                acc = {lam: b_single(lam[0]) if lam else Fraction(1)}
+            else:
+                # canonical order is weakly decreasing, so [-1] is the smallest part
+                acc = {(sum(lam),): self.b_extend(lam[:-1], lam[-1])}
+            # a longer nu sends a block of lam onto its largest part s and the
+            # rest of lam onto the coarsening rho = nu[1:] of the rest
+            for block, rest, count in _sub_multisets(lam):
+                s = sum(block)
+                factor = count * self._b_row(block).get((s,), 0)
+                for rho, value in self._b_row(rest).items():
+                    if rho[0] <= s:
+                        nu = (s,) + rho
+                        acc[nu] = acc.get(nu, 0) + factor * value
+            row = {nu: value for nu, value in acc.items() if value}
+            self._brows[lam] = row
+        return row
 
     def b_extend(self, lam: Sequence[int], k: int) -> Fraction:
         """Peel step: the b-coefficient of lam + {k} with one-part superscript.
@@ -151,18 +178,17 @@ class CoeffTable:
         Sums b_lam^mu * (2m0+1)/(2m0+3) * q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1)
         over all compositions (m0..m_{2k}) of sum(lam) into 2k+1 slots, where
         mu is the partition of the nonzero slots, then divides by
-        (-2)^(k+1) (2k-1)!!.  The compositions are visited by partition, so
-        those whose b_lam^mu vanishes are never enumerated.
+        (-2)^(k+1) (2k-1)!!.  The compositions are visited by the entries of
+        lam's b-row with at most 2k+1 parts, so those whose b_lam^mu vanishes
+        are never enumerated.
         """
         if k < 1:
             raise ValueError(f"need a peeled part k >= 1, got {k}")
         lam = normalize_partition(lam)
         with self._lock:
-            m = sum(lam)
             total = Fraction(0)
-            for mu in partitions_of(m, 2 * k + 1):
-                weight = self.b_lambda_mu(lam, mu)
-                if not weight:
+            for mu, weight in self._b_row(lam).items():
+                if len(mu) > 2 * k + 1:
                     continue
                 for comp in arrangements(mu, 2 * k + 1):
                     tuple_q = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
@@ -186,33 +212,15 @@ class CoeffTable:
         """Sum-of-products rule: sum over surjections of part slots of lam onto
         part slots of mu whose blocks sum to the targeted part.
 
-        The block sent to mu[0] contributes b of the block with superscript
-        mu[0], the rest contributes b(rest, mu[1:]), and both are read
-        through the memo; equal blocks are visited once, as a sub-multiset
-        counted by its slot subsets.  A one-part mu is the peel of the
-        smallest part.
+        One entry of lam's b-row, zero unless mu coarsens lam; a first query
+        builds the whole row.  A one-part mu is the peel of the smallest part.
         """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
         if sum(lam) != sum(mu):
             raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-        key = (lam, mu)
         with self._lock:
-            if key in self._bmu:
-                return self._bmu[key]
-            if not mu:
-                value = Fraction(1)
-            elif len(mu) == 1:
-                # canonical order is weakly decreasing, so [-1] is the smallest part
-                value = b_single(lam[0]) if len(lam) == 1 else self.b_extend(lam[:-1], lam[-1])
-            else:
-                value = Fraction(0)
-                for block, rest, count in _blocks(lam, mu[0]):
-                    factor = self.b_lambda_mu(block, mu[:1])
-                    if factor:
-                        value += count * factor * self.b_lambda_mu(rest, mu[1:])
-            self._bmu[key] = value
-            return value
+            return self._b_row(lam).get(mu, Fraction(0))
 
     # -- the a side and everything built on it --------------------------------
 
@@ -223,28 +231,24 @@ class CoeffTable:
         row = self._arows.get(lam)
         if row is None:
             acc = {lam: Fraction(1)}
-            parts = partitions_of(sum(lam), len(lam))
-            for nu in parts:
-                if len(nu) == len(lam):
-                    break
-                scale = self.b_lambda_mu(lam, nu)
-                if scale:
+            b_row = self._b_row(lam)
+            for nu, scale in b_row.items():
+                if nu != lam:
                     for mu, value in self._a_row(nu).items():
                         acc[mu] = acc.get(mu, 0) - scale * value
-            pivot = self.b_lambda_mu(lam, lam)
-            row = {mu: acc[mu] / pivot for mu in parts if acc.get(mu)}
+            pivot = b_row[lam]
+            row = {mu: acc[mu] / pivot for mu in partitions_of(sum(lam), len(lam)) if acc.get(mu)}
             self._arows[lam] = row
         return row
 
     def b_matrix(self, n: int) -> list[list[Fraction]]:
-        """Matrix of b over partitions of n, rows and columns in partitions_of order."""
+        """Matrix of b over partitions of n, rows and columns in partitions_of
+        order: row i is the b-row of the i-th partition of n, lower triangular
+        because a coarsening has fewer parts or is the partition itself."""
         parts = partitions_of(n)
-        # mu after lam in partitions_of order never coarsens lam, so the
-        # zeros above the diagonal are structural
-        return [
-            [self.b_lambda_mu(lam, mu) if j <= i else Fraction(0) for j, mu in enumerate(parts)]
-            for i, lam in enumerate(parts)
-        ]
+        with self._lock:
+            rows = [self._b_row(lam) for lam in parts]
+        return [[row.get(mu, Fraction(0)) for mu in parts] for row in rows]
 
     def a_matrix(self, n: int) -> list[list[Fraction]]:
         """Exact inverse of b_matrix(n), lower triangular like it: row i is the
@@ -277,21 +281,19 @@ class CoeffTable:
         """Structure constants of the dual-cycle basis under cup product.
 
         m_{lam,mu}^nu = sum over alpha, beta of a_lam^alpha a_mu^beta times
-        b of the concatenation alpha+beta with superscript nu.  Only the
-        coarsenings nu of alpha+beta contribute, and the nonzero terms come
-        back in partitions_of order.
+        b of the concatenation alpha+beta with superscript nu, read off the
+        b-row of alpha+beta.  The nonzero terms come back in partitions_of
+        order.
         """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
         total = sum(lam) + sum(mu)
         out: dict[tuple[int, ...], Fraction] = {}
-        for alpha, a_left in self.witten_expansion(lam).items():
-            for beta, a_right in self.witten_expansion(mu).items():
-                joined = normalize_partition(alpha + beta)
-                scale = a_left * a_right
-                for nu in partitions_of(total, len(joined)):
-                    factor = self.b_lambda_mu(joined, nu)
-                    if factor:
+        with self._lock:
+            for alpha, a_left in self._a_row(lam).items():
+                for beta, a_right in self._a_row(mu).items():
+                    scale = a_left * a_right
+                    for nu, factor in self._b_row(normalize_partition(alpha + beta)).items():
                         out[nu] = out.get(nu, Fraction(0)) + scale * factor
         return {nu: out[nu] for nu in partitions_of(total, len(lam) + len(mu)) if out.get(nu)}
 
@@ -339,10 +341,8 @@ class CoeffTable:
         return Fraction(total, factorial(m)) * (-2) ** i * base
 
 
-def _blocks(
-    lam: tuple[int, ...], target: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """Sub-multisets of the weakly decreasing lam that sum to target > 0.
+def _sub_multisets(lam: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The nonempty proper sub-multisets of the weakly decreasing lam.
 
     Yields (block, rest, count): block takes t_i of the m_i copies of each
     distinct part, rest takes the others, both weakly decreasing, and
@@ -350,21 +350,14 @@ def _blocks(
     this block.
     """
     groups = [(part, lam.count(part)) for part in sorted(set(lam), reverse=True)]
-
-    def rec(i, remaining, block, rest, count):
-        if remaining == 0:
-            yield block, rest + lam[len(block) + len(rest):], count
-            return
-        if i == len(groups):
-            return
-        part, mult = groups[i]
-        for t in range(min(mult, remaining // part), -1, -1):
-            yield from rec(
-                i + 1, remaining - t * part, block + (part,) * t,
-                rest + (part,) * (mult - t), count * comb(mult, t),
-            )
-
-    yield from rec(0, target, (), (), 1)
+    for takes in product(*(range(mult + 1) for _, mult in groups)):
+        block, rest, count = (), (), 1
+        for (part, mult), t in zip(groups, takes):
+            block += (part,) * t
+            rest += (part,) * (mult - t)
+            count *= comb(mult, t)
+        if block and rest:
+            yield block, rest, count
 
 
 # -- shared table and document export ------------------------------------------

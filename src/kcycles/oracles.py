@@ -360,7 +360,8 @@ def shuffle_sign_sum_bruteforce(
     if n < 0 or m < 0:
         raise ValueError(f"need n, m >= 0, got ({n}, {m})")
     if n + m > cap:
-        raise EnumerationCapError("shuffle size n + m =", n + m, cap, "cap argument")
+        raise EnumerationCapError("shuffle size n + m =", n + m, cap,
+                                  "cap= of kcycles.oracles.shuffle_sign_sum_bruteforce")
     total = 0
     for core in _shuffle_words(n, m):
         if variant == "X0":
@@ -387,7 +388,8 @@ def counting_identity_bruteforce(n: int, s: int, cap: int | None = None) -> int:
     if n < 1 or s < 0:
         raise ValueError(f"need n >= 1 and s >= 0, got ({n}, {s})")
     if n ** s > cap:
-        raise EnumerationCapError("grid size n**s =", n ** s, cap, "cap argument")
+        raise EnumerationCapError("grid size n**s =", n ** s, cap,
+                                  "cap= of kcycles.oracles.counting_identity_bruteforce")
     total = 0
     for z in itertools.product(range(1, n + 1), repeat=s):
         balance = 0
@@ -425,7 +427,8 @@ def even_cycle_histogram(two_k: int, cap: int | None = None) -> list[int]:
     if two_k < 0 or two_k % 2:
         raise ValueError(f"need an even degree >= 0, got {two_k}")
     if two_k > cap:
-        raise EnumerationCapError("permutation degree", two_k, cap, "cap argument")
+        raise EnumerationCapError("permutation degree", two_k, cap,
+                                  "cap= of kcycles.oracles.even_cycle_histogram")
     counts = [0] * (two_k // 2 + 1)
     for perm in itertools.permutations(range(two_k)):
         seen = [False] * two_k

@@ -215,6 +215,21 @@ def test_cap_exceeded_exit_code():
     )
 
 
+@pytest.mark.parametrize(
+    "args, oracle",
+    [
+        (("counting", "10", "8"), "counting_identity_bruteforce"),
+        (("xe", "X0", "7", "7"), "shuffle_sign_sum_bruteforce"),
+    ],
+)
+def test_flagless_cap_names_its_parameter(args, oracle):
+    # these caps have no flag, so the message points at the Python parameter
+    result = run_cli("oracle", *args)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert f"raise it with cap= of kcycles.oracles.{oracle} " in result.stderr
+
+
 def test_negative_cap_is_usage_error():
     for flag, command in (("--cap-trees", ("oracle", "treepoly", "0")),
                           ("--cap-letters", ("oracle", "shuffle-sum", "13"))):

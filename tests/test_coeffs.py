@@ -96,7 +96,12 @@ def test_b_lambda_mu_examples(table):
 
 
 @pytest.mark.parametrize(
-    "lam", [(1,) * 8, (2, 2, 2, 1, 1), (3, 3, 1, 1, 1, 1), (4, 2, 2, 1, 1, 1, 1)]
+    "lam",
+    [
+        (1,) * 8, (2, 2, 2, 1, 1), (3, 3, 1, 1, 1, 1), (4, 2, 2, 1, 1, 1, 1),
+        # weight 15, past the weights the matrix checks of verify reach
+        (3, 3, 2, 2, 1, 1), (5, 4, 3, 2, 1),
+    ],
 )
 def test_sub_multiset_blocks_match_index_subsets(lam):
     # repeated parts are where a block stands for several slot subsets
@@ -356,17 +361,28 @@ def test_isolated_table_instance():
     assert fresh.b_lambda_n((1, 1)) == Fraction(29, 720)
 
 
+def b_memo_entries(table):
+    # every stored b value, none of them zero
+    values = [v for row in table._brows.values() for v in row.values()]
+    assert all(values)
+    return len(values)
+
+
 def test_single_a_coefficient_reads_its_coarsenings_only():
     # a_(9,9)^(18) needs the rows of (9,9) and (18) only, not the weight-18
     # matrix; `coeff a --lambda 9,9` prints this value
     fresh = CoeffTable()
     value = fresh.a_lambda_mu((9, 9), (18,))
     assert value == closed_a_pair(9, 9) == 83841549449967559011041280000
-    assert len(fresh._bmu) < 100
+    assert b_memo_entries(fresh) < 100
+    # 2^9 has 30 coarsenings; a memo keyed by every (lam, mu) asked held 6,665
+    fresh = CoeffTable()
+    assert fresh.a_lambda_mu((2,) * 9, (18,))
+    assert b_memo_entries(fresh) < 1000
 
 
 def test_concurrent_table_access():
-    # the recursive b memo and a-row memo fill from many threads at once,
+    # the recursive b-row memo and a-row memo fill from many threads at once,
     # switching often
     import sys
     import threading
@@ -394,7 +410,7 @@ def test_concurrent_table_access():
     assert all(rows == expected for rows in results)
 
 
-# sha256 of canonical_json(table_document(w)) for w = 0..12: the exported
+# sha256 of canonical_json(table_document(w)) for w = 0..14: the exported
 # bytes that no change to how the tables are computed may alter
 TABLE_DIGESTS = [
     "370a3796c58f6b89a5ef3f42851dc6cf2ed7539651912fb086beea603e4116f0",
@@ -410,6 +426,8 @@ TABLE_DIGESTS = [
     "0969832d5366e978d57c9f279051ee2f76321406f5fd7ca1c8e31cd523ab22d0",
     "c1028ac739b8535bc5e4e6bbcefcec101f3b8cc5ef4e1cefb761ec08eb882c8e",
     "a832d0bbe0c0ae92321745bc14be1fa9e8dcc55b1d030ee5a9684db60a12d794",
+    "51aed20fb2f1f498d34f376a6373e97e2651a380b8571a5ac286869f92b3e8f9",
+    "4a7786a8a5a015fbc75ee345ec0cde473292bcf6b9c8779a7b2b25f551cfb5e5",
 ]
 
 
