@@ -31,9 +31,11 @@ from .exact import (
     MultiPoly,
     check_odd_tuple,
     format_rational,
+    json_pieces,
     latex_rational,
     normalize_partition,
     signed_join,
+    term_pieces,
 )
 from .oracles import (
     DEFAULT_LETTER_CAP,
@@ -46,7 +48,7 @@ from .oracles import (
     shuffle_sign_sum_bruteforce,
     tree_poly_bruteforce,
 )
-from .treepoly import l_poly, p_family, q_eval, reduced_tree_poly, tree_poly, xe_tables
+from .treepoly import l_terms, p_family, q_eval, reduced_tree_poly, tree_poly, xe_tables
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -153,14 +155,14 @@ def cmd_treepoly(args) -> int:
     k, fmt, out = args.k, args.format, sys.stdout
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if args.variant != "pfamily":
-        if args.variant == "reduced":
-            poly = reduced_tree_poly(k)
-        elif args.variant == "full":
-            poly = tree_poly(k)
-        else:
-            poly = l_poly(k, int(args.variant[2:]))
+    if args.variant == "full":
+        poly = tree_poly(k)
         out.writelines(poly.json_pieces() if fmt == "json" else poly.term_pieces(fmt == "latex"))
+    elif args.variant != "pfamily":
+        # reduced is l:0; the bytes-keyed store renders with no MultiPoly built
+        terms = l_terms(k, 0 if args.variant == "reduced" else int(args.variant[2:]))
+        out.writelines(json_pieces(2 * k + 1, terms) if fmt == "json"
+                       else term_pieces(2 * k + 1, terms, fmt == "latex"))
     elif fmt == "json":
         # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
         polys = p_family(k).polys

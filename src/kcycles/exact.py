@@ -10,12 +10,17 @@ Conventions used throughout the package:
   empty tuple being the empty partition;
 * an exponent vector is a tuple of nonnegative ints, one per variable.
 
-Polynomials render in pieces, one per term: `MultiPoly.term_pieces` for
-text and LaTeX and `MultiPoly.json_pieces` for JSON, so a caller can
-stream a level of a million terms without holding its rendering, and
-`text()`/`latex()` join the same pieces.  Terms are sorted with `bytes` of
-the exponent vector as the key, which orders like the tuple while every
-exponent is below 256; a larger exponent falls back to the tuple sort.
+Polynomials render in pieces, one per term, by two module-level
+functions over a term map: `term_pieces` for text and LaTeX and
+`json_pieces` for JSON, so a caller can stream a level of a million terms
+without holding its rendering.  The `MultiPoly` methods of the same names
+delegate to them, and `text()`/`latex()` join the same pieces, so each
+format has one renderer.  A term map's exponent vectors are tuples, as a
+MultiPoly stores them, or `bytes` with one byte per variable, which a
+caller can render without building a tuple per term.  `bytes` keys sort as
+they are; tuples are sorted with `bytes` of the vector as the key, which
+orders like the tuple while every exponent is below 256, and a larger
+exponent falls back to the tuple sort.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -227,20 +232,24 @@ def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _sorted_exponents(exponents: Iterable[tuple[int, ...]], reverse: bool = False) -> list:
+def _sorted_exponents(exponents: Iterable, reverse: bool = False) -> list:
     """Exponent vectors sorted as tuples.
 
-    While every exponent is below 256, `bytes` of a vector orders like the
-    vector and compares much faster, so it is the sort key; a larger
-    exponent makes `bytes` raise and the tuples are sorted as they are.
+    `bytes` keys, one byte per exponent, order like the tuples and are
+    sorted as they are.  For tuple keys, while every exponent is below
+    256, `bytes` of a vector orders like the vector and compares much
+    faster, so it is the sort key; a larger exponent makes `bytes` raise
+    and the tuples are sorted as they are.
     """
+    if isinstance(next(iter(exponents), b""), bytes):
+        return sorted(exponents, reverse=reverse)
     try:
         return sorted(exponents, key=bytes, reverse=reverse)
     except ValueError:
         return sorted(exponents, reverse=reverse)
 
 
-def _graded_lex(exponents: Iterable[tuple[int, ...]]) -> list:
+def _graded_lex(exponents: Iterable) -> list:
     """Graded-lex order with x0 most significant, leading vector first.
 
     The order of the key (-sum(e), -e0, -e1, ...): a stable sort by
@@ -261,6 +270,59 @@ class _Powers(dict):
     def __missing__(self, exponent: int) -> str:
         self[exponent] = rendered = f"{self.open}{exponent}{self.close}"
         return rendered
+
+
+def json_pieces(num_vars: int, terms: Mapping, depth: int = 0) -> Iterator[str]:
+    """`json.dumps` of the JSON term list, indent 2, in pieces, one per term.
+
+    `terms` maps exponent vectors (tuples, or `bytes` with one byte per
+    variable) to nonzero coefficients, as a MultiPoly stores them.  The
+    pieces join to the list of `MultiPoly.to_obj` as it appears nested
+    `depth` levels deep in an indent-2 `json.dumps` document, so a caller
+    can write a large polynomial without holding its rendering.
+    """
+    if not terms:
+        yield "[]"
+        return
+    item = "\n" + "  " * (depth + 1)
+    field = item + "  "
+    number = "," + field + "  "
+    # one %-template per term: the exponents, then the coefficient
+    row = (item + "{" + field + '"exp": [' + number[1:]
+           + number.join(["%d"] * num_vars)
+           + field + "]," + field + '"coeff": "%s"' + item + "}")
+    template = "[" + row
+    for exps in _sorted_exponents(terms):
+        yield template % (*exps, format_rational(terms[exps]))
+        template = "," + row
+    yield item[:-2] + "]"
+
+
+def term_pieces(num_vars: int, terms: Mapping, latex: bool = False) -> Iterator[str]:
+    """Text (or LaTeX) rendering of a term map in pieces, leading term first.
+
+    `terms` is as for json_pieces.  Terms come in graded-lex order with x0
+    most significant.  The first piece is the leading term, every later
+    one is " + body" or " - body"; no terms is the single piece "0".
+    """
+    if not terms:
+        yield "0"
+        return
+    if latex:
+        powers = [_Powers(f"x_{{{i}}}", "^{", "}") for i in range(num_vars)]
+        times, magnitude = " ", latex_rational
+    else:
+        powers = [_Powers(f"x{i}", "^", "") for i in range(num_vars)]
+        times, magnitude = "*", format_rational
+    plus, minus = "", "-"
+    for exps in _graded_lex(terms):
+        coeff = terms[exps]
+        body = times.join(filter(None, map(_Powers.__getitem__, powers, exps)))
+        mag = -coeff if coeff < 0 else coeff
+        if mag != 1 or not body:
+            body = f"{magnitude(mag)}{times}{body}" if body else magnitude(mag)
+        yield (minus if coeff < 0 else plus) + body
+        plus, minus = " + ", " - "
 
 
 class MultiPoly:
@@ -510,53 +572,12 @@ class MultiPoly:
         return cls(num_vars, terms)
 
     def json_pieces(self, depth: int = 0) -> Iterator[str]:
-        """`json.dumps(self.to_obj(), indent=2)` in pieces, one per term.
-
-        The pieces join to the document as it appears nested `depth`
-        levels deep in an indent-2 `json.dumps` document, so a caller can
-        write a large polynomial without holding its rendering.
-        """
-        if not self._terms:
-            yield "[]"
-            return
-        item = "\n" + "  " * (depth + 1)
-        field = item + "  "
-        number = "," + field + "  "
-        # one %-template per term: the exponents, then the coefficient
-        row = (item + "{" + field + '"exp": [' + number[1:]
-               + number.join(["%d"] * self.num_vars)
-               + field + "]," + field + '"coeff": "%s"' + item + "}")
-        template = "[" + row
-        for exps in _sorted_exponents(self._terms):
-            yield template % (*exps, format_rational(self._terms[exps]))
-            template = "," + row
-        yield item[:-2] + "]"
+        """`json.dumps(self.to_obj(), indent=2)` in pieces; see json_pieces."""
+        return json_pieces(self.num_vars, self._terms, depth)
 
     def term_pieces(self, latex: bool = False) -> Iterator[str]:
-        """Text (or LaTeX) rendering in pieces, leading term first.
-
-        Terms come in graded-lex order with x0 most significant.  The first
-        piece is the leading term, every later one is " + body" or
-        " - body"; the zero polynomial is the single piece "0".
-        """
-        if not self._terms:
-            yield "0"
-            return
-        if latex:
-            powers = [_Powers(f"x_{{{i}}}", "^{", "}") for i in range(self.num_vars)]
-            times, magnitude = " ", latex_rational
-        else:
-            powers = [_Powers(f"x{i}", "^", "") for i in range(self.num_vars)]
-            times, magnitude = "*", format_rational
-        plus, minus = "", "-"
-        for exps in _graded_lex(self._terms):
-            coeff = self._terms[exps]
-            body = times.join(filter(None, map(_Powers.__getitem__, powers, exps)))
-            mag = -coeff if coeff < 0 else coeff
-            if mag != 1 or not body:
-                body = f"{magnitude(mag)}{times}{body}" if body else magnitude(mag)
-            yield (minus if coeff < 0 else plus) + body
-            plus, minus = " + ", " - "
+        """Text (or LaTeX) rendering in pieces; see term_pieces."""
+        return term_pieces(self.num_vars, self._terms, latex)
 
     def text(self) -> str:
         return "".join(self.term_pieces())

@@ -19,7 +19,12 @@ runs it on polynomials with packed exponents in the partial sums
 z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k} and y2 = z_{2k+2} -
 z_{2k+1}; there every P_k^c has exactly 2*4^(k-1) terms (k >= 1) and no
 exponent above 2, against tens of thousands of terms in x.  Unpacking
-converts to x once, substituting z_j = z_{j-1} + x_j slot by slot.
+converts to x once, substituting z_j = z_{j-1} + x_j slot by slot, and
+yields an x term store: a dict from `bytes` exponent vectors, one byte per
+variable with x0 first, to coefficients.  l_terms returns that store for
+l_poly(k, n), and `kcycles treepoly` renders it directly with the
+exact.term_pieces and exact.json_pieces renderers, with no tuple per term;
+l_poly, reduced_tree_poly and p_family wrap stores as MultiPoly values.
 q_eval, the average sign sum that the coefficient peel needs, runs the
 step on integers at one point: O(k^2) multiply-adds, with no level
 built, so it works at any level.  oracles.p_family_x runs it in x.
@@ -40,7 +45,7 @@ from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Sequence
 
-from .exact import MultiPoly, binomial, check_odd_tuple, double_factorial
+from .exact import Coeff, MultiPoly, binomial, check_odd_tuple, double_factorial
 from .series import TruncatedSeries, elementary_series
 
 # One byte per variable: decoding a key is one int.to_bytes.  A packed
@@ -151,9 +156,9 @@ def _extend_levels(level: int) -> list[_PackedPoly]:
     return _packed_levels[level]
 
 
-def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> MultiPoly:
-    """The packed z-coordinate polynomial divided by the denominator, as a
-    MultiPoly in x.
+def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> dict[bytes, Coeff]:
+    """The packed z-coordinate polynomial divided by the denominator, as an
+    x term store: {bytes exponent vector, x0 first: nonzero coefficient}.
 
     Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down,
     each a binomial expansion of the slot's exponent; z_0 = x_0 needs none.
@@ -162,11 +167,12 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> MultiPo
     for j in range(num_vars - 1, 0, -1):
         shift = _PACK_BITS * j
         # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
-        # moves[a] expands z_j^a, one entry per exponent b kept as x_j^b
+        # moves[a] expands z_j^a, one entry per exponent b < a kept as x_j^b
         carry = (1 << (shift - _PACK_BITS)) - (1 << shift)
-        moves = [[((a - b) * carry, comb(a, b)) for b in range(a + 1)]
+        moves = [[((a - b) * carry, comb(a, b)) for b in range(a)]
                  for a in range(num_vars)]
-        expanded: dict[int, int] = {}
+        # the copy is the move that keeps the whole exponent (b = a, weight 1)
+        expanded = dict(terms)
         get = expanded.get
         for e, c in terms.items():
             for move, weight in moves[(e >> shift) & _PACK_MASK]:
@@ -174,13 +180,19 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> MultiPo
                 expanded[key] = get(key, 0) + c * weight
         # the expansion cancels heavily; dropping zeros slot by slot keeps
         # the lower slots' expansions small
-        terms = {e: c for e, c in expanded.items() if c}
-    # distinct keys and nonzero coefficients: the store is already canonical
-    return MultiPoly._raw(num_vars, {
-        tuple(e.to_bytes(num_vars, "little")):
+        for e in [e for e, c in expanded.items() if not c]:
+            del expanded[e]
+        terms = expanded
+    return {
+        e.to_bytes(num_vars, "little"):
             c // denominator if c % denominator == 0 else Fraction(c, denominator)
         for e, c in terms.items()
-    })
+    }
+
+
+def _as_multipoly(num_vars: int, terms: dict[bytes, Coeff]) -> MultiPoly:
+    # distinct keys and nonzero coefficients: the store is already canonical
+    return MultiPoly._raw(num_vars, {tuple(e): c for e, c in terms.items()})
 
 
 class PFamily:
@@ -210,6 +222,8 @@ class PFamily:
         return f"PFamily(k={self.k!r})"
 
     def __getitem__(self, c: int) -> MultiPoly:
+        if c % 2 == 0:
+            raise ValueError(f"P_k^c is defined for odd c only, got c = {c}")
         c = abs(c)
         if c > 2 * self.k + 1:
             return MultiPoly.zero(2 * self.k + 1)
@@ -221,7 +235,8 @@ def p_family(k: int) -> PFamily:
     each P_k^c is converted from the packed z level on its own, on every
     call."""
     return PFamily(k, {
-        2 * s + 1: _unpack(packed, 2 * k + 1) for s, packed in enumerate(_extend_levels(k))
+        2 * s + 1: _as_multipoly(2 * k + 1, _unpack(packed, 2 * k + 1))
+        for s, packed in enumerate(_extend_levels(k))
     })
 
 
@@ -253,8 +268,18 @@ def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
     l_poly(k, 0) is the reduced tree polynomial; the coefficient sum is
-    (2k)! (2k+1)^(2n).  The sum runs over the packed z level and is
-    converted to x once.
+    (2k)! (2k+1)^(2n).  The MultiPoly of l_terms(k, n).
+    """
+    return _as_multipoly(2 * k + 1, l_terms(k, n))
+
+
+def l_terms(k: int, n: int) -> dict[bytes, Coeff]:
+    """The x term store of l_poly(k, n): {bytes exponent vector: coefficient},
+    one byte per variable x0..x_{2k}, x0 first.
+
+    The sum runs over the packed z level and is converted to x once.  The
+    store renders with exact.term_pieces and exact.json_pieces like the
+    MultiPoly.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")

@@ -64,8 +64,13 @@ def test_treepoly_level_six_json_pinned():
 
 
 # sha256 of stdout as printed when each document was built in memory and
-# printed whole
+# printed whole; the json and l:2 text documents also match the bench
+# reference digests of perfbench/reference.json
 LEVEL_FIVE_DIGESTS = {
+    ("5", "--format", "json"):
+        "d03131a4b8546582a63f86de7691ad4dd002769d9005ac7ed10e83593d9eea50",
+    ("5", "--variant", "l:2", "--format", "text"):
+        "4354df5696c9aceccdedbda173e83d15a8a8f4c1dcda6403521702e1b04ca442",
     ("5", "--variant", "l:2", "--format", "latex"):
         "131ea6003046394b4c5bdb14ecb4912a6505c7dae82314d9e357d17a8914fe6a",
     ("5", "--variant", "pfamily", "--format", "json"):

@@ -14,6 +14,7 @@ from kcycles.exact import (
     binomial,
     double_factorial,
     format_rational,
+    json_pieces,
     latex_rational,
     normalize_partition,
     parse_rational,
@@ -21,6 +22,7 @@ from kcycles.exact import (
     signed_join,
     stirling_first_signed,
     stirling_second,
+    term_pieces,
 )
 from kcycles.oracles import compositions
 
@@ -327,6 +329,13 @@ def test_poly_renderers_match_reference(p):
     nested = json.dumps({"k": 1, "polys": {"3": p.to_obj()}}, indent=2)
     assert nested == '{\n  "k": 1,\n  "polys": {\n    "3": ' + "".join(
         p.json_pieces(2)) + "\n  }\n}"
+    # the same terms keyed by bytes, one per exponent, render the same pieces
+    if all(e < 256 for exps, _ in p.items() for e in exps):
+        store = {bytes(exps): c for exps, c in p.items()}
+        for latex in (False, True):
+            assert list(term_pieces(p.num_vars, store, latex)) == list(p.term_pieces(latex))
+        for depth in (0, 2):
+            assert list(json_pieces(p.num_vars, store, depth)) == list(p.json_pieces(depth))
 
 
 def test_poly_renderers_of_zero_and_constants():

@@ -10,6 +10,7 @@ from kcycles import treepoly
 from kcycles.exact import MultiPoly
 from kcycles.oracles import (
     enumerate_increasing_trees,
+    p_family_x,
     reduced_tree_poly_bruteforce,
     shuffle_sign_sum_bruteforce,
     tree_monomial,
@@ -18,6 +19,7 @@ from kcycles.oracles import (
 from kcycles.treepoly import (
     double_sum_identity,
     l_poly,
+    l_terms,
     p_family,
     q_closed_ones,
     q_eval,
@@ -43,6 +45,13 @@ def test_p_family_base():
     assert family.polys == {1: MultiPoly.constant(1, 1)}
     assert family[-1] == MultiPoly.constant(1, 1)  # symmetry in c
     assert not family[3]  # vanishes beyond |c| = 2k+1
+
+
+@pytest.mark.parametrize("c", [0, 2, -2, 4])
+def test_p_family_rejects_even_c(c):
+    # P_k^c is defined for odd c only; an even c is a bad value, not a missing key
+    with pytest.raises(ValueError, match="odd c"):
+        p_family(1)[c]
 
 
 def test_p_family_level_one_at_x0_zero():
@@ -160,6 +169,36 @@ def l_poly_bruteforce(k, n):
 @pytest.mark.parametrize("k,n", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)])
 def test_l_poly_against_bruteforce(k, n):
     assert l_poly(k, n) == l_poly_bruteforce(k, n)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_l_terms_store_is_l_poly_in_bytes(k):
+    # the store's keys are bytes, one per variable with x0 first; read as
+    # tuples they give l_poly and the sum over the x-coordinate family
+    family = p_family_x(k)
+    for n in range(3):
+        store = l_terms(k, n)
+        assert all(type(e) is bytes and len(e) == 2 * k + 1 for e in store)
+        expected = sum(
+            (family[2 * s + 1] * (2 * s + 1) ** (2 * n) for s in range(k + 1)),
+            MultiPoly.zero(2 * k + 1),
+        ) / 4 ** k
+        assert {tuple(e): c for e, c in store.items()} == dict(expected.items())
+        assert MultiPoly(2 * k + 1, {tuple(e): c for e, c in store.items()}) == l_poly(k, n)
+
+
+def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys):
+    from kcycles import cli
+
+    expected = l_poly(3, 1).text() + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("treepoly --variant l:1 built a tuple-keyed MultiPoly")
+
+    monkeypatch.setattr(MultiPoly, "__init__", refuse)
+    monkeypatch.setattr(MultiPoly, "_raw", classmethod(refuse))
+    assert cli.main(["treepoly", "3", "--variant", "l:1"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
