@@ -48,7 +48,9 @@ from .oracles import (
     shuffle_sign_sum_bruteforce,
     tree_poly_bruteforce,
 )
-from .treepoly import l_terms, p_family, q_eval, reduced_tree_poly, tree_poly, xe_tables
+from .treepoly import (
+    l_terms, p_family_terms, q_eval, reduced_tree_poly, tree_terms, xe_tables,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,30 +157,33 @@ def cmd_treepoly(args) -> int:
     k, fmt, out = args.k, args.format, sys.stdout
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+
+    # every variant renders bytes-keyed x term stores, with no MultiPoly built
+    def pieces(terms, depth=0):
+        if fmt == "json":
+            return json_pieces(2 * k + 1, terms, depth)
+        return term_pieces(2 * k + 1, terms, fmt == "latex")
+
     if args.variant == "full":
-        poly = tree_poly(k)
-        out.writelines(poly.json_pieces() if fmt == "json" else poly.term_pieces(fmt == "latex"))
+        out.writelines(pieces(tree_terms(k)))
     elif args.variant != "pfamily":
-        # reduced is l:0; the bytes-keyed store renders with no MultiPoly built
-        terms = l_terms(k, 0 if args.variant == "reduced" else int(args.variant[2:]))
-        out.writelines(json_pieces(2 * k + 1, terms) if fmt == "json"
-                       else term_pieces(2 * k + 1, terms, fmt == "latex"))
+        # reduced is l:0
+        n = 0 if args.variant == "reduced" else int(args.variant[2:])
+        out.writelines(pieces(l_terms(k, n)))
     elif fmt == "json":
         # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
-        polys = p_family(k).polys
         out.write(f'{{\n  "k": {k},\n  "polys": {{')
         separator = "\n    "
-        for c in sorted(polys):
+        for c, terms in p_family_terms(k):
             out.write(f'{separator}"{c}": ')
-            out.writelines(polys[c].json_pieces(2))
+            out.writelines(pieces(terms, 2))
             separator = ",\n    "
         out.write("\n  }\n}")
     else:
-        polys = p_family(k).polys
         separator = ""
-        for c in sorted(polys):
+        for c, terms in p_family_terms(k):
             out.write(f"{separator}P[{c}] = ")
-            out.writelines(polys[c].term_pieces(fmt == "latex"))
+            out.writelines(pieces(terms))
             separator = "\n"
     out.write("\n")
     return EXIT_OK

@@ -22,6 +22,15 @@ they are; tuples are sorted with `bytes` of the vector as the key, which
 orders like the tuple while every exponent is below 256, and a larger
 exponent falls back to the tuple sort.
 
+A renderer splits each exponent vector into a head, the first half of the
+variables, and a tail, the rest, and renders each distinct half once, in
+a memo that lives for one call: the powers for text and LaTeX, the
+exponent lines for JSON.  A tree level has few distinct halves (the l:2
+polynomial of level 5 has 52,899 terms but 3,349 heads and 131 tails), so
+a term costs a few lookups and one string join.  The sorted keys render
+a chunk at a time, in flat passes of `map` over the chunk, so what is in
+flight is one chunk's pieces and the memos.
+
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
 """
@@ -30,9 +39,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from math import factorial
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping
 
 Coeff = int | Fraction
@@ -260,16 +269,34 @@ def _graded_lex(exponents: Iterable) -> list:
     return ordered
 
 
-class _Powers(dict):
-    """Rendered powers of one variable by exponent, each made on first use."""
+class _Memo(dict):
+    """The values of a one-argument function by argument, each computed on
+    first use; `known` seeds values that need no call."""
 
-    def __init__(self, name: str, open_: str, close: str):
-        super().__init__({0: "", 1: name})
-        self.open, self.close = name + open_, close
+    def __init__(self, function, known: Mapping | Iterable = ()):
+        super().__init__(known)
+        self.function = function
 
-    def __missing__(self, exponent: int) -> str:
-        self[exponent] = rendered = f"{self.open}{exponent}{self.close}"
-        return rendered
+    def __missing__(self, key):
+        self[key] = value = self.function(key)
+        return value
+
+
+# keys rendered per flat pass: the pieces in flight are one chunk's
+_CHUNK = 2048
+
+
+def _chunked(keys: list, render_chunk) -> Iterator[str]:
+    """The pieces `render_chunk` returns for successive chunks of the keys."""
+    for start in range(0, len(keys), _CHUNK):
+        yield from render_chunk(keys[start:start + _CHUNK])
+
+
+def _halves(num_vars: int) -> tuple[itemgetter, itemgetter]:
+    """Getters of an exponent vector's head, its first ceil(n/2) entries,
+    and of its tail, the rest."""
+    middle = (num_vars + 1) // 2
+    return itemgetter(slice(None, middle)), itemgetter(slice(middle, None))
 
 
 def json_pieces(num_vars: int, terms: Mapping, depth: int = 0) -> Iterator[str]:
@@ -287,14 +314,22 @@ def json_pieces(num_vars: int, terms: Mapping, depth: int = 0) -> Iterator[str]:
     item = "\n" + "  " * (depth + 1)
     field = item + "  "
     number = "," + field + "  "
-    # one %-template per term: the exponents, then the coefficient
-    row = (item + "{" + field + '"exp": [' + number[1:]
-           + number.join(["%d"] * num_vars)
+    head, tail = _halves(num_vars)
+    # the exponent lines of each half, the tail's with their leading commas
+    heads = _Memo(lambda part: number.join(map(str, part)))
+    tails = _Memo(lambda part: "".join([number + str(e) for e in part]))
+    row = ("," + item + "{" + field + '"exp": [' + number[1:] + "%s%s"
            + field + "]," + field + '"coeff": "%s"' + item + "}")
-    template = "[" + row
-    for exps in _sorted_exponents(terms):
-        yield template % (*exps, format_rational(terms[exps]))
-        template = "," + row
+
+    def render_chunk(chunk: list) -> list[str]:
+        return list(map(row.__mod__, zip(
+            map(heads.__getitem__, map(head, chunk)),
+            map(tails.__getitem__, map(tail, chunk)),
+            map(format_rational, map(terms.__getitem__, chunk)))))
+
+    pieces = _chunked(_sorted_exponents(terms), render_chunk)
+    yield "[" + next(pieces)[1:]
+    yield from pieces
     yield item[:-2] + "]"
 
 
@@ -309,20 +344,45 @@ def term_pieces(num_vars: int, terms: Mapping, latex: bool = False) -> Iterator[
         yield "0"
         return
     if latex:
-        powers = [_Powers(f"x_{{{i}}}", "^{", "}") for i in range(num_vars)]
+        names, open_, close = [f"x_{{{i}}}" for i in range(num_vars)], "^{", "}"
         times, magnitude = " ", latex_rational
     else:
-        powers = [_Powers(f"x{i}", "^", "") for i in range(num_vars)]
+        names, open_, close = [f"x{i}" for i in range(num_vars)], "^", ""
         times, magnitude = "*", format_rational
-    plus, minus = "", "-"
-    for exps in _graded_lex(terms):
-        coeff = terms[exps]
-        body = times.join(filter(None, map(_Powers.__getitem__, powers, exps)))
-        mag = -coeff if coeff < 0 else coeff
-        if mag != 1 or not body:
-            body = f"{magnitude(mag)}{times}{body}" if body else magnitude(mag)
-        yield (minus if coeff < 0 else plus) + body
-        plus, minus = " + ", " - "
+    powers = [_Memo(lambda e, name=name: f"{name}{open_}{e}{close}", {0: "", 1: name})
+              for name in names]
+    head, tail = _halves(num_vars)
+    head_powers, tail_powers = head(powers), tail(powers)
+    # a head ends in `times` when it is not empty, so a term with an empty
+    # tail ends in `times`, which the pass strips
+    heads = _Memo(lambda part: "".join(
+        [power + times for power in filter(None, map(dict.__getitem__, head_powers, part))]))
+    tails = _Memo(lambda part: times.join(
+        filter(None, map(dict.__getitem__, tail_powers, part))))
+
+    def signed(coeff: Coeff) -> str:
+        # what a term puts before its monomial: " - 2*" for -2, " + " for 1
+        if coeff < 0:
+            return " - " if coeff == -1 else " - " + magnitude(-coeff) + times
+        return " + " if coeff == 1 else " + " + magnitude(coeff) + times
+    prefixes = _Memo(signed)
+
+    def render_chunk(chunk: list) -> list[str]:
+        return list(map(str.rstrip, map("".join, zip(
+            map(prefixes.__getitem__, map(terms.__getitem__, chunk)),
+            map(heads.__getitem__, map(head, chunk)),
+            map(tails.__getitem__, map(tail, chunk)))), repeat(times)))
+
+    ordered = _graded_lex(terms)
+    constant = []
+    if not any(ordered[-1]):
+        # the constant term, last in graded-lex order, has no monomial
+        coeff = terms[ordered.pop()]
+        constant.append((" - " if coeff < 0 else " + ") + magnitude(abs(coeff)))
+    pieces = chain(_chunked(ordered, render_chunk), constant)
+    first = next(pieces)
+    yield ("-" if first[1] == "-" else "") + first[3:]
+    yield from pieces
 
 
 class MultiPoly:

@@ -21,29 +21,34 @@ z_{2k+1}; there every P_k^c has exactly 2*4^(k-1) terms (k >= 1) and no
 exponent above 2, against tens of thousands of terms in x.  Unpacking
 converts to x once, substituting z_j = z_{j-1} + x_j slot by slot, and
 yields an x term store: a dict from `bytes` exponent vectors, one byte per
-variable with x0 first, to coefficients.  l_terms returns that store for
-l_poly(k, n), and `kcycles treepoly` renders it directly with the
-exact.term_pieces and exact.json_pieces renderers, with no tuple per term;
-l_poly, reduced_tree_poly and p_family wrap stores as MultiPoly values.
+variable with x0 first, to coefficients.  The change is unimodular, so a
+denominator such as the 4^k of l_poly divides every x coefficient exactly
+when it divides every z coefficient; then it is divided out of the packed
+terms, before the expansion, and no x term is divided.  l_terms returns
+the store of l_poly(k, n), tree_terms that of tree_poly(k) and
+p_family_terms those of the P_k^c, one at a time; `kcycles treepoly`
+renders them directly with the exact.term_pieces and exact.json_pieces
+renderers, with no tuple per term.  l_poly, reduced_tree_poly and
+p_family wrap stores as MultiPoly values.
 q_eval, the average sign sum that the coefficient peel needs, runs the
 step on integers at one point: O(k^2) multiply-adds, with no level
 built, so it works at any level.  oracles.p_family_x runs it in x.
 
 Values are immutable.  The packed levels and reduced_tree_poly(k) are
-cached per process; p_family and l_poly convert new polynomials from the
-cached packed level on every call, tree_poly multiplies the cached
-reduced one by x0, and q_eval caches nothing.  Building a new level or
-reduced polynomial takes an internal lock, and a built one is read
-without taking the lock.
+cached per process; p_family, l_poly and the store functions convert new
+polynomials from the cached packed level on every call, tree_poly
+multiplies the cached reduced one by x0, and q_eval caches nothing.
+Building a new level or reduced polynomial takes an internal lock, and a
+built one is read without taking the lock.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exact import Coeff, MultiPoly, binomial, check_odd_tuple, double_factorial
 from .series import TruncatedSeries, elementary_series
@@ -162,8 +167,14 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> dict[by
 
     Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down,
     each a binomial expansion of the slot's exponent; z_0 = x_0 needs none.
+    The change of coordinates is unimodular, x_j = z_j - z_{j-1}, so every x
+    coefficient is divisible by the denominator exactly when every z
+    coefficient is: then the division runs on the packed terms and the
+    store holds their quotients' expansion, and otherwise each x
+    coefficient is divided on its own, as a Fraction where it must be.
     """
-    terms = packed
+    divisible = all(c % denominator == 0 for c in packed.values())
+    terms = {e: c // denominator for e, c in packed.items()} if divisible else packed
     for j in range(num_vars - 1, 0, -1):
         shift = _PACK_BITS * j
         # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
@@ -183,11 +194,10 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> dict[by
         for e in [e for e, c in expanded.items() if not c]:
             del expanded[e]
         terms = expanded
-    return {
-        e.to_bytes(num_vars, "little"):
-            c // denominator if c % denominator == 0 else Fraction(c, denominator)
-        for e, c in terms.items()
-    }
+    coeffs = terms.values() if divisible else [
+        c // denominator if c % denominator == 0 else Fraction(c, denominator)
+        for c in terms.values()]
+    return dict(zip(map(int.to_bytes, terms, repeat(num_vars), repeat("little")), coeffs))
 
 
 def _as_multipoly(num_vars: int, terms: dict[bytes, Coeff]) -> MultiPoly:
@@ -234,10 +244,15 @@ def p_family(k: int) -> PFamily:
     """The level-k family, computed by iterating the three-term recursion;
     each P_k^c is converted from the packed z level on its own, on every
     call."""
-    return PFamily(k, {
-        2 * s + 1: _as_multipoly(2 * k + 1, _unpack(packed, 2 * k + 1))
-        for s, packed in enumerate(_extend_levels(k))
-    })
+    return PFamily(k, {c: _as_multipoly(2 * k + 1, terms) for c, terms in p_family_terms(k)})
+
+
+def p_family_terms(k: int) -> Iterator[tuple[int, dict[bytes, Coeff]]]:
+    """(c, the x term store of P_k^c) for c = 1, 3, ..., 2k+1, each store
+    converted from the packed z level when it is reached, so a caller that
+    renders one at a time holds one."""
+    for s, packed in enumerate(_extend_levels(k)):
+        yield 2 * s + 1, _unpack(packed, 2 * k + 1)
 
 
 def reduced_tree_poly(k: int) -> MultiPoly:
@@ -262,6 +277,12 @@ def tree_poly(k: int) -> MultiPoly:
     """x0 times the reduced tree polynomial; homogeneous of degree 2k+1."""
     reduced = reduced_tree_poly(k)
     return MultiPoly.variable(reduced.num_vars, 0) * reduced
+
+
+def tree_terms(k: int) -> dict[bytes, Coeff]:
+    """The x term store of tree_poly(k): x0 times l_terms(k, 0), which
+    raises the x0 byte of each key by one."""
+    return {bytes((e[0] + 1,)) + e[1:]: c for e, c in l_terms(k, 0).items()}
 
 
 def l_poly(k: int, n: int) -> MultiPoly:

@@ -77,6 +77,10 @@ LEVEL_FIVE_DIGESTS = {
         "66b431d1a5f51a4f979f6bebfc603aa3f7faa6dd723501117592e61247adddf2",
     ("5", "--variant", "pfamily", "--format", "text"):
         "2487b8ee061d8f4fdd27648c9c628aa2d16fcd8e4a853e093d28d82910335514",
+    ("5", "--variant", "full", "--format", "json"):
+        "7aacd4a04df3933acd4cfc89243644658ef813498fc0b018dbbb1034d5cd4776",
+    ("5", "--variant", "full", "--format", "text"):
+        "8573a82ebba7ee60555c26d3de502808171a93856742f3dc32c48d2adec03c29",
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for the exact arithmetic core."""
 
+import itertools
 import json
 from fractions import Fraction
 from math import comb, factorial
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcycles import exact
 from kcycles.exact import (
     MultiPoly,
     arrangements,
@@ -336,6 +338,31 @@ def test_poly_renderers_match_reference(p):
             assert list(term_pieces(p.num_vars, store, latex)) == list(p.term_pieces(latex))
         for depth in (0, 2):
             assert list(json_pieces(p.num_vars, store, depth)) == list(p.json_pieces(depth))
+
+
+@pytest.mark.parametrize("constant", [1, -1, Fraction(-5, 3)])
+def test_renderers_span_chunks(constant):
+    # 6^5 terms are several render chunks; the leading term is negative, the
+    # first variable alone and the last variable alone make an empty tail
+    # and an empty head, and the constant term renders last
+    exponents = list(itertools.product(range(6), repeat=5))
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 4), 10 ** 20]
+    terms = {e: coeffs[i % len(coeffs)] for i, e in enumerate(exponents)}
+    terms[(5,) * 5] = -4
+    terms[(0,) * 5] = constant
+    assert len(terms) > 2 * exact._CHUNK
+    p = MultiPoly(5, terms)
+    for store in (terms, {bytes(e): c for e, c in terms.items()}):
+        for latex in (False, True):
+            pieces = list(term_pieces(5, store, latex))
+            assert len(pieces) == len(terms)
+            assert "".join(pieces) == _reference_render(p, latex)
+        pieces = list(json_pieces(5, store))
+        assert len(pieces) == len(terms) + 1
+        assert "".join(pieces) == json.dumps(p.to_obj(), indent=2)
+        nested = json.dumps({"k": 2, "polys": {"1": p.to_obj()}}, indent=2)
+        assert nested == '{\n  "k": 2,\n  "polys": {\n    "1": ' + "".join(
+            json_pieces(5, store, 2)) + "\n  }\n}"
 
 
 def test_poly_renderers_of_zero_and_constants():

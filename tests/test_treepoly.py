@@ -21,12 +21,14 @@ from kcycles.treepoly import (
     l_poly,
     l_terms,
     p_family,
+    p_family_terms,
     q_closed_ones,
     q_eval,
     reduced_tree_poly,
     t_closed_main,
     t_closed_ones,
     tree_poly,
+    tree_terms,
     verify_g_recursion,
     xe_tables,
 )
@@ -187,17 +189,61 @@ def test_l_terms_store_is_l_poly_in_bytes(k):
         assert MultiPoly(2 * k + 1, {tuple(e): c for e, c in store.items()}) == l_poly(k, n)
 
 
-def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys):
+@pytest.mark.parametrize("k", range(6))
+def test_tree_and_family_stores_match_their_multipolys(k):
+    tree = tree_terms(k)
+    assert all(type(e) is bytes and len(e) == 2 * k + 1 for e in tree)
+    assert MultiPoly(2 * k + 1, {tuple(e): c for e, c in tree.items()}) == tree_poly(k)
+    family = p_family(k)
+    stores = list(p_family_terms(k))
+    assert [c for c, _ in stores] == list(range(1, 2 * k + 2, 2))
+    for c, store in stores:
+        assert {tuple(e): v for e, v in store.items()} == dict(family[c].items())
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_unpack_divides_on_the_packed_level(k):
+    # dividing the packed z terms when all are divisible gives the per-term
+    # quotients of the x terms, as ints; a denominator that does not divide
+    # takes the per-term route, with a Fraction where a quotient is not whole
+    level = treepoly._extend_levels(k)
+    cases = []
+    for n in range(3):
+        acc = treepoly._PackedPoly()
+        for s, packed in enumerate(level):
+            acc = acc + packed * (2 * s + 1) ** (2 * n)
+        cases.append((acc, 4 ** k))
+    if k <= 4:
+        assert any(c % 3 for c in level[-1].values())
+        cases.append((level[-1], 3))
+    for packed, d in cases:
+        plain = treepoly._unpack(packed, 2 * k + 1)
+        divided = treepoly._unpack(packed, 2 * k + 1, d)
+        assert divided.keys() == plain.keys()
+        for e, c in plain.items():
+            quotient = Fraction(c, d)
+            assert divided[e] == quotient
+            assert type(divided[e]) is (int if quotient.denominator == 1 else Fraction)
+        if d == 3:
+            assert any(type(c) is Fraction for c in divided.values())
+
+
+@pytest.mark.parametrize("variant", ["l:1", "full", "pfamily"])
+def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys, variant):
     from kcycles import cli
 
-    expected = l_poly(3, 1).text() + "\n"
+    if variant == "pfamily":
+        polys = p_family(3).polys
+        expected = "\n".join(f"P[{c}] = {polys[c].text()}" for c in sorted(polys)) + "\n"
+    else:
+        expected = (l_poly(3, 1) if variant == "l:1" else tree_poly(3)).text() + "\n"
 
     def refuse(*args, **kwargs):
-        raise AssertionError("treepoly --variant l:1 built a tuple-keyed MultiPoly")
+        raise AssertionError(f"treepoly --variant {variant} built a tuple-keyed MultiPoly")
 
     monkeypatch.setattr(MultiPoly, "__init__", refuse)
     monkeypatch.setattr(MultiPoly, "_raw", classmethod(refuse))
-    assert cli.main(["treepoly", "3", "--variant", "l:1"]) == 0
+    assert cli.main(["treepoly", "3", "--variant", variant]) == 0
     assert capsys.readouterr().out == expected
 
 
