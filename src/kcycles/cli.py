@@ -31,11 +31,9 @@ from .exact import (
     MultiPoly,
     check_odd_tuple,
     format_rational,
-    json_pieces,
     latex_rational,
     normalize_partition,
     signed_join,
-    term_pieces,
 )
 from .oracles import (
     DEFAULT_LETTER_CAP,
@@ -49,7 +47,7 @@ from .oracles import (
     tree_poly_bruteforce,
 )
 from .treepoly import (
-    l_terms, p_family_terms, q_eval, reduced_tree_poly, tree_terms, xe_tables,
+    l_poly, p_family_terms, q_eval, reduced_tree_poly, tree_poly, xe_tables,
 )
 
 EXIT_OK = 0
@@ -158,32 +156,32 @@ def cmd_treepoly(args) -> int:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
 
-    # every variant renders bytes-keyed x term stores, with no MultiPoly built
-    def pieces(terms, depth=0):
+    # every variant streams its polynomials' pieces, with no tuple per term
+    def pieces(poly: MultiPoly, depth=0):
         if fmt == "json":
-            return json_pieces(2 * k + 1, terms, depth)
-        return term_pieces(2 * k + 1, terms, fmt == "latex")
+            return poly.json_pieces(depth)
+        return poly.term_pieces(fmt == "latex")
 
     if args.variant == "full":
-        out.writelines(pieces(tree_terms(k)))
+        out.writelines(pieces(tree_poly(k)))
     elif args.variant != "pfamily":
         # reduced is l:0
         n = 0 if args.variant == "reduced" else int(args.variant[2:])
-        out.writelines(pieces(l_terms(k, n)))
+        out.writelines(pieces(l_poly(k, n)))
     elif fmt == "json":
         # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
         out.write(f'{{\n  "k": {k},\n  "polys": {{')
         separator = "\n    "
-        for c, terms in p_family_terms(k):
+        for c, poly in p_family_terms(k):
             out.write(f'{separator}"{c}": ')
-            out.writelines(pieces(terms, 2))
+            out.writelines(pieces(poly, 2))
             separator = ",\n    "
         out.write("\n  }\n}")
     else:
         separator = ""
-        for c, terms in p_family_terms(k):
+        for c, poly in p_family_terms(k):
             out.write(f"{separator}P[{c}] = ")
-            out.writelines(pieces(terms))
+            out.writelines(pieces(poly))
             separator = "\n"
     out.write("\n")
     return EXIT_OK

@@ -10,25 +10,32 @@ Conventions used throughout the package:
   empty tuple being the empty partition;
 * an exponent vector is a tuple of nonnegative ints, one per variable.
 
+A MultiPoly packs each exponent vector into one int, 8 bits per variable
+with x0 in the low byte, the one key type of the module: multiplying two
+monomials is one integer add, and a polynomial in more variables reads
+the same keys.  An exponent above 255 raises ValueError, at construction
+and in any product or substitution whose operands could carry into the
+next variable's field.  The constructor and `coefficient` take tuples,
+and `items` yields them.
+
 Polynomials render in pieces, one per term, by two module-level
-functions over a term map: `term_pieces` for text and LaTeX and
+functions over a packed term map: `term_pieces` for text and LaTeX and
 `json_pieces` for JSON, so a caller can stream a level of a million terms
 without holding its rendering.  The `MultiPoly` methods of the same names
 delegate to them, and `text()`/`latex()` join the same pieces, so each
-format has one renderer.  A term map's exponent vectors are tuples, as a
-MultiPoly stores them, or `bytes` with one byte per variable, which a
-caller can render without building a tuple per term.  `bytes` keys sort as
-they are; tuples are sorted with `bytes` of the vector as the key, which
-orders like the tuple while every exponent is below 256, and a larger
-exponent falls back to the tuple sort.
+format has one renderer.  Keys sort by their `bytes` vectors, one byte
+per variable with x0 first, which order like the tuples.
 
-A renderer splits each exponent vector into a head, the first half of the
-variables, and a tail, the rest, and renders each distinct half once, in
-a memo that lives for one call: the powers for text and LaTeX, the
-exponent lines for JSON.  A tree level has few distinct halves (the l:2
-polynomial of level 5 has 52,899 terms but 3,349 heads and 131 tails), so
-a term costs a few lookups and one string join.  The sorted keys render
-a chunk at a time, in flat passes of `map` over the chunk, so what is in
+A renderer splits each packed key with a mask and a shift into a head,
+the first half of the variables, and a tail, the rest, and renders each
+distinct half once, in a memo that lives for one call: the powers for
+text and LaTeX, the exponent lines for JSON.  A tree level has few
+distinct halves (the l:2 polynomial of level 5 has 52,899 terms but
+3,349 heads and 131 tails), so a term costs a few lookups and one string
+join.  The text order needs total degrees only where they differ: the
+degrees come from memoized half-degrees, and a store of one degree, as
+every tree polynomial is, is sorted once.  The sorted keys render a
+chunk at a time, in flat passes of `map` over the chunk, so what is in
 flight is one chunk's pieces and the memos.
 
 All values are immutable after construction and every operation is a pure
@@ -38,10 +45,10 @@ function, so everything here can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, repeat
-from math import factorial
-from operator import add, itemgetter
+from math import factorial, prod
+from operator import and_, methodcaller, mod, mul, or_, rshift
 from typing import Iterable, Iterator, Mapping
 
 Coeff = int | Fraction
@@ -101,7 +108,7 @@ def check_odd_tuple(values: Iterable[int]) -> tuple[int, ...]:
 
 def _normalize_coeff(value: Coeff) -> Coeff:
     # ints keep the heavy integer-only paths on fast native arithmetic
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if type(value) is Fraction and value.denominator == 1:
         return value.numerator
     return value
 
@@ -241,32 +248,47 @@ def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-def _sorted_exponents(exponents: Iterable, reverse: bool = False) -> list:
-    """Exponent vectors sorted as tuples.
-
-    `bytes` keys, one byte per exponent, order like the tuples and are
-    sorted as they are.  For tuple keys, while every exponent is below
-    256, `bytes` of a vector orders like the vector and compares much
-    faster, so it is the sort key; a larger exponent makes `bytes` raise
-    and the tuples are sorted as they are.
-    """
-    if isinstance(next(iter(exponents), b""), bytes):
-        return sorted(exponents, reverse=reverse)
-    try:
-        return sorted(exponents, key=bytes, reverse=reverse)
-    except ValueError:
-        return sorted(exponents, reverse=reverse)
+# An exponent vector packs into one int, _EXP_BITS bits per variable with x0
+# in the low bits, so multiplying two monomials is one integer add.
+_EXP_BITS = 8
+_EXP_MAX = (1 << _EXP_BITS) - 1
 
 
-def _graded_lex(exponents: Iterable) -> list:
-    """Graded-lex order with x0 most significant, leading vector first.
+def _pack(num_vars: int, exps: tuple[int, ...]) -> int | None:
+    """The packed key of an exponent vector, or None if it is not a vector
+    of `num_vars` exponents in 0.._EXP_MAX."""
+    if len(exps) != num_vars or not all(0 <= e <= _EXP_MAX for e in exps):
+        return None
+    return int.from_bytes(bytes(exps), "little")
 
-    The order of the key (-sum(e), -e0, -e1, ...): a stable sort by
-    descending total degree of the descending lex order.
-    """
-    ordered = _sorted_exponents(exponents, reverse=True)
-    ordered.sort(key=sum, reverse=True)
-    return ordered
+
+def _vectors(num_vars: int, keys: Iterable[int]) -> Iterator[bytes]:
+    """The exponent vectors of packed keys as `bytes`, one per variable with
+    x0 first; `bytes` order like the tuples."""
+    return map(int.to_bytes, keys, repeat(num_vars), repeat("little"))
+
+
+def _bounds(num_vars: int, keys: Iterable[int]) -> bytes:
+    """Per variable, a bound on the exponents of the packed keys: the
+    fields of their OR, which is at least each exponent."""
+    return reduce(or_, keys, 0).to_bytes(num_vars, "little")
+
+
+def _require_no_carry(num_vars: int, left: Iterable[int], right: Iterable[int]) -> None:
+    """Raise ValueError unless adding a key of `left` to one of `right`
+    keeps every exponent within 0.._EXP_MAX, so that no variable's field
+    can carry into the next one's."""
+    if any(a + b > _EXP_MAX for a, b in zip(_bounds(num_vars, left), _bounds(num_vars, right))):
+        raise ValueError(f"an exponent would exceed {_EXP_MAX}")
+
+
+def _settled(store: dict) -> dict:
+    # integral Fractions become ints, as everywhere else; a store of ints,
+    # as every tree level is, costs one pass of `map`
+    if Fraction in set(map(type, store.values())):
+        for e in [e for e, c in store.items() if type(c) is Fraction]:
+            store[e] = _normalize_coeff(store[e])
+    return store
 
 
 class _Memo(dict):
@@ -292,21 +314,53 @@ def _chunked(keys: list, render_chunk) -> Iterator[str]:
         yield from render_chunk(keys[start:start + _CHUNK])
 
 
-def _halves(num_vars: int) -> tuple[itemgetter, itemgetter]:
-    """Getters of an exponent vector's head, its first ceil(n/2) entries,
-    and of its tail, the rest."""
-    middle = (num_vars + 1) // 2
-    return itemgetter(slice(None, middle)), itemgetter(slice(middle, None))
+def _head_length(num_vars: int) -> int:
+    # a renderer splits the variables into a head of ceil(n/2) and a tail
+    return (num_vars + 1) // 2
 
 
-def json_pieces(num_vars: int, terms: Mapping, depth: int = 0) -> Iterator[str]:
+def _halves(num_vars: int, keys: Iterable[int]) -> tuple[Iterator[int], Iterator[int]]:
+    """The heads of the packed keys, their first _head_length variables, and
+    their tails, the rest, as ints."""
+    shift = _EXP_BITS * _head_length(num_vars)
+    return map(and_, keys, repeat((1 << shift) - 1)), map(rshift, keys, repeat(shift))
+
+
+def _half_memos(num_vars: int, render_head, render_tail) -> tuple[_Memo, _Memo]:
+    """Memos of the renderings of distinct heads and tails of packed keys,
+    each half decoded to its `bytes` vector once."""
+    middle = _head_length(num_vars)
+    return (_Memo(lambda part: render_head(part.to_bytes(middle, "little"))),
+            _Memo(lambda part: render_tail(part.to_bytes(num_vars - middle, "little"))))
+
+
+def _sorted_exponents(num_vars: int, keys: Iterable[int], reverse: bool = False) -> list[int]:
+    """Packed keys sorted as their exponent tuples, by their `bytes` vectors."""
+    return sorted(keys, key=methodcaller("to_bytes", num_vars, "little"), reverse=reverse)
+
+
+def _graded_lex(num_vars: int, keys: Iterable[int]) -> list[int]:
+    """Packed keys in graded-lex order with x0 most significant, leading key
+    first: the descending lex order, then, where the total degrees differ,
+    a stable sort of it by descending degree."""
+    ordered = _sorted_exponents(num_vars, keys, reverse=True)
+    # 256 is 1 modulo 255, so a key is its degree modulo 255: while the
+    # exponents' bounds sum below 255, one residue is one degree, as in
+    # every tree polynomial, and the lex order is already graded
+    if (sum(_bounds(num_vars, ordered)) >= _EXP_MAX
+            or len(set(map(mod, ordered, repeat(_EXP_MAX)))) > 1):
+        ordered.sort(key=lambda e: sum(e.to_bytes(num_vars, "little")), reverse=True)
+    return ordered
+
+
+def json_pieces(num_vars: int, terms: Mapping[int, Coeff], depth: int = 0) -> Iterator[str]:
     """`json.dumps` of the JSON term list, indent 2, in pieces, one per term.
 
-    `terms` maps exponent vectors (tuples, or `bytes` with one byte per
-    variable) to nonzero coefficients, as a MultiPoly stores them.  The
-    pieces join to the list of `MultiPoly.to_obj` as it appears nested
-    `depth` levels deep in an indent-2 `json.dumps` document, so a caller
-    can write a large polynomial without holding its rendering.
+    `terms` maps packed exponent vectors to nonzero coefficients, as a
+    MultiPoly stores them.  The pieces join to the list of
+    `MultiPoly.to_obj` as it appears nested `depth` levels deep in an
+    indent-2 `json.dumps` document, so a caller can write a large
+    polynomial without holding its rendering.
     """
     if not terms:
         yield "[]"
@@ -314,26 +368,26 @@ def json_pieces(num_vars: int, terms: Mapping, depth: int = 0) -> Iterator[str]:
     item = "\n" + "  " * (depth + 1)
     field = item + "  "
     number = "," + field + "  "
-    head, tail = _halves(num_vars)
     # the exponent lines of each half, the tail's with their leading commas
-    heads = _Memo(lambda part: number.join(map(str, part)))
-    tails = _Memo(lambda part: "".join([number + str(e) for e in part]))
+    heads, tails = _half_memos(num_vars, lambda vector: number.join(map(str, vector)),
+                               lambda vector: "".join([number + str(e) for e in vector]))
     row = ("," + item + "{" + field + '"exp": [' + number[1:] + "%s%s"
            + field + "]," + field + '"coeff": "%s"' + item + "}")
 
     def render_chunk(chunk: list) -> list[str]:
+        head_parts, tail_parts = _halves(num_vars, chunk)
         return list(map(row.__mod__, zip(
-            map(heads.__getitem__, map(head, chunk)),
-            map(tails.__getitem__, map(tail, chunk)),
+            map(heads.__getitem__, head_parts),
+            map(tails.__getitem__, tail_parts),
             map(format_rational, map(terms.__getitem__, chunk)))))
 
-    pieces = _chunked(_sorted_exponents(terms), render_chunk)
+    pieces = _chunked(_sorted_exponents(num_vars, terms), render_chunk)
     yield "[" + next(pieces)[1:]
     yield from pieces
     yield item[:-2] + "]"
 
 
-def term_pieces(num_vars: int, terms: Mapping, latex: bool = False) -> Iterator[str]:
+def term_pieces(num_vars: int, terms: Mapping[int, Coeff], latex: bool = False) -> Iterator[str]:
     """Text (or LaTeX) rendering of a term map in pieces, leading term first.
 
     `terms` is as for json_pieces.  Terms come in graded-lex order with x0
@@ -351,14 +405,15 @@ def term_pieces(num_vars: int, terms: Mapping, latex: bool = False) -> Iterator[
         times, magnitude = "*", format_rational
     powers = [_Memo(lambda e, name=name: f"{name}{open_}{e}{close}", {0: "", 1: name})
               for name in names]
-    head, tail = _halves(num_vars)
-    head_powers, tail_powers = head(powers), tail(powers)
+    middle = _head_length(num_vars)
+    head_powers, tail_powers = powers[:middle], powers[middle:]
     # a head ends in `times` when it is not empty, so a term with an empty
     # tail ends in `times`, which the pass strips
-    heads = _Memo(lambda part: "".join(
-        [power + times for power in filter(None, map(dict.__getitem__, head_powers, part))]))
-    tails = _Memo(lambda part: times.join(
-        filter(None, map(dict.__getitem__, tail_powers, part))))
+    heads, tails = _half_memos(
+        num_vars,
+        lambda vector: "".join([power + times for power in filter(
+            None, map(dict.__getitem__, head_powers, vector))]),
+        lambda vector: times.join(filter(None, map(dict.__getitem__, tail_powers, vector))))
 
     def signed(coeff: Coeff) -> str:
         # what a term puts before its monomial: " - 2*" for -2, " + " for 1
@@ -368,14 +423,15 @@ def term_pieces(num_vars: int, terms: Mapping, latex: bool = False) -> Iterator[
     prefixes = _Memo(signed)
 
     def render_chunk(chunk: list) -> list[str]:
+        head_parts, tail_parts = _halves(num_vars, chunk)
         return list(map(str.rstrip, map("".join, zip(
             map(prefixes.__getitem__, map(terms.__getitem__, chunk)),
-            map(heads.__getitem__, map(head, chunk)),
-            map(tails.__getitem__, map(tail, chunk)))), repeat(times)))
+            map(heads.__getitem__, head_parts),
+            map(tails.__getitem__, tail_parts))), repeat(times)))
 
-    ordered = _graded_lex(terms)
+    ordered = _graded_lex(num_vars, terms)
     constant = []
-    if not any(ordered[-1]):
+    if not ordered[-1]:
         # the constant term, last in graded-lex order, has no monomial
         coeff = terms[ordered.pop()]
         constant.append((" - " if coeff < 0 else " + ") + magnitude(abs(coeff)))
@@ -388,11 +444,12 @@ def term_pieces(num_vars: int, terms: Mapping, latex: bool = False) -> Iterator[
 class MultiPoly:
     """Sparse polynomial in variables x0..x(N-1) with exact coefficients.
 
-    Terms are stored as a map from exponent vector (dense tuple, one entry
-    per variable) to a nonzero coefficient, so two polynomials are equal
-    exactly when their term maps are equal.  The variable count is fixed at
-    construction; arithmetic between different arities raises instead of
-    coercing (silent broadcasting hides indexing bugs).  Instances are
+    Terms are stored as a map from packed exponent vector (8 bits per
+    variable, x0 lowest, each exponent at most 255; see the module
+    docstring) to a nonzero coefficient, so two polynomials are equal
+    exactly when their term maps are equal.  The variable count is fixed
+    at construction; arithmetic between different arities raises instead
+    of coercing (silent broadcasting hides indexing bugs).  Instances are
     immutable.
     """
 
@@ -402,16 +459,18 @@ class MultiPoly:
         if num_vars < 1:
             raise ValueError(f"need at least one variable, got {num_vars}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        store: dict[tuple[int, ...], Coeff] = {}
+        store: dict[int, Coeff] = {}
         for exps, coeff in items:
             exps = tuple(exps)
-            if len(exps) != num_vars or any(e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for {num_vars} variables")
-            coeff = _normalize_coeff(store.get(exps, 0) + coeff)
+            key = _pack(num_vars, exps)
+            if key is None:
+                raise ValueError(f"bad exponent vector {exps} for {num_vars} variables "
+                                 f"(exponents lie in 0..{_EXP_MAX})")
+            coeff = _normalize_coeff(store.get(key, 0) + coeff)
             if coeff:
-                store[exps] = coeff
+                store[key] = coeff
             else:
-                store.pop(exps, None)
+                store.pop(key, None)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "_terms", store)
 
@@ -419,8 +478,9 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _raw(cls, num_vars: int, store: dict) -> "MultiPoly":
-        # internal: store is already canonical (no zeros, correct arity)
+    def _raw(cls, num_vars: int, store: dict[int, Coeff]) -> "MultiPoly":
+        # internal: store is already canonical (packed keys that fit the
+        # arity, nonzero normalized coefficients)
         self = object.__new__(cls)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "_terms", store)
@@ -435,30 +495,26 @@ class MultiPoly:
         value = _normalize_coeff(value)
         if not value:
             return cls.zero(num_vars)
-        return cls._raw(num_vars, {(0,) * num_vars: value})
+        return cls._raw(num_vars, {0: value})
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "MultiPoly":
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        exps = tuple(1 if i == index else 0 for i in range(num_vars))
-        return cls._raw(num_vars, {exps: 1})
+        return cls._raw(num_vars, {1 << (_EXP_BITS * index): 1})
 
     @classmethod
     def var_sum(cls, num_vars: int, upto: int) -> "MultiPoly":
         """x0 + x1 + ... + x_upto."""
         if not 0 <= upto < num_vars:
             raise ValueError(f"variable index {upto} out of range for {num_vars} variables")
-        store = {}
-        for i in range(upto + 1):
-            store[tuple(1 if j == i else 0 for j in range(num_vars))] = 1
-        return cls._raw(num_vars, store)
+        return cls._raw(num_vars, {1 << (_EXP_BITS * i): 1 for i in range(upto + 1)})
 
     # -- inspection ---------------------------------------------------------
 
-    def items(self):
-        """Live (exponent vector, coefficient) view; do not mutate."""
-        return self._terms.items()
+    def items(self) -> Iterator[tuple[tuple[int, ...], Coeff]]:
+        """(exponent tuple, coefficient) pairs, each tuple decoded as it is read."""
+        return zip(map(tuple, _vectors(self.num_vars, self._terms)), self._terms.values())
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -467,23 +523,25 @@ class MultiPoly:
         return bool(self._terms)
 
     def coefficient(self, exps: Iterable[int]) -> Coeff:
-        return self._terms.get(tuple(exps), 0)
+        key = _pack(self.num_vars, tuple(exps))
+        return 0 if key is None else self._terms.get(key, 0)
 
     def coefficient_sum(self) -> Coeff:
         """Sum of all coefficients, i.e. the value at the all-ones point."""
-        return _normalize_coeff(sum(self._terms.values(), start=Fraction(0)))
+        return _normalize_coeff(sum(self._terms.values()))
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
-        return max((sum(e) for e in self._terms), default=0)
+        return max(map(sum, _vectors(self.num_vars, self._terms)), default=0)
 
     def degree_in(self, index: int) -> int:
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
-        return max((e[index] for e in self._terms), default=0)
+        shift = _EXP_BITS * index
+        return max((e >> shift & _EXP_MAX for e in self._terms), default=0)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(e) for e in self._terms}
+        degrees = set(map(sum, _vectors(self.num_vars, self._terms)))
         if degree is not None:
             return degrees <= {degree}
         return len(degrees) <= 1
@@ -501,13 +559,14 @@ class MultiPoly:
             return NotImplemented
         self._require_same_arity(other)
         store = dict(self._terms)
+        get = store.get
         for exps, coeff in other._terms.items():
-            total = _normalize_coeff(store.get(exps, 0) + coeff)
+            total = get(exps, 0) + coeff
             if total:
                 store[exps] = total
             else:
-                store.pop(exps, None)
-        return MultiPoly._raw(self.num_vars, store)
+                del store[exps]
+        return MultiPoly._raw(self.num_vars, _settled(store))
 
     def __neg__(self):
         return MultiPoly._raw(self.num_vars, {e: -c for e, c in self._terms.items()})
@@ -520,26 +579,30 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             self._require_same_arity(other)
-            store: dict[tuple[int, ...], Coeff] = {}
-            get = store.get
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    exps = tuple(a + b for a, b in zip(e1, e2))
-                    total = get(exps, 0) + c1 * c2
-                    if total:
-                        store[exps] = total
-                    else:
-                        del store[exps]
-            for exps in [e for e, c in store.items() if isinstance(c, Fraction)]:
-                store[exps] = _normalize_coeff(store[exps])
-            return MultiPoly._raw(self.num_vars, store)
+            _require_no_carry(self.num_vars, self._terms, other._terms)
+            small, big = sorted((self._terms, other._terms), key=len)
+            if len(small) == 1:
+                # a monomial moves every key by the same amount, so no two
+                # products meet
+                ((e2, c2),) = small.items()
+                store = {e1 + e2: c1 * c2 for e1, c1 in big.items()}
+            else:
+                store = {}
+                get = store.get
+                for e2, c2 in small.items():
+                    for e1, c1 in big.items():
+                        exps = e1 + e2
+                        total = get(exps, 0) + c1 * c2
+                        if total:
+                            store[exps] = total
+                        else:
+                            del store[exps]
+            return MultiPoly._raw(self.num_vars, _settled(store))
         if isinstance(other, (int, Fraction)):
             if not other:
                 return MultiPoly.zero(self.num_vars)
             return MultiPoly._raw(
-                self.num_vars,
-                {e: _normalize_coeff(c * other) for e, c in self._terms.items()},
-            )
+                self.num_vars, _settled({e: c * other for e, c in self._terms.items()}))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -565,25 +628,23 @@ class MultiPoly:
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
         self._require_same_arity(replacement)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.num_vars, 1)}
-
-        def power(n: int) -> MultiPoly:
-            if n not in powers:
-                powers[n] = power(n - 1) * replacement
-            return powers[n]
-
+        powers = [MultiPoly.constant(self.num_vars, 1)]
+        for _ in range(self.degree_in(index)):
+            powers.append(powers[-1] * replacement)
+        shift = _EXP_BITS * index
+        rest = ~(_EXP_MAX << shift)  # clears the substituted variable's field
+        _require_no_carry(self.num_vars, [reduce(or_, self._terms, 0) & rest],
+                          chain.from_iterable(p._terms for p in powers))
         # every term's expansion goes into one store; zeros and integral
         # Fractions are settled once at the end
-        store: dict[tuple[int, ...], Coeff] = {}
+        store: dict[int, Coeff] = {}
         get = store.get
         for exps, coeff in self._terms.items():
-            rest = exps[:index] + (0,) + exps[index + 1 :]
-            for pexps, pcoeff in power(exps[index])._terms.items():
-                key = tuple(map(add, rest, pexps))
+            base = exps & rest
+            for pexps, pcoeff in powers[exps >> shift & _EXP_MAX]._terms.items():
+                key = base + pexps
                 store[key] = get(key, 0) + coeff * pcoeff
-        return MultiPoly._raw(
-            self.num_vars, {e: _normalize_coeff(c) for e, c in store.items() if c}
-        )
+        return MultiPoly._raw(self.num_vars, _settled({e: c for e, c in store.items() if c}))
 
     def eval(self, point: Iterable[Coeff]) -> Coeff:
         """Exact value at the point (one coordinate per variable)."""
@@ -592,31 +653,32 @@ class MultiPoly:
             raise ValueError(
                 f"point has {len(coords)} coordinates, polynomial has {self.num_vars} variables"
             )
-        total: Coeff = 0
-        for exps, coeff in self._terms.items():
-            value = coeff
-            for x, e in zip(coords, exps):
-                if e:
-                    value *= x ** e
-            total += value
-        return _normalize_coeff(total)
+        # each distinct head and tail monomial is evaluated once
+        middle = _head_length(self.num_vars)
+        heads, tails = _half_memos(
+            self.num_vars, lambda vector: prod(map(pow, coords[:middle], vector)),
+            lambda vector: prod(map(pow, coords[middle:], vector)))
+        head_parts, tail_parts = _halves(self.num_vars, self._terms)
+        return _normalize_coeff(sum(map(mul, self._terms.values(), map(
+            mul, map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts)))))
 
     def extended(self, num_vars: int) -> "MultiPoly":
-        """Same polynomial viewed in a larger variable set (exponents padded)."""
+        """Same polynomial viewed in a larger variable set; the packed keys
+        are the same."""
         if num_vars < self.num_vars:
             raise ValueError(f"cannot shrink from {self.num_vars} to {num_vars} variables")
         if num_vars == self.num_vars:
             return self
-        pad = (0,) * (num_vars - self.num_vars)
-        return MultiPoly._raw(num_vars, {e + pad: c for e, c in self._terms.items()})
+        return MultiPoly._raw(num_vars, self._terms)
 
     # -- serialization and rendering -----------------------------------------
 
     def to_obj(self) -> list[dict]:
         """JSON form: [{"exp": [...], "coeff": "p/q"}, ...] sorted by exponents."""
+        keys = _sorted_exponents(self.num_vars, self._terms)
         return [
-            {"exp": list(exps), "coeff": format_rational(self._terms[exps])}
-            for exps in sorted(self._terms)
+            {"exp": list(exps), "coeff": format_rational(self._terms[key])}
+            for key, exps in zip(keys, _vectors(self.num_vars, keys))
         ]
 
     @classmethod

@@ -187,9 +187,13 @@ def p_family_x(k: int) -> PFamily:
     """The level-k P-family by the recursion run directly in x coordinates.
 
     Each step multiplies MultiPoly values, with y1 = x_{2j+1}, y2 =
-    x_{2j+2} and z_i = x0 + ... + x_i, so it shares only the step formula
-    with treepoly.p_family and neither its packed exponents nor its
-    change of coordinates.  Nothing is cached.
+    x_{2j+2} and z_i = x0 + ... + x_i.  The level build of treepoly runs
+    the same _p_step on the same type and differs only in the y and z
+    polynomials it passes: variables of partial-sum coordinates, which
+    treepoly._unpack converts to x.  So the check oracle/p-family-coordinates,
+    which compares the two, covers the change of coordinates and _unpack,
+    not the step or the polynomial arithmetic; the checks against
+    enumerated trees through level 5 cover those.  Nothing is cached.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")

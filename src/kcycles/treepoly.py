@@ -14,105 +14,59 @@ checked by verify_g_recursion.  Closed forms for near-all-ones
 evaluations and the shuffle sign-sum tables live here too, next to the
 recursion they cross-check.
 
-One step of the recursion, _p_step, serves two routes.  The level build
-runs it on polynomials with packed exponents in the partial sums
-z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k} and y2 = z_{2k+2} -
-z_{2k+1}; there every P_k^c has exactly 2*4^(k-1) terms (k >= 1) and no
-exponent above 2, against tens of thousands of terms in x.  Unpacking
-converts to x once, substituting z_j = z_{j-1} + x_j slot by slot, and
-yields an x term store: a dict from `bytes` exponent vectors, one byte per
-variable with x0 first, to coefficients.  The change is unimodular, so a
-denominator such as the 4^k of l_poly divides every x coefficient exactly
-when it divides every z coefficient; then it is divided out of the packed
-terms, before the expansion, and no x term is divided.  l_terms returns
-the store of l_poly(k, n), tree_terms that of tree_poly(k) and
-p_family_terms those of the P_k^c, one at a time; `kcycles treepoly`
-renders them directly with the exact.term_pieces and exact.json_pieces
-renderers, with no tuple per term.  l_poly, reduced_tree_poly and
-p_family wrap stores as MultiPoly values.
+One step of the recursion, _p_step, serves three routes, and the two
+polynomial routes run it on the same MultiPoly type.  The level build runs
+it in the partial sums z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k}
+and y2 = z_{2k+2} - z_{2k+1}; there every P_k^c has exactly 2*4^(k-1)
+terms (k >= 1) and no exponent above 2, against tens of thousands of
+terms in x.  Unpacking converts to x once, substituting z_j = z_{j-1} +
+x_j slot by slot on the packed keys of the z polynomial, and returns the
+x polynomial.  The change is unimodular, so a denominator such as the
+4^k of l_poly divides every x coefficient exactly when it divides every z
+coefficient; then it is divided out of the z terms, before the
+expansion, and no x term is divided.  l_poly and reduced_tree_poly sum
+the z level first and unpack the sum; p_family_terms unpacks the P_k^c
+one at a time, for p_family and for `kcycles treepoly --variant
+pfamily`, which renders each with no tuple per term.  An x exponent is
+at most 2k, so it stays far below MultiPoly's limit of 255 through
+_MAX_LEVEL.
 q_eval, the average sign sum that the coefficient peel needs, runs the
 step on integers at one point: O(k^2) multiply-adds, with no level
 built, so it works at any level.  oracles.p_family_x runs it in x.
 
-Values are immutable.  The packed levels and reduced_tree_poly(k) are
-cached per process; p_family, l_poly and the store functions convert new
-polynomials from the cached packed level on every call, tree_poly
-multiplies the cached reduced one by x0, and q_eval caches nothing.
-Building a new level or reduced polynomial takes an internal lock, and a
-built one is read without taking the lock.
+Values are immutable.  The z levels and reduced_tree_poly(k) are cached
+per process; p_family and l_poly unpack new polynomials from the cached
+z level on every call, tree_poly multiplies the cached reduced one by
+x0, which adds one to the x0 field of each key, and q_eval caches
+nothing.  Building a new level or reduced polynomial takes an internal
+lock, and a built one is read without taking the lock.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
-from .exact import Coeff, MultiPoly, binomial, check_odd_tuple, double_factorial
+from .exact import (
+    _EXP_BITS, _EXP_MAX, MultiPoly, binomial, check_odd_tuple, double_factorial,
+)
 from .series import TruncatedSeries, elementary_series
 
-# One byte per variable: decoding a key is one int.to_bytes.  A packed
-# z-level slot never exceeds 2, and the levels are homogeneous of degree
+# A z-level slot never exceeds 2, and the levels are homogeneous of degree
 # 2k, so an x exponent after conversion is at most 2k <= 60 through
-# _MAX_LEVEL, well below 256.
-_PACK_BITS = 8
-_PACK_MASK = (1 << _PACK_BITS) - 1
+# _MAX_LEVEL, well below MultiPoly's limit of 255.
 _MAX_LEVEL = 30
-
-
-class _PackedPoly(dict):
-    """Integer polynomial as {packed exponent vector: nonzero coefficient}.
-
-    The exponent vector is packed into one int, _PACK_BITS bits per
-    variable, so multiplying two monomials is a single integer add.  Only
-    the arithmetic _p_step needs is defined: +, -, and * by an int or by
-    another _PackedPoly.
-    """
-
-    __slots__ = ()
-
-    def __add__(self, other: "_PackedPoly") -> "_PackedPoly":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "_PackedPoly") -> "_PackedPoly":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "_PackedPoly", sign: int) -> "_PackedPoly":
-        out = _PackedPoly(self)
-        get = out.get
-        for e, c in other.items():
-            total = get(e, 0) + sign * c
-            if total:
-                out[e] = total
-            else:
-                del out[e]
-        return out
-
-    def __mul__(self, other: "int | _PackedPoly") -> "_PackedPoly":
-        if isinstance(other, int):
-            return _PackedPoly({e: c * other for e, c in self.items()} if other else {})
-        small, big = sorted((self, other), key=len)
-        out = _PackedPoly()
-        get = out.get
-        for e2, c2 in small.items():
-            for e1, c1 in big.items():
-                e = e1 + e2
-                c = get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-        return out
 
 
 def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
     """One step k -> k+1 of the P-family recursion; family[s] is P_k^{2s+1}.
 
     y1 = x_{2k+1}, y2 = x_{2k+2} and z_i = x0 + ... + x_i, all ints (a
-    point), all _PackedPoly (the level build, in z coordinates) or all
-    MultiPoly (the x-coordinate oracle).  With S_c = P_k^c, S_{-1} =
+    point) or all MultiPoly in 2k+3 variables, in z coordinates (the level
+    build) or in x coordinates (the oracle).  With S_c = P_k^c, S_{-1} =
     S_1 and S_c = 0 beyond c = 2k+1, the terms are grouped by multiplier so
     that every product has a linear factor:
 
@@ -136,14 +90,14 @@ def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
 
 
 _lock = threading.RLock()
-_packed_levels: list[list[_PackedPoly]] = [[_PackedPoly({0: 1})]]
+_packed_levels: list[list[MultiPoly]] = [[MultiPoly.constant(1, 1)]]
 _reduced_cache: dict[int, MultiPoly] = {}
 
 
-def _extend_levels(level: int) -> list[_PackedPoly]:
-    """The packed family of the given level in partial-sum coordinates,
-    building the missing levels under the lock; element s is
-    P_level^{2s+1} with slot i holding the exponent of z_i."""
+def _extend_levels(level: int) -> list[MultiPoly]:
+    """The family of the given level in partial-sum coordinates, building
+    the missing levels under the lock; element s is P_level^{2s+1}, with
+    variable i standing for z_i."""
     if level < 0:
         raise ValueError(f"need k >= 0, got {level}")
     if level > _MAX_LEVEL:
@@ -152,41 +106,40 @@ def _extend_levels(level: int) -> list[_PackedPoly]:
         with _lock:
             while len(_packed_levels) <= level:
                 k = len(_packed_levels) - 1
-                z2k, z2k1, z2k2 = (
-                    _PackedPoly({1 << (_PACK_BITS * i): 1}) for i in range(2 * k, 2 * k + 3)
-                )
+                n = 2 * k + 3
+                z2k, z2k1, z2k2 = (MultiPoly.variable(n, i) for i in range(2 * k, n))
+                family = [p.extended(n) for p in _packed_levels[k]]
                 _packed_levels.append(
-                    _p_step(_packed_levels[k], z2k1 - z2k, z2k2 - z2k1, z2k, z2k1, z2k2)
-                )
+                    _p_step(family, z2k1 - z2k, z2k2 - z2k1, z2k, z2k1, z2k2))
     return _packed_levels[level]
 
 
-def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> dict[bytes, Coeff]:
-    """The packed z-coordinate polynomial divided by the denominator, as an
-    x term store: {bytes exponent vector, x0 first: nonzero coefficient}.
+def _unpack(packed: MultiPoly, num_vars: int, denominator: int = 1) -> MultiPoly:
+    """The z-coordinate polynomial divided by the denominator, in x.
 
     Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down,
-    each a binomial expansion of the slot's exponent; z_0 = x_0 needs none.
-    The change of coordinates is unimodular, x_j = z_j - z_{j-1}, so every x
-    coefficient is divisible by the denominator exactly when every z
-    coefficient is: then the division runs on the packed terms and the
-    store holds their quotients' expansion, and otherwise each x
-    coefficient is divided on its own, as a Fraction where it must be.
+    each a binomial expansion of the slot's exponent on the packed keys;
+    z_0 = x_0 needs none.  The change of coordinates is unimodular, x_j =
+    z_j - z_{j-1}, so every x coefficient is divisible by the denominator
+    exactly when every z coefficient is: then the division runs on the z
+    terms and the result holds their quotients' expansion, and otherwise
+    each x coefficient is divided on its own, as a Fraction where it must
+    be.
     """
-    divisible = all(c % denominator == 0 for c in packed.values())
-    terms = {e: c // denominator for e, c in packed.items()} if divisible else packed
+    divisible = all(c % denominator == 0 for c in packed._terms.values())
+    terms = {e: c // denominator for e, c in packed._terms.items()} if divisible else packed._terms
     for j in range(num_vars - 1, 0, -1):
-        shift = _PACK_BITS * j
+        shift = _EXP_BITS * j
         # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
         # moves[a] expands z_j^a, one entry per exponent b < a kept as x_j^b
-        carry = (1 << (shift - _PACK_BITS)) - (1 << shift)
+        carry = (1 << (shift - _EXP_BITS)) - (1 << shift)
         moves = [[((a - b) * carry, comb(a, b)) for b in range(a)]
                  for a in range(num_vars)]
         # the copy is the move that keeps the whole exponent (b = a, weight 1)
         expanded = dict(terms)
         get = expanded.get
         for e, c in terms.items():
-            for move, weight in moves[(e >> shift) & _PACK_MASK]:
+            for move, weight in moves[(e >> shift) & _EXP_MAX]:
                 key = e + move
                 expanded[key] = get(key, 0) + c * weight
         # the expansion cancels heavily; dropping zeros slot by slot keeps
@@ -194,15 +147,10 @@ def _unpack(packed: _PackedPoly, num_vars: int, denominator: int = 1) -> dict[by
         for e in [e for e, c in expanded.items() if not c]:
             del expanded[e]
         terms = expanded
-    coeffs = terms.values() if divisible else [
-        c // denominator if c % denominator == 0 else Fraction(c, denominator)
-        for c in terms.values()]
-    return dict(zip(map(int.to_bytes, terms, repeat(num_vars), repeat("little")), coeffs))
-
-
-def _as_multipoly(num_vars: int, terms: dict[bytes, Coeff]) -> MultiPoly:
-    # distinct keys and nonzero coefficients: the store is already canonical
-    return MultiPoly._raw(num_vars, {tuple(e): c for e, c in terms.items()})
+    if not divisible:
+        terms = {e: c // denominator if c % denominator == 0 else Fraction(c, denominator)
+                 for e, c in terms.items()}
+    return MultiPoly._raw(num_vars, terms)
 
 
 class PFamily:
@@ -242,15 +190,13 @@ class PFamily:
 
 def p_family(k: int) -> PFamily:
     """The level-k family, computed by iterating the three-term recursion;
-    each P_k^c is converted from the packed z level on its own, on every
-    call."""
-    return PFamily(k, {c: _as_multipoly(2 * k + 1, terms) for c, terms in p_family_terms(k)})
+    each P_k^c is converted from the z level on its own, on every call."""
+    return PFamily(k, dict(p_family_terms(k)))
 
 
-def p_family_terms(k: int) -> Iterator[tuple[int, dict[bytes, Coeff]]]:
-    """(c, the x term store of P_k^c) for c = 1, 3, ..., 2k+1, each store
-    converted from the packed z level when it is reached, so a caller that
-    renders one at a time holds one."""
+def p_family_terms(k: int) -> Iterator[tuple[int, MultiPoly]]:
+    """(c, P_k^c) for c = 1, 3, ..., 2k+1, each converted from the z level
+    when it is reached, so a caller that renders one at a time holds one."""
     for s, packed in enumerate(_extend_levels(k)):
         yield 2 * s + 1, _unpack(packed, 2 * k + 1)
 
@@ -279,32 +225,16 @@ def tree_poly(k: int) -> MultiPoly:
     return MultiPoly.variable(reduced.num_vars, 0) * reduced
 
 
-def tree_terms(k: int) -> dict[bytes, Coeff]:
-    """The x term store of tree_poly(k): x0 times l_terms(k, 0), which
-    raises the x0 byte of each key by one."""
-    return {bytes((e[0] + 1,)) + e[1:]: c for e, c in l_terms(k, 0).items()}
-
-
 def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
     l_poly(k, 0) is the reduced tree polynomial; the coefficient sum is
-    (2k)! (2k+1)^(2n).  The MultiPoly of l_terms(k, n).
-    """
-    return _as_multipoly(2 * k + 1, l_terms(k, n))
-
-
-def l_terms(k: int, n: int) -> dict[bytes, Coeff]:
-    """The x term store of l_poly(k, n): {bytes exponent vector: coefficient},
-    one byte per variable x0..x_{2k}, x0 first.
-
-    The sum runs over the packed z level and is converted to x once.  The
-    store renders with exact.term_pieces and exact.json_pieces like the
-    MultiPoly.
+    (2k)! (2k+1)^(2n).  The sum runs over the z level and is converted to x
+    once.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    acc = _PackedPoly()
+    acc = MultiPoly.zero(2 * k + 1)
     for s, packed in enumerate(_extend_levels(k)):
         acc = acc + packed * (2 * s + 1) ** (2 * n)
     return _unpack(acc, 2 * k + 1, 4 ** k)

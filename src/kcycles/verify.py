@@ -341,9 +341,9 @@ def check_oracle_reduced() -> Iterator[Triple]:
 
 
 def check_p_family_coordinates() -> Iterator[Triple]:
-    # the packed z build converted to x against the recursion run in x; both
-    # share the step formula, so this covers the coordinates, the packing
-    # and the conversion, and the brute-force checks cover the step
+    # the z build converted to x against the recursion run in x; both run
+    # the same step on MultiPoly, so this covers the coordinates and the
+    # conversion, and the brute-force checks cover the step
     for k in range(6):
         yield f"k={k}", p_family(k).polys, oracles.p_family_x(k).polys
 

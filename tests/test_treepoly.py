@@ -19,7 +19,6 @@ from kcycles.oracles import (
 from kcycles.treepoly import (
     double_sum_identity,
     l_poly,
-    l_terms,
     p_family,
     p_family_terms,
     q_closed_ones,
@@ -28,7 +27,6 @@ from kcycles.treepoly import (
     t_closed_main,
     t_closed_ones,
     tree_poly,
-    tree_terms,
     verify_g_recursion,
     xe_tables,
 )
@@ -84,8 +82,7 @@ def test_packed_z_levels_have_the_fixed_shape():
         assert len(level) == k + 1
         for packed in level:
             assert len(packed) == 2 * 4 ** (k - 1)
-            for e in packed:
-                exps = e.to_bytes(2 * k + 1, "little")
+            for exps, _ in packed.items():
                 assert max(exps) <= 2
                 assert sum(exps) == 2 * k
     for k in range(6):
@@ -174,51 +171,52 @@ def test_l_poly_against_bruteforce(k, n):
 
 
 @pytest.mark.parametrize("k", range(5))
-def test_l_terms_store_is_l_poly_in_bytes(k):
-    # the store's keys are bytes, one per variable with x0 first; read as
-    # tuples they give l_poly and the sum over the x-coordinate family
+def test_l_poly_keys_pack_the_x_family_sum(k):
+    # the keys are ints, one byte per variable with x0 lowest; decoded they
+    # give the weighted sum over the x-coordinate family
     family = p_family_x(k)
     for n in range(3):
-        store = l_terms(k, n)
-        assert all(type(e) is bytes and len(e) == 2 * k + 1 for e in store)
+        poly = l_poly(k, n)
+        assert all(type(e) is int and e < 1 << 8 * (2 * k + 1) for e in poly._terms)
         expected = sum(
             (family[2 * s + 1] * (2 * s + 1) ** (2 * n) for s in range(k + 1)),
             MultiPoly.zero(2 * k + 1),
         ) / 4 ** k
-        assert {tuple(e): c for e, c in store.items()} == dict(expected.items())
-        assert MultiPoly(2 * k + 1, {tuple(e): c for e, c in store.items()}) == l_poly(k, n)
+        assert {int.from_bytes(bytes(e), "little"): c for e, c in expected.items()} == poly._terms
+        assert poly == expected
 
 
 @pytest.mark.parametrize("k", range(6))
 def test_tree_and_family_stores_match_their_multipolys(k):
-    tree = tree_terms(k)
-    assert all(type(e) is bytes and len(e) == 2 * k + 1 for e in tree)
-    assert MultiPoly(2 * k + 1, {tuple(e): c for e, c in tree.items()}) == tree_poly(k)
-    family = p_family(k)
+    # tree_poly adds one to the x0 byte of each reduced key; the general
+    # product of the tuple-built x0 gives the same terms
+    reduced = reduced_tree_poly(k)
+    tree = tree_poly(k)
+    assert tree._terms == {e + 1: c for e, c in reduced._terms.items()}
+    assert tree == MultiPoly(2 * k + 1, {(1,) + (0,) * 2 * k: 1}) * reduced
     stores = list(p_family_terms(k))
     assert [c for c, _ in stores] == list(range(1, 2 * k + 2, 2))
-    for c, store in stores:
-        assert {tuple(e): v for e, v in store.items()} == dict(family[c].items())
+    assert dict(stores) == p_family_x(k).polys
 
 
 @pytest.mark.parametrize("k", range(7))
 def test_unpack_divides_on_the_packed_level(k):
-    # dividing the packed z terms when all are divisible gives the per-term
+    # dividing the z terms when all are divisible gives the per-term
     # quotients of the x terms, as ints; a denominator that does not divide
     # takes the per-term route, with a Fraction where a quotient is not whole
     level = treepoly._extend_levels(k)
     cases = []
     for n in range(3):
-        acc = treepoly._PackedPoly()
+        acc = MultiPoly.zero(2 * k + 1)
         for s, packed in enumerate(level):
             acc = acc + packed * (2 * s + 1) ** (2 * n)
         cases.append((acc, 4 ** k))
     if k <= 4:
-        assert any(c % 3 for c in level[-1].values())
+        assert any(c % 3 for _, c in level[-1].items())
         cases.append((level[-1], 3))
     for packed, d in cases:
-        plain = treepoly._unpack(packed, 2 * k + 1)
-        divided = treepoly._unpack(packed, 2 * k + 1, d)
+        plain = dict(treepoly._unpack(packed, 2 * k + 1).items())
+        divided = dict(treepoly._unpack(packed, 2 * k + 1, d).items())
         assert divided.keys() == plain.keys()
         for e, c in plain.items():
             quotient = Fraction(c, d)
@@ -230,6 +228,8 @@ def test_unpack_divides_on_the_packed_level(k):
 
 @pytest.mark.parametrize("variant", ["l:1", "full", "pfamily"])
 def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys, variant):
+    # the renderers read the packed keys: the command decodes no exponent
+    # tuple and builds no polynomial from tuples
     from kcycles import cli
 
     if variant == "pfamily":
@@ -239,10 +239,10 @@ def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys, variant)
         expected = (l_poly(3, 1) if variant == "l:1" else tree_poly(3)).text() + "\n"
 
     def refuse(*args, **kwargs):
-        raise AssertionError(f"treepoly --variant {variant} built a tuple-keyed MultiPoly")
+        raise AssertionError(f"treepoly --variant {variant} decoded exponent tuples")
 
     monkeypatch.setattr(MultiPoly, "__init__", refuse)
-    monkeypatch.setattr(MultiPoly, "_raw", classmethod(refuse))
+    monkeypatch.setattr(MultiPoly, "items", refuse)
     assert cli.main(["treepoly", "3", "--variant", variant]) == 0
     assert capsys.readouterr().out == expected
 
