@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 _HOMES = {
     **dict.fromkeys((
         "MultiPoly", "binomial", "double_factorial", "format_rational",
-        "normalize_partition", "parse_rational", "partitions_of",
+        "normalize_partition", "partitions_of",
         "stirling_first_signed", "stirling_second",
     ), "exact"),
     **dict.fromkeys(("TruncatedSeries", "elementary_series"), "series"),

@@ -11,32 +11,34 @@ Conventions used throughout the package:
 * an exponent vector is a tuple of nonnegative ints, one per variable.
 
 A MultiPoly packs each exponent vector into one int, 8 bits per variable
-with x0 in the low byte, the one key type of the module: multiplying two
-monomials is one integer add, and a polynomial in more variables reads
-the same keys.  An exponent above 255 raises ValueError, at construction
-and in any product or substitution whose operands could carry into the
-next variable's field.  The constructor and `coefficient` take tuples,
-and `items` yields them.
+with x0 in the high byte, the one key type of the module: multiplying two
+monomials is one integer add, and two keys of one arity compare as ints
+as their exponent tuples do, so a plain sort puts them in exponent order.
+An exponent above 255 raises ValueError, at construction and in any
+product or substitution whose operands could carry into the next
+variable's field.  The constructor and `coefficient` take tuples, and
+`items` yields them.  Coefficients are exact: an int or a Fraction, and
+anything else raises TypeError.
 
 Polynomials render in pieces, one per term, by two module-level
 functions over a packed term map: `term_pieces` for text and LaTeX and
 `json_pieces` for JSON, so a caller can stream a level of a million terms
 without holding its rendering.  The `MultiPoly` methods of the same names
-delegate to them, and `text()`/`latex()` join the same pieces, so each
-format has one renderer.  Keys sort by their `bytes` vectors, one byte
-per variable with x0 first, which order like the tuples.
+delegate to them, and `text()` joins the same pieces, so each format has
+one renderer.
 
-A renderer splits each packed key with a mask and a shift into a head,
+A renderer splits each packed key with a shift and a mask into a head,
 the first half of the variables, and a tail, the rest, and renders each
 distinct half once, in a memo that lives for one call: the powers for
 text and LaTeX, the exponent lines for JSON.  A tree level has few
 distinct halves (the l:2 polynomial of level 5 has 52,899 terms but
 3,349 heads and 131 tails), so a term costs a few lookups and one string
-join.  The text order needs total degrees only where they differ: the
-degrees come from memoized half-degrees, and a store of one degree, as
-every tree polynomial is, is sorted once.  The sorted keys render a
-chunk at a time, in flat passes of `map` over the chunk, so what is in
-flight is one chunk's pieces and the memos.
+join.  The text order needs total degrees only where they differ: a key
+is its degree modulo 255, and a store whose keys share one residue while
+its exponents stay small, as every tree polynomial does, is of one degree
+and is sorted once.  The sorted keys render a chunk at a time, in flat
+passes of `map` over the chunk, so what is in flight is one chunk's
+pieces and the memos.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -48,7 +50,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from math import factorial, prod
-from operator import and_, methodcaller, mod, mul, or_, rshift
+from operator import and_, mod, mul, or_, rshift
 from typing import Iterable, Iterator, Mapping
 
 Coeff = int | Fraction
@@ -57,15 +59,6 @@ Coeff = int | Fraction
 # ---------------------------------------------------------------------------
 # rationals
 # ---------------------------------------------------------------------------
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into a Fraction. "3", "3/1" and "-29/720" all work."""
-    try:
-        value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
-    return value
-
 
 def format_rational(value: Coeff) -> str:
     """Canonical string form: "p/q" with q > 0 and gcd 1, or plain "p" if integral."""
@@ -249,9 +242,16 @@ def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 # An exponent vector packs into one int, _EXP_BITS bits per variable with x0
-# in the low bits, so multiplying two monomials is one integer add.
+# in the high bits, so multiplying two monomials is one integer add and the
+# int order of keys of one arity is the order of their exponent tuples.
 _EXP_BITS = 8
 _EXP_MAX = (1 << _EXP_BITS) - 1
+
+
+def _shift(num_vars: int, index: int) -> int:
+    """The bit position of variable `index`'s field in a key of `num_vars`
+    variables."""
+    return _EXP_BITS * (num_vars - 1 - index)
 
 
 def _pack(num_vars: int, exps: tuple[int, ...]) -> int | None:
@@ -259,19 +259,19 @@ def _pack(num_vars: int, exps: tuple[int, ...]) -> int | None:
     of `num_vars` exponents in 0.._EXP_MAX."""
     if len(exps) != num_vars or not all(0 <= e <= _EXP_MAX for e in exps):
         return None
-    return int.from_bytes(bytes(exps), "little")
+    return int.from_bytes(bytes(exps), "big")
 
 
 def _vectors(num_vars: int, keys: Iterable[int]) -> Iterator[bytes]:
     """The exponent vectors of packed keys as `bytes`, one per variable with
-    x0 first; `bytes` order like the tuples."""
-    return map(int.to_bytes, keys, repeat(num_vars), repeat("little"))
+    x0 first."""
+    return map(int.to_bytes, keys, repeat(num_vars), repeat("big"))
 
 
 def _bounds(num_vars: int, keys: Iterable[int]) -> bytes:
     """Per variable, a bound on the exponents of the packed keys: the
     fields of their OR, which is at least each exponent."""
-    return reduce(or_, keys, 0).to_bytes(num_vars, "little")
+    return reduce(or_, keys, 0).to_bytes(num_vars, "big")
 
 
 def _require_no_carry(num_vars: int, left: Iterable[int], right: Iterable[int]) -> None:
@@ -280,6 +280,13 @@ def _require_no_carry(num_vars: int, left: Iterable[int], right: Iterable[int]) 
     can carry into the next one's."""
     if any(a + b > _EXP_MAX for a, b in zip(_bounds(num_vars, left), _bounds(num_vars, right))):
         raise ValueError(f"an exponent would exceed {_EXP_MAX}")
+
+
+def _exact(value: Coeff) -> Coeff:
+    """The value, checked to be an exact coefficient: an int or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
+    return value
 
 
 def _settled(store: dict) -> dict:
@@ -322,34 +329,29 @@ def _head_length(num_vars: int) -> int:
 def _halves(num_vars: int, keys: Iterable[int]) -> tuple[Iterator[int], Iterator[int]]:
     """The heads of the packed keys, their first _head_length variables, and
     their tails, the rest, as ints."""
-    shift = _EXP_BITS * _head_length(num_vars)
-    return map(and_, keys, repeat((1 << shift) - 1)), map(rshift, keys, repeat(shift))
+    shift = _shift(num_vars, _head_length(num_vars) - 1)
+    return map(rshift, keys, repeat(shift)), map(and_, keys, repeat((1 << shift) - 1))
 
 
 def _half_memos(num_vars: int, render_head, render_tail) -> tuple[_Memo, _Memo]:
     """Memos of the renderings of distinct heads and tails of packed keys,
     each half decoded to its `bytes` vector once."""
     middle = _head_length(num_vars)
-    return (_Memo(lambda part: render_head(part.to_bytes(middle, "little"))),
-            _Memo(lambda part: render_tail(part.to_bytes(num_vars - middle, "little"))))
-
-
-def _sorted_exponents(num_vars: int, keys: Iterable[int], reverse: bool = False) -> list[int]:
-    """Packed keys sorted as their exponent tuples, by their `bytes` vectors."""
-    return sorted(keys, key=methodcaller("to_bytes", num_vars, "little"), reverse=reverse)
+    return (_Memo(lambda part: render_head(part.to_bytes(middle, "big"))),
+            _Memo(lambda part: render_tail(part.to_bytes(num_vars - middle, "big"))))
 
 
 def _graded_lex(num_vars: int, keys: Iterable[int]) -> list[int]:
     """Packed keys in graded-lex order with x0 most significant, leading key
     first: the descending lex order, then, where the total degrees differ,
     a stable sort of it by descending degree."""
-    ordered = _sorted_exponents(num_vars, keys, reverse=True)
+    ordered = sorted(keys, reverse=True)
     # 256 is 1 modulo 255, so a key is its degree modulo 255: while the
     # exponents' bounds sum below 255, one residue is one degree, as in
     # every tree polynomial, and the lex order is already graded
     if (sum(_bounds(num_vars, ordered)) >= _EXP_MAX
             or len(set(map(mod, ordered, repeat(_EXP_MAX)))) > 1):
-        ordered.sort(key=lambda e: sum(e.to_bytes(num_vars, "little")), reverse=True)
+        ordered.sort(key=lambda e: sum(e.to_bytes(num_vars, "big")), reverse=True)
     return ordered
 
 
@@ -381,7 +383,7 @@ def json_pieces(num_vars: int, terms: Mapping[int, Coeff], depth: int = 0) -> It
             map(tails.__getitem__, tail_parts),
             map(format_rational, map(terms.__getitem__, chunk)))))
 
-    pieces = _chunked(_sorted_exponents(num_vars, terms), render_chunk)
+    pieces = _chunked(sorted(terms), render_chunk)
     yield "[" + next(pieces)[1:]
     yield from pieces
     yield item[:-2] + "]"
@@ -445,8 +447,8 @@ class MultiPoly:
     """Sparse polynomial in variables x0..x(N-1) with exact coefficients.
 
     Terms are stored as a map from packed exponent vector (8 bits per
-    variable, x0 lowest, each exponent at most 255; see the module
-    docstring) to a nonzero coefficient, so two polynomials are equal
+    variable, x0 highest, each exponent at most 255; see the module
+    docstring) to a nonzero int or Fraction, so two polynomials are equal
     exactly when their term maps are equal.  The variable count is fixed
     at construction; arithmetic between different arities raises instead
     of coercing (silent broadcasting hides indexing bugs).  Instances are
@@ -466,7 +468,7 @@ class MultiPoly:
             if key is None:
                 raise ValueError(f"bad exponent vector {exps} for {num_vars} variables "
                                  f"(exponents lie in 0..{_EXP_MAX})")
-            coeff = _normalize_coeff(store.get(key, 0) + coeff)
+            coeff = _normalize_coeff(store.get(key, 0) + _exact(coeff))
             if coeff:
                 store[key] = coeff
             else:
@@ -492,7 +494,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, num_vars: int, value: Coeff) -> "MultiPoly":
-        value = _normalize_coeff(value)
+        value = _normalize_coeff(_exact(value))
         if not value:
             return cls.zero(num_vars)
         return cls._raw(num_vars, {0: value})
@@ -501,14 +503,14 @@ class MultiPoly:
     def variable(cls, num_vars: int, index: int) -> "MultiPoly":
         if not 0 <= index < num_vars:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-        return cls._raw(num_vars, {1 << (_EXP_BITS * index): 1})
+        return cls._raw(num_vars, {1 << _shift(num_vars, index): 1})
 
     @classmethod
     def var_sum(cls, num_vars: int, upto: int) -> "MultiPoly":
         """x0 + x1 + ... + x_upto."""
         if not 0 <= upto < num_vars:
             raise ValueError(f"variable index {upto} out of range for {num_vars} variables")
-        return cls._raw(num_vars, {1 << (_EXP_BITS * i): 1 for i in range(upto + 1)})
+        return cls._raw(num_vars, {1 << _shift(num_vars, i): 1 for i in range(upto + 1)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -537,7 +539,7 @@ class MultiPoly:
     def degree_in(self, index: int) -> int:
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
-        shift = _EXP_BITS * index
+        shift = _shift(self.num_vars, index)
         return max((e >> shift & _EXP_MAX for e in self._terms), default=0)
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
@@ -631,7 +633,7 @@ class MultiPoly:
         powers = [MultiPoly.constant(self.num_vars, 1)]
         for _ in range(self.degree_in(index)):
             powers.append(powers[-1] * replacement)
-        shift = _EXP_BITS * index
+        shift = _shift(self.num_vars, index)
         rest = ~(_EXP_MAX << shift)  # clears the substituted variable's field
         _require_no_carry(self.num_vars, [reduce(or_, self._terms, 0) & rest],
                           chain.from_iterable(p._terms for p in powers))
@@ -663,35 +665,25 @@ class MultiPoly:
             mul, map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts)))))
 
     def extended(self, num_vars: int) -> "MultiPoly":
-        """Same polynomial viewed in a larger variable set; the packed keys
-        are the same."""
+        """Same polynomial viewed in a larger variable set, with the new
+        variables after the old ones."""
         if num_vars < self.num_vars:
             raise ValueError(f"cannot shrink from {self.num_vars} to {num_vars} variables")
         if num_vars == self.num_vars:
             return self
-        return MultiPoly._raw(num_vars, self._terms)
+        # the new variables' fields come in below x_(n-1)'s
+        shift = _EXP_BITS * (num_vars - self.num_vars)
+        return MultiPoly._raw(num_vars, {e << shift: c for e, c in self._terms.items()})
 
     # -- serialization and rendering -----------------------------------------
 
     def to_obj(self) -> list[dict]:
         """JSON form: [{"exp": [...], "coeff": "p/q"}, ...] sorted by exponents."""
-        keys = _sorted_exponents(self.num_vars, self._terms)
+        keys = sorted(self._terms)
         return [
             {"exp": list(exps), "coeff": format_rational(self._terms[key])}
             for key, exps in zip(keys, _vectors(self.num_vars, keys))
         ]
-
-    @classmethod
-    def from_obj(cls, obj: Iterable[Mapping], num_vars: int | None = None) -> "MultiPoly":
-        terms = []
-        for entry in obj:
-            exps = tuple(entry["exp"])
-            terms.append((exps, parse_rational(entry["coeff"])))
-            if num_vars is None:
-                num_vars = len(exps)
-        if num_vars is None:
-            raise ValueError("empty term list needs an explicit num_vars")
-        return cls(num_vars, terms)
 
     def json_pieces(self, depth: int = 0) -> Iterator[str]:
         """`json.dumps(self.to_obj(), indent=2)` in pieces; see json_pieces."""
@@ -703,9 +695,6 @@ class MultiPoly:
 
     def text(self) -> str:
         return "".join(self.term_pieces())
-
-    def latex(self) -> str:
-        return "".join(self.term_pieces(latex=True))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.num_vars}, {self.text()!r})"

@@ -37,7 +37,7 @@ built, so it works at any level.  oracles.p_family_x runs it in x.
 Values are immutable.  The z levels and reduced_tree_poly(k) are cached
 per process; p_family and l_poly unpack new polynomials from the cached
 z level on every call, tree_poly multiplies the cached reduced one by
-x0, which adds one to the x0 field of each key, and q_eval caches
+x0, a monomial, which adds x0's key to each key, and q_eval caches
 nothing.  Building a new level or reduced polynomial takes an internal
 lock, and a built one is read without taking the lock.
 """
@@ -51,7 +51,7 @@ from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .exact import (
-    _EXP_BITS, _EXP_MAX, MultiPoly, binomial, check_odd_tuple, double_factorial,
+    _EXP_MAX, MultiPoly, _shift, binomial, check_odd_tuple, double_factorial,
 )
 from .series import TruncatedSeries, elementary_series
 
@@ -129,10 +129,10 @@ def _unpack(packed: MultiPoly, num_vars: int, denominator: int = 1) -> MultiPoly
     divisible = all(c % denominator == 0 for c in packed._terms.values())
     terms = {e: c // denominator for e, c in packed._terms.items()} if divisible else packed._terms
     for j in range(num_vars - 1, 0, -1):
-        shift = _EXP_BITS * j
+        shift = _shift(num_vars, j)
         # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
         # moves[a] expands z_j^a, one entry per exponent b < a kept as x_j^b
-        carry = (1 << (shift - _EXP_BITS)) - (1 << shift)
+        carry = (1 << _shift(num_vars, j - 1)) - (1 << shift)
         moves = [[((a - b) * carry, comb(a, b)) for b in range(a)]
                  for a in range(num_vars)]
         # the copy is the move that keeps the whole exponent (b = a, weight 1)

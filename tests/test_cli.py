@@ -35,13 +35,12 @@ def test_treepoly_full_k0():
 
 
 def test_treepoly_json_schema():
-    from kcycles.exact import MultiPoly
     from kcycles.treepoly import l_poly
 
     result = run_cli("treepoly", "1", "--variant", "l:1", "--format", "json")
     assert result.returncode == 0
     obj = json.loads(result.stdout)
-    assert MultiPoly.from_obj(obj) == l_poly(1, 1)
+    assert obj == l_poly(1, 1).to_obj()
     exps = [entry["exp"] for entry in obj]
     assert exps == sorted(exps)  # canonical ordering
 

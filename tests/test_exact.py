@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -19,7 +20,6 @@ from kcycles.exact import (
     json_pieces,
     latex_rational,
     normalize_partition,
-    parse_rational,
     partitions_of,
     signed_join,
     stirling_first_signed,
@@ -34,17 +34,12 @@ from kcycles.oracles import compositions
 # ---------------------------------------------------------------------------
 
 def test_rational_parse_and_format():
-    assert parse_rational("29/720") == Fraction(29, 720)
-    assert parse_rational("3") == 3
-    assert parse_rational("3/1") == 3
-    assert parse_rational("-1/1440") == Fraction(-1, 1440)
     assert format_rational(Fraction(6, 2)) == "3"
     assert format_rational(Fraction(-29, 720)) == "-29/720"
     assert format_rational(5) == "5"
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational("pi")
+    # the canonical form parses back to the value
+    for value in (Fraction(29, 720), 3, Fraction(-1, 1440)):
+        assert Fraction(format_rational(value)) == value
 
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
@@ -261,6 +256,15 @@ def test_poly_extended():
         wide.extended(2)
 
 
+def _from_obj(num_vars, obj):
+    # the JSON term list read back, as a consumer of `--format json` would
+    return MultiPoly(num_vars, [(entry["exp"], Fraction(entry["coeff"])) for entry in obj])
+
+
+def _latex(p):
+    return "".join(p.term_pieces(latex=True))
+
+
 def test_poly_serialization_schema():
     x0, x1 = xvars(2)
     p = x0 * x0 - Fraction(1, 2) * x1
@@ -269,19 +273,17 @@ def test_poly_serialization_schema():
         {"exp": [0, 1], "coeff": "-1/2"},
         {"exp": [2, 0], "coeff": "1"},
     ]
-    assert MultiPoly.from_obj(obj) == p
-    assert MultiPoly.from_obj([], num_vars=3) == MultiPoly.zero(3)
-    with pytest.raises(ValueError):
-        MultiPoly.from_obj([])
+    assert _from_obj(2, obj) == p
+    assert MultiPoly.zero(3).to_obj() == []
 
 
 def test_poly_rendering():
     x0, x1 = xvars(2)
     p = 2 * x0 * x0 - x1
     assert p.text() == "2*x0^2 - x1"
-    assert p.latex() == "2 x_{0}^{2} - x_{1}"
+    assert _latex(p) == "2 x_{0}^{2} - x_{1}"
     assert MultiPoly.zero(2).text() == "0"
-    assert (Fraction(-1, 2) * x1).latex() == "-\\frac{1}{2} x_{1}"
+    assert _latex(Fraction(-1, 2) * x1) == "-\\frac{1}{2} x_{1}"
     # degrees 2 and 257 agree modulo 255, yet the second term leads
     assert MultiPoly(3, {(2, 0, 0): 1, (1, 255, 1): 1}).text() == "x0*x1^255*x2 + x0^2"
 
@@ -327,19 +329,49 @@ render_poly_st = st.integers(1, 4).flatmap(
 @settings(max_examples=200, deadline=None)
 def test_poly_renderers_match_reference(p):
     assert p.text() == _reference_render(p, latex=False)
-    assert p.latex() == _reference_render(p, latex=True)
+    assert _latex(p) == _reference_render(p, latex=True)
     assert "".join(p.json_pieces(0)) == json.dumps(p.to_obj(), indent=2)
     # two levels deep, as each polynomial of `treepoly --variant pfamily`
     nested = json.dumps({"k": 1, "polys": {"3": p.to_obj()}}, indent=2)
     assert nested == '{\n  "k": 1,\n  "polys": {\n    "3": ' + "".join(
         p.json_pieces(2)) + "\n  }\n}"
-    # a term map packed by hand, one byte per exponent with x0 lowest,
-    # renders the same pieces
-    store = {int.from_bytes(bytes(exps), "little"): c for exps, c in p.items()}
+    # the module-level renderers of a term map packed key by key render the
+    # same pieces
+    store = {exact._pack(p.num_vars, exps): c for exps, c in p.items()}
     for latex in (False, True):
         assert list(term_pieces(p.num_vars, store, latex)) == list(p.term_pieces(latex))
     for depth in (0, 2):
         assert list(json_pieces(p.num_vars, store, depth)) == list(p.json_pieces(depth))
+
+
+@given(render_poly_st, st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_packed_key_order_is_exponent_order(p, extra):
+    # keys compare as ints as their exponent tuples do, so the renderers and
+    # to_obj sort the keys themselves
+    vectors = [exps for exps, _ in p.items()]
+    assert [exps for _, exps in sorted(zip(p._terms, vectors))] == sorted(vectors)
+    # extended appends variables: each exponent vector gains trailing zeros,
+    # and the value at a point gained by zero coordinates is the same
+    wide = p.extended(p.num_vars + extra)
+    assert wide.num_vars == p.num_vars + extra
+    assert sorted(wide.items()) == sorted((e + (0,) * extra, c) for e, c in p.items())
+    point = (Fraction(1, 3), -2, 3, Fraction(-5, 4))[:p.num_vars]
+    assert wide.eval(point + (0,) * extra) == p.eval(point)
+
+
+def test_poly_coefficients_are_exact():
+    # a float would print as its binary expansion and make products inexact
+    for bad in (0.1, 1.0, 0.0, Decimal("0.5"), 1j):
+        with pytest.raises(TypeError):
+            MultiPoly(2, {(1, 0): bad})
+        with pytest.raises(TypeError):
+            MultiPoly(2, [((1, 0), bad)])
+        with pytest.raises(TypeError):
+            MultiPoly.constant(2, bad)
+    with pytest.raises(TypeError):
+        MultiPoly.variable(1, 0) * 0.5
+    assert MultiPoly(1, {(1,): Fraction(1, 2)}) * 2 == MultiPoly.variable(1, 0)
 
 
 @pytest.mark.parametrize("constant", [1, -1, Fraction(-5, 3)])
@@ -370,7 +402,7 @@ def test_poly_renderers_of_zero_and_constants():
     assert list(MultiPoly.zero(3).term_pieces()) == ["0"]
     assert list(MultiPoly.zero(3).json_pieces(2)) == ["[]"]
     assert MultiPoly.constant(2, -1).text() == "-1"
-    assert MultiPoly.constant(2, Fraction(-3, 2)).latex() == "-\\frac{3}{2}"
+    assert _latex(MultiPoly.constant(2, Fraction(-3, 2))) == "-\\frac{3}{2}"
     x0, x1 = xvars(2)
     one = MultiPoly.constant(2, 1)
     assert list((x1 - x0 * x0 + one).term_pieces()) == ["-x0^2", " + x1", " + 1"]
@@ -437,4 +469,6 @@ def test_poly_substitute_composes(p, q, r):
 @given(poly_st)
 @settings(max_examples=60, deadline=None)
 def test_poly_serialization_roundtrip(p):
-    assert MultiPoly.from_obj(p.to_obj(), num_vars=3) == p
+    obj = p.to_obj()
+    assert _from_obj(3, obj) == p
+    assert [entry["exp"] for entry in obj] == sorted(entry["exp"] for entry in obj)

@@ -6,7 +6,7 @@ from math import comb, factorial
 
 import pytest
 
-from kcycles import treepoly
+from kcycles import exact, treepoly
 from kcycles.exact import MultiPoly
 from kcycles.oracles import (
     enumerate_increasing_trees,
@@ -172,8 +172,8 @@ def test_l_poly_against_bruteforce(k, n):
 
 @pytest.mark.parametrize("k", range(5))
 def test_l_poly_keys_pack_the_x_family_sum(k):
-    # the keys are ints, one byte per variable with x0 lowest; decoded they
-    # give the weighted sum over the x-coordinate family
+    # the keys are ints, one byte per variable; decoded they give the
+    # weighted sum over the x-coordinate family
     family = p_family_x(k)
     for n in range(3):
         poly = l_poly(k, n)
@@ -182,17 +182,18 @@ def test_l_poly_keys_pack_the_x_family_sum(k):
             (family[2 * s + 1] * (2 * s + 1) ** (2 * n) for s in range(k + 1)),
             MultiPoly.zero(2 * k + 1),
         ) / 4 ** k
-        assert {int.from_bytes(bytes(e), "little"): c for e, c in expected.items()} == poly._terms
+        assert {exact._pack(2 * k + 1, e): c for e, c in expected.items()} == poly._terms
         assert poly == expected
 
 
 @pytest.mark.parametrize("k", range(6))
 def test_tree_and_family_stores_match_their_multipolys(k):
-    # tree_poly adds one to the x0 byte of each reduced key; the general
-    # product of the tuple-built x0 gives the same terms
+    # tree_poly adds the key of x0 to each reduced key; the general product
+    # of the tuple-built x0 gives the same terms
     reduced = reduced_tree_poly(k)
     tree = tree_poly(k)
-    assert tree._terms == {e + 1: c for e, c in reduced._terms.items()}
+    (x0,) = MultiPoly.variable(2 * k + 1, 0)._terms
+    assert tree._terms == {e + x0: c for e, c in reduced._terms.items()}
     assert tree == MultiPoly(2 * k + 1, {(1,) + (0,) * 2 * k: 1}) * reduced
     stores = list(p_family_terms(k))
     assert [c for c, _ in stores] == list(range(1, 2 * k + 2, 2))
