@@ -31,9 +31,11 @@ from .exact import (
     MultiPoly,
     check_odd_tuple,
     format_rational,
+    json_pieces,
     latex_rational,
     normalize_partition,
     signed_join,
+    term_pieces,
 )
 from .oracles import (
     DEFAULT_LETTER_CAP,
@@ -47,7 +49,7 @@ from .oracles import (
     tree_poly_bruteforce,
 )
 from .treepoly import (
-    l_poly, p_family_terms, q_eval, reduced_tree_poly, tree_poly, xe_tables,
+    l_poly_runs, p_family_runs, q_eval, reduced_tree_poly, xe_tables,
 )
 
 EXIT_OK = 0
@@ -152,36 +154,39 @@ def _poly_summary(poly: MultiPoly) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_treepoly(args) -> int:
+    """Print a tree polynomial, or the P family, from the runs of its
+    pre-final stores (see treepoly._x_runs), one renderer per format, with
+    no x store: the text in flight is one chunk's."""
     k, fmt, out = args.k, args.format, sys.stdout
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    num_vars = 2 * k + 1
+    # text and LaTeX lead with the highest term, JSON with the lowest
+    reverse = fmt != "json"
 
-    # every variant streams its polynomials' pieces, with no tuple per term
-    def pieces(poly: MultiPoly, depth=0):
+    def pieces(runs, depth=0):
         if fmt == "json":
-            return poly.json_pieces(depth)
-        return poly.term_pieces(fmt == "latex")
+            return json_pieces(num_vars, runs, depth)
+        return term_pieces(num_vars, runs, fmt == "latex")
 
-    if args.variant == "full":
-        out.writelines(pieces(tree_poly(k)))
-    elif args.variant != "pfamily":
-        # reduced is l:0
-        n = 0 if args.variant == "reduced" else int(args.variant[2:])
-        out.writelines(pieces(l_poly(k, n)))
+    if args.variant != "pfamily":
+        # reduced is l:0, and full is x0 times it
+        n = int(args.variant[2:]) if args.variant.startswith("l:") else 0
+        out.writelines(pieces(l_poly_runs(k, n, reverse, args.variant == "full")))
     elif fmt == "json":
         # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
         out.write(f'{{\n  "k": {k},\n  "polys": {{')
         separator = "\n    "
-        for c, poly in p_family_terms(k):
+        for c, runs in p_family_runs(k, reverse):
             out.write(f'{separator}"{c}": ')
-            out.writelines(pieces(poly, 2))
+            out.writelines(pieces(runs, 2))
             separator = ",\n    "
         out.write("\n  }\n}")
     else:
         separator = ""
-        for c, poly in p_family_terms(k):
+        for c, runs in p_family_runs(k, reverse):
             out.write(f"{separator}P[{c}] = ")
-            out.writelines(pieces(poly))
+            out.writelines(pieces(runs))
             separator = "\n"
     out.write("\n")
     return EXIT_OK

@@ -20,25 +20,29 @@ variable's field.  The constructor and `coefficient` take tuples, and
 `items` yields them.  Coefficients are exact: an int or a Fraction, and
 anything else raises TypeError.
 
-Polynomials render in pieces, one per term, by two module-level
-functions over a packed term map: `term_pieces` for text and LaTeX and
-`json_pieces` for JSON, so a caller can stream a level of a million terms
-without holding its rendering.  The `MultiPoly` methods of the same names
-delegate to them, and `text()` joins the same pieces, so each format has
-one renderer.
+Polynomials render from runs, by two module-level functions, one per
+format: `term_pieces` for text and LaTeX and `json_pieces` for JSON.  A
+run is (keys, offset, coeffs, weight): the terms key + offset with
+coefficient coeff * weight, for two parallel lists of packed keys and
+coefficients, in output order.  A MultiPoly is the one run of its sorted
+keys, and its methods of the same names delegate to the two functions;
+`treepoly` hands them the runs of a tree polynomial's pre-final store,
+so the x terms are never stored.  The renderers yield one piece per
+chunk of _CHUNK terms, so a caller can stream a level of a million
+terms without holding its rendering.
 
 A renderer splits each packed key with a shift and a mask into a head,
 the first half of the variables, and a tail, the rest, and renders each
 distinct half once, in a memo that lives for one call: the powers for
 text and LaTeX, the exponent lines for JSON.  A tree level has few
 distinct halves (the l:2 polynomial of level 5 has 52,899 terms but
-3,349 heads and 131 tails), so a term costs a few lookups and one string
-join.  The text order needs total degrees only where they differ: a key
-is its degree modulo 255, and a store whose keys share one residue while
-its exponents stay small, as every tree polynomial does, is of one degree
-and is sorted once.  The sorted keys render a chunk at a time, in flat
-passes of `map` over the chunk, so what is in flight is one chunk's
-pieces and the memos.
+3,349 heads and 131 tails), so a term costs a few lookups.  A chunk is
+rendered as one flat join of the memos' strings, a run's offset and
+weight added and multiplied in one pass of `map` each, so what is in
+flight is one chunk's text and the memos.  The text order needs total
+degrees only where they differ: a key is its degree modulo 255, and a
+store whose keys share one residue while its exponents stay small, as
+every tree polynomial does, is of one degree and is sorted once.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -48,9 +52,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from math import factorial, prod
-from operator import and_, mod, mul, or_, rshift
+from operator import add, and_, mod, mul, or_, rshift, sub
 from typing import Iterable, Iterator, Mapping
 
 Coeff = int | Fraction
@@ -311,14 +315,22 @@ class _Memo(dict):
         return value
 
 
-# keys rendered per flat pass: the pieces in flight are one chunk's
+# keys rendered per flat pass: the text in flight is one chunk's
 _CHUNK = 2048
 
 
-def _chunked(keys: list, render_chunk) -> Iterator[str]:
-    """The pieces `render_chunk` returns for successive chunks of the keys."""
-    for start in range(0, len(keys), _CHUNK):
-        yield from render_chunk(keys[start:start + _CHUNK])
+def _run_chunks(runs: Iterable[tuple]) -> Iterator[tuple[list[int], list[Coeff]]]:
+    """The terms of the runs, _CHUNK at a time, as (keys, coefficients)
+    lists: each run's keys plus its offset, its coefficients times its
+    weight."""
+    for keys, offset, coeffs, weight in runs:
+        for start in range(0, len(keys), _CHUNK):
+            chunk, values = keys[start:start + _CHUNK], coeffs[start:start + _CHUNK]
+            if offset:
+                chunk = list(map(add, chunk, repeat(offset)))
+            if weight != 1:
+                values = list(map(mul, values, repeat(weight)))
+            yield chunk, values
 
 
 def _head_length(num_vars: int) -> int:
@@ -341,64 +353,78 @@ def _half_memos(num_vars: int, render_head, render_tail) -> tuple[_Memo, _Memo]:
             _Memo(lambda part: render_tail(part.to_bytes(num_vars - middle, "big"))))
 
 
+def _one_degree(num_vars: int, keys: list[int]) -> bool:
+    """Whether the packed keys share one total degree.
+
+    256 is 1 modulo 255, so a key is its degree modulo 255: while the
+    exponents' bounds sum below 255 (70 for the pre-final store of level
+    7), one residue is one degree, and only larger exponents need each
+    key's degree."""
+    if sum(_bounds(num_vars, keys)) < _EXP_MAX:
+        return len(set(map(mod, keys, repeat(_EXP_MAX)))) <= 1
+    return len(set(map(sum, _vectors(num_vars, keys)))) <= 1
+
+
 def _graded_lex(num_vars: int, keys: Iterable[int]) -> list[int]:
     """Packed keys in graded-lex order with x0 most significant, leading key
     first: the descending lex order, then, where the total degrees differ,
     a stable sort of it by descending degree."""
     ordered = sorted(keys, reverse=True)
-    # 256 is 1 modulo 255, so a key is its degree modulo 255: while the
-    # exponents' bounds sum below 255, one residue is one degree, as in
-    # every tree polynomial, and the lex order is already graded
-    if (sum(_bounds(num_vars, ordered)) >= _EXP_MAX
-            or len(set(map(mod, ordered, repeat(_EXP_MAX)))) > 1):
+    if not _one_degree(num_vars, ordered):
         ordered.sort(key=lambda e: sum(e.to_bytes(num_vars, "big")), reverse=True)
     return ordered
 
 
-def json_pieces(num_vars: int, terms: Mapping[int, Coeff], depth: int = 0) -> Iterator[str]:
-    """`json.dumps` of the JSON term list, indent 2, in pieces, one per term.
+def json_pieces(num_vars: int, runs: Iterable[tuple], depth: int = 0) -> Iterator[str]:
+    """`json.dumps` of the JSON term list, indent 2, in pieces, one per chunk.
 
-    `terms` maps packed exponent vectors to nonzero coefficients, as a
-    MultiPoly stores them.  The pieces join to the list of
-    `MultiPoly.to_obj` as it appears nested `depth` levels deep in an
-    indent-2 `json.dumps` document, so a caller can write a large
+    `runs` are (keys, offset, coeffs, weight) tuples, in ascending key
+    order: the terms key + offset with coefficient coeff * weight, for the
+    packed keys and nonzero coefficients of two parallel lists.  A
+    MultiPoly is the one run of its sorted keys.  The pieces join to the
+    list of `MultiPoly.to_obj` as it appears nested `depth` levels deep in
+    an indent-2 `json.dumps` document, so a caller can write a large
     polynomial without holding its rendering.
     """
-    if not terms:
-        yield "[]"
-        return
     item = "\n" + "  " * (depth + 1)
     field = item + "  "
     number = "," + field + "  "
-    # the exponent lines of each half, the tail's with their leading commas
-    heads, tails = _half_memos(num_vars, lambda vector: number.join(map(str, vector)),
-                               lambda vector: "".join([number + str(e) for e in vector]))
-    row = ("," + item + "{" + field + '"exp": [' + number[1:] + "%s%s"
-           + field + "]," + field + '"coeff": "%s"' + item + "}")
+    # a term is four strings: its head's memo (the object's opening and the
+    # head's exponent lines), its tail's (the tail's lines and the
+    # coefficient's opening), the coefficient, and the object's close
+    heads, tails = _half_memos(
+        num_vars,
+        lambda vector: "," + item + "{" + field + '"exp": [' + number[1:]
+        + number.join(map(str, vector)),
+        lambda vector: "".join([number + str(e) for e in vector])
+        + field + "]," + field + '"coeff": "')
+    close = '"' + item + "}"
 
-    def render_chunk(chunk: list) -> list[str]:
+    def render(chunk: list, values: list) -> str:
         head_parts, tail_parts = _halves(num_vars, chunk)
-        return list(map(row.__mod__, zip(
-            map(heads.__getitem__, head_parts),
-            map(tails.__getitem__, tail_parts),
-            map(format_rational, map(terms.__getitem__, chunk)))))
+        # `str` of an int or a Fraction is its format_rational form
+        return "".join(chain.from_iterable(zip(
+            map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts),
+            map(str, values), repeat(close))))
 
-    pieces = _chunked(sorted(terms), render_chunk)
-    yield "[" + next(pieces)[1:]
+    pieces = starmap(render, _run_chunks(runs))
+    first = next(pieces, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + first[1:]
     yield from pieces
     yield item[:-2] + "]"
 
 
-def term_pieces(num_vars: int, terms: Mapping[int, Coeff], latex: bool = False) -> Iterator[str]:
-    """Text (or LaTeX) rendering of a term map in pieces, leading term first.
+def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> Iterator[str]:
+    """Text (or LaTeX) rendering of runs in pieces, one per chunk.
 
-    `terms` is as for json_pieces.  Terms come in graded-lex order with x0
-    most significant.  The first piece is the leading term, every later
-    one is " + body" or " - body"; no terms is the single piece "0".
+    `runs` are as for json_pieces, but in graded-lex order with x0 most
+    significant, leading term first.  The first piece starts with the
+    leading term, every later one with " + " or " - "; no terms is the
+    single piece "0".
     """
-    if not terms:
-        yield "0"
-        return
     if latex:
         names, open_, close = [f"x_{{{i}}}" for i in range(num_vars)], "^{", "}"
         times, magnitude = " ", latex_rational
@@ -409,8 +435,6 @@ def term_pieces(num_vars: int, terms: Mapping[int, Coeff], latex: bool = False) 
               for name in names]
     middle = _head_length(num_vars)
     head_powers, tail_powers = powers[:middle], powers[middle:]
-    # a head ends in `times` when it is not empty, so a term with an empty
-    # tail ends in `times`, which the pass strips
     heads, tails = _half_memos(
         num_vars,
         lambda vector: "".join([power + times for power in filter(
@@ -424,21 +448,28 @@ def term_pieces(num_vars: int, terms: Mapping[int, Coeff], latex: bool = False) 
         return " + " if coeff == 1 else " + " + magnitude(coeff) + times
     prefixes = _Memo(signed)
 
-    def render_chunk(chunk: list) -> list[str]:
+    def render(chunk: list, values: list) -> str:
+        constant = ""
+        if not chunk[-1]:
+            # the constant term, last in graded-lex order, has no monomial
+            chunk.pop()
+            coeff = values.pop()
+            constant = (" - " if coeff < 0 else " + ") + magnitude(abs(coeff))
         head_parts, tail_parts = _halves(num_vars, chunk)
-        return list(map(str.rstrip, map("".join, zip(
-            map(prefixes.__getitem__, map(terms.__getitem__, chunk)),
+        text = "".join(chain.from_iterable(zip(
+            map(prefixes.__getitem__, values),
             map(heads.__getitem__, head_parts),
-            map(tails.__getitem__, tail_parts))), repeat(times)))
+            map(tails.__getitem__, tail_parts))))
+        # a head ends in `times`, so a term with an empty tail ends in it,
+        # before the next term's space or at the chunk's end; nowhere else
+        # is `times` followed by a space or last
+        return text.replace(times + " ", " ").rstrip(times) + constant
 
-    ordered = _graded_lex(num_vars, terms)
-    constant = []
-    if not ordered[-1]:
-        # the constant term, last in graded-lex order, has no monomial
-        coeff = terms[ordered.pop()]
-        constant.append((" - " if coeff < 0 else " + ") + magnitude(abs(coeff)))
-    pieces = chain(_chunked(ordered, render_chunk), constant)
-    first = next(pieces)
+    pieces = starmap(render, _run_chunks(runs))
+    first = next(pieces, None)
+    if first is None:
+        yield "0"
+        return
     yield ("-" if first[1] == "-" else "") + first[3:]
     yield from pieces
 
@@ -556,27 +587,29 @@ class MultiPoly:
                 f"mismatched variable counts: {self.num_vars} vs {other.num_vars}"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        # self op other for op add or sub, in one pass over other's terms
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same_arity(other)
         store = dict(self._terms)
         get = store.get
         for exps, coeff in other._terms.items():
-            total = get(exps, 0) + coeff
+            total = op(get(exps, 0), coeff)
             if total:
                 store[exps] = total
             else:
                 del store[exps]
         return MultiPoly._raw(self.num_vars, _settled(store))
 
-    def __neg__(self):
-        return MultiPoly._raw(self.num_vars, {e: -c for e, c in self._terms.items()})
+    def __add__(self, other):
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
+
+    def __neg__(self):
+        return MultiPoly._raw(self.num_vars, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -685,13 +718,18 @@ class MultiPoly:
             for key, exps in zip(keys, _vectors(self.num_vars, keys))
         ]
 
+    def _run(self, keys: list[int]) -> list[tuple]:
+        # the renderers' one run of the terms, in the order of `keys`
+        return [(keys, 0, list(map(self._terms.__getitem__, keys)), 1)]
+
     def json_pieces(self, depth: int = 0) -> Iterator[str]:
         """`json.dumps(self.to_obj(), indent=2)` in pieces; see json_pieces."""
-        return json_pieces(self.num_vars, self._terms, depth)
+        return json_pieces(self.num_vars, self._run(sorted(self._terms)), depth)
 
     def term_pieces(self, latex: bool = False) -> Iterator[str]:
         """Text (or LaTeX) rendering in pieces; see term_pieces."""
-        return term_pieces(self.num_vars, self._terms, latex)
+        return term_pieces(self.num_vars, self._run(_graded_lex(self.num_vars, self._terms)),
+                           latex)
 
     def text(self) -> str:
         return "".join(self.term_pieces())

@@ -19,17 +19,25 @@ polynomial routes run it on the same MultiPoly type.  The level build runs
 it in the partial sums z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k}
 and y2 = z_{2k+2} - z_{2k+1}; there every P_k^c has exactly 2*4^(k-1)
 terms (k >= 1) and no exponent above 2, against tens of thousands of
-terms in x.  Unpacking converts to x once, substituting z_j = z_{j-1} +
-x_j slot by slot on the packed keys of the z polynomial, and returns the
-x polynomial.  The change is unimodular, so a denominator such as the
-4^k of l_poly divides every x coefficient exactly when it divides every z
+terms in x.  Converting to x substitutes z_j = z_{j-1} + x_j slot by slot
+on the packed keys of the z polynomial.  _prefinal stops before slot 1
+and leaves the pre-final store, in z0, z1, x2, ..., x_{2k}: about 30% of
+the x terms.  No P_k^c holds z0, so z1 = x0 + x1 is the last expansion,
+and no two of its terms meet: the x terms of one x0 exponent, in key
+order, are contiguous b-groups of the sorted pre-final store (its terms
+of one z1 exponent b), each moved by one key offset and weighted by one
+binomial, one run per b-group.  _x_runs lists the runs, in key order for
+JSON or in graded order for text and LaTeX, and it is the one expansion
+of slot 1: _unpack writes its runs into an x store for
+l_poly, reduced_tree_poly and p_family, and `kcycles treepoly` renders
+them as they come, through l_poly_runs and p_family_runs, with no x
+store.  The change is unimodular, so a denominator such as the 4^k of
+l_poly divides every x coefficient exactly when it divides every z
 coefficient; then it is divided out of the z terms, before the
-expansion, and no x term is divided.  l_poly and reduced_tree_poly sum
-the z level first and unpack the sum; p_family_terms unpacks the P_k^c
-one at a time, for p_family and for `kcycles treepoly --variant
-pfamily`, which renders each with no tuple per term.  An x exponent is
-at most 2k, so it stays far below MultiPoly's limit of 255 through
-_MAX_LEVEL.
+expansion, and no x term is divided.  The weighted sums of l_poly sum the
+z level first and convert the sum; the P_k^c are converted one at a time.
+An x exponent is at most 2k, so it stays far below MultiPoly's limit of
+255 through _MAX_LEVEL.
 q_eval, the average sign sum that the coefficient peel needs, runs the
 step on integers at one point: O(k^2) multiply-adds, with no level
 built, so it works at any level.  oracles.p_family_x runs it in x.
@@ -45,13 +53,15 @@ lock, and a built one is read without taking the lock.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .exact import (
-    _EXP_MAX, MultiPoly, _shift, binomial, check_odd_tuple, double_factorial,
+    _EXP_MAX, MultiPoly, _one_degree, _run_chunks, _settled, _shift, binomial,
+    check_odd_tuple, double_factorial,
 )
 from .series import TruncatedSeries, elementary_series
 
@@ -114,21 +124,21 @@ def _extend_levels(level: int) -> list[MultiPoly]:
     return _packed_levels[level]
 
 
-def _unpack(packed: MultiPoly, num_vars: int, denominator: int = 1) -> MultiPoly:
-    """The z-coordinate polynomial divided by the denominator, in x.
+def _prefinal(packed: MultiPoly, num_vars: int, denominator: int = 1) -> tuple[dict, int]:
+    """The z-coordinate polynomial in z0, z1, x2, ..., x_{num_vars-1}, as a
+    term store, and the divisor its x coefficients still owe.
 
-    Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down,
-    each a binomial expansion of the slot's exponent on the packed keys;
-    z_0 = x_0 needs none.  The change of coordinates is unimodular, x_j =
-    z_j - z_{j-1}, so every x coefficient is divisible by the denominator
-    exactly when every z coefficient is: then the division runs on the z
-    terms and the result holds their quotients' expansion, and otherwise
-    each x coefficient is divided on its own, as a Fraction where it must
-    be.
+    Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down to
+    slot 2, each a binomial expansion of the slot's exponent on the packed
+    keys; _x_runs expands slot 1.  The change of coordinates is unimodular,
+    x_j = z_j - z_{j-1}, so every x coefficient is divisible by the
+    denominator exactly when every z coefficient is: then the division runs
+    on the z terms and the divisor left is 1, and otherwise it is the
+    denominator.
     """
     divisible = all(c % denominator == 0 for c in packed._terms.values())
     terms = {e: c // denominator for e, c in packed._terms.items()} if divisible else packed._terms
-    for j in range(num_vars - 1, 0, -1):
+    for j in range(num_vars - 1, 1, -1):
         shift = _shift(num_vars, j)
         # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
         # moves[a] expands z_j^a, one entry per exponent b < a kept as x_j^b
@@ -147,10 +157,73 @@ def _unpack(packed: MultiPoly, num_vars: int, denominator: int = 1) -> MultiPoly
         for e in [e for e, c in expanded.items() if not c]:
             del expanded[e]
         terms = expanded
-    if not divisible:
-        terms = {e: c // denominator if c % denominator == 0 else Fraction(c, denominator)
-                 for e, c in terms.items()}
-    return MultiPoly._raw(num_vars, terms)
+    return terms, 1 if divisible else denominator
+
+
+def _x_runs(num_vars: int, store: dict, divisor: int = 1, reverse: bool = False,
+            offset: int = 0) -> Iterator[tuple]:
+    """The x polynomial of a pre-final store, divided by `divisor` and
+    shifted by the key `offset`, as the renderers' runs, in ascending key
+    order, or in descending order if `reverse`.
+
+    The store is in z0, z1, x2, ..., as _prefinal leaves it.  With one z0
+    exponent a in every term, z0^a z1^b expands to the terms x0^(a+i)
+    x1^(b-i), i = 0..b, each with weight C(b, i), and no two terms of the
+    store meet.  So the x terms with x0 exponent a+i, in key order, are the
+    terms with b >= i of the sorted store, contiguous b-groups of it, each
+    moved by one offset and weighted by one weight: one run per b-group.
+    Raises ArithmeticError on a store whose z0 exponent is not uniform, or,
+    for the descending order, which is the text renderer's graded order
+    only when every term has one degree, on a store of several degrees.
+    """
+    keys = sorted(store)
+    if not keys:
+        return
+    top = _shift(num_vars, 0)
+    if keys[0] >> top != keys[-1] >> top:
+        raise ArithmeticError("the pre-final store has terms of several z0 exponents")
+    if reverse and not _one_degree(num_vars, keys):
+        raise ArithmeticError("the pre-final store has terms of several degrees")
+    coeffs = list(map(store.__getitem__, keys))
+    # the sorted lists hold the terms from here on, and the groups' copies
+    # of them after the split, so the store and then the lists are dropped
+    # before the first run: a level-8 store has two million terms
+    del store
+    if num_vars == 1:
+        # no slot 1: the store is already in x
+        groups, carry = [(0, keys, coeffs)], 0
+    else:
+        shift = _shift(num_vars, 1)
+        # one unit of exponent moved from z1 to x0 adds `carry` to a key
+        carry = (1 << top) - (1 << shift)
+        first, last = keys[0] >> shift, keys[-1] >> shift
+        cuts = [0, *(bisect_left(keys, b << shift) for b in range(first + 1, last + 1)),
+                len(keys)]
+        groups = [(b & _EXP_MAX, keys[lo:hi], coeffs[lo:hi])
+                  for b, lo, hi in zip(range(first, last + 1), cuts, cuts[1:]) if lo < hi]
+        del keys, coeffs
+    if reverse:
+        for _, group_keys, group_coeffs in groups:
+            group_keys.reverse()
+            group_coeffs.reverse()
+        groups.reverse()
+    top_b = max(b for b, _, _ in groups)
+    for i in range(top_b, -1, -1) if reverse else range(top_b + 1):
+        for b, group_keys, group_coeffs in groups:
+            if b >= i:
+                weight = comb(b, i) if divisor == 1 else Fraction(comb(b, i), divisor)
+                yield group_keys, offset + i * carry, group_coeffs, weight
+
+
+def _unpack(packed: MultiPoly, num_vars: int, denominator: int = 1) -> MultiPoly:
+    """The z-coordinate polynomial divided by the denominator, in x: the
+    pre-final store of _prefinal, with its runs of _x_runs written into
+    one x store, each x coefficient as an int where it is whole."""
+    terms: dict = {}
+    for keys, coeffs in _run_chunks(_x_runs(num_vars, *_prefinal(packed, num_vars,
+                                                                 denominator))):
+        terms.update(zip(keys, coeffs))
+    return MultiPoly._raw(num_vars, _settled(terms))
 
 
 class PFamily:
@@ -191,14 +264,18 @@ class PFamily:
 def p_family(k: int) -> PFamily:
     """The level-k family, computed by iterating the three-term recursion;
     each P_k^c is converted from the z level on its own, on every call."""
-    return PFamily(k, dict(p_family_terms(k)))
+    num_vars = 2 * k + 1
+    return PFamily(k, {2 * s + 1: _unpack(packed, num_vars)
+                       for s, packed in enumerate(_extend_levels(k))})
 
 
-def p_family_terms(k: int) -> Iterator[tuple[int, MultiPoly]]:
-    """(c, P_k^c) for c = 1, 3, ..., 2k+1, each converted from the z level
-    when it is reached, so a caller that renders one at a time holds one."""
+def p_family_runs(k: int, reverse: bool = False) -> Iterator[tuple[int, Iterator[tuple]]]:
+    """(c, the runs of P_k^c) for c = 1, 3, ..., 2k+1, in the order of
+    _x_runs; each P_k^c's pre-final store is made when it is reached, so a
+    caller that renders one at a time holds one."""
+    num_vars = 2 * k + 1
     for s, packed in enumerate(_extend_levels(k)):
-        yield 2 * s + 1, _unpack(packed, 2 * k + 1)
+        yield 2 * s + 1, _x_runs(num_vars, *_prefinal(packed, num_vars), reverse=reverse)
 
 
 def reduced_tree_poly(k: int) -> MultiPoly:
@@ -225,6 +302,16 @@ def tree_poly(k: int) -> MultiPoly:
     return MultiPoly.variable(reduced.num_vars, 0) * reduced
 
 
+def _l_sum(k: int, n: int) -> MultiPoly:
+    """sum (2s+1)^(2n) P_k^(2s+1), on the z level."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    acc = MultiPoly.zero(2 * k + 1)
+    for s, packed in enumerate(_extend_levels(k)):
+        acc = acc + packed * (2 * s + 1) ** (2 * n)
+    return acc
+
+
 def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
@@ -232,12 +319,17 @@ def l_poly(k: int, n: int) -> MultiPoly:
     (2k)! (2k+1)^(2n).  The sum runs over the z level and is converted to x
     once.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    acc = MultiPoly.zero(2 * k + 1)
-    for s, packed in enumerate(_extend_levels(k)):
-        acc = acc + packed * (2 * s + 1) ** (2 * n)
-    return _unpack(acc, 2 * k + 1, 4 ** k)
+    return _unpack(_l_sum(k, n), 2 * k + 1, 4 ** k)
+
+
+def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -> Iterator[tuple]:
+    """The runs of l_poly(k, n), or of x0 times it if `times_x0` (for n = 0,
+    tree_poly(k)), in the order of _x_runs: the renderers print the
+    polynomial from its pre-final store, and no x store is built."""
+    num_vars = 2 * k + 1
+    offset = 1 << _shift(num_vars, 0) if times_x0 else 0
+    return _x_runs(num_vars, *_prefinal(_l_sum(k, n), num_vars, 4 ** k),
+                   reverse=reverse, offset=offset)
 
 
 def q_eval(values: Sequence[int]) -> Fraction:

@@ -11,14 +11,14 @@ import pytest
 CLI = [sys.executable, "-m", "kcycles.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, text=True):
     env = os.environ.copy()
     env.pop("KCYCLES_CACHE_DIR", None)
     env.pop("KCYCLES_CAPS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
+        CLI + list(args), capture_output=True, text=text, env=env, timeout=300
     )
 
 
@@ -94,6 +94,43 @@ def test_treepoly_level_five_outputs_pinned(args):
     result = run_cli("treepoly", *args)
     assert result.returncode == 0, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == TREEPOLY_DIGESTS[args]
+
+
+# sha256 of level-7 stdout as the x-store renderers printed it; the 112 MB
+# JSON document is read as bytes, with no decoded copy
+@pytest.mark.parametrize(("fmt", "digest"), [
+    ("text", "3cef865b44539efb8175372529d5417c70ab4b043a6b753d8074260c6084b948"),
+    ("json", "f0cc0548f3e4beec6ce2a9b61cfb652cc9918518bd45d8ebc7a494c7ae184011"),
+])
+def test_treepoly_level_seven_pinned(fmt, digest):
+    result = run_cli("treepoly", "7", "--format", fmt, text=False)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_treepoly_variants_render_as_their_multipolys(k, capsys):
+    # every variant in every format prints what its MultiPoly renders; k = 0
+    # has one variable and a constant term, k = 1 a two-variable head
+    from kcycles import cli
+    from kcycles.treepoly import l_poly, p_family, tree_poly
+
+    polys = {"reduced": l_poly(k, 0), "full": tree_poly(k),
+             "l:1": l_poly(k, 1), "l:3": l_poly(k, 3)}
+    family = p_family(k).polys
+    for fmt in ("text", "json", "latex"):
+        if fmt == "json":
+            expected = {v: json.dumps(p.to_obj(), indent=2) for v, p in polys.items()}
+            expected["pfamily"] = json.dumps(
+                {"k": k, "polys": {str(c): p.to_obj() for c, p in family.items()}}, indent=2)
+        else:
+            expected = {v: "".join(p.term_pieces(fmt == "latex")) for v, p in polys.items()}
+            expected["pfamily"] = "\n".join(
+                f"P[{c}] = " + "".join(p.term_pieces(fmt == "latex"))
+                for c, p in family.items())
+        for variant, text in expected.items():
+            assert cli.main(["treepoly", str(k), "--variant", variant, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text + "\n", (variant, fmt)
 
 
 def test_coeff_values():

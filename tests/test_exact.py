@@ -286,6 +286,9 @@ def test_poly_rendering():
     assert _latex(Fraction(-1, 2) * x1) == "-\\frac{1}{2} x_{1}"
     # degrees 2 and 257 agree modulo 255, yet the second term leads
     assert MultiPoly(3, {(2, 0, 0): 1, (1, 255, 1): 1}).text() == "x0*x1^255*x2 + x0^2"
+    # past the residue test's range, one degree is read from each key
+    assert exact._one_degree(2, [255 << 8, 255])
+    assert not exact._one_degree(2, [255 << 8, 254])
 
 
 def _reference_render(p, latex):
@@ -335,13 +338,30 @@ def test_poly_renderers_match_reference(p):
     nested = json.dumps({"k": 1, "polys": {"3": p.to_obj()}}, indent=2)
     assert nested == '{\n  "k": 1,\n  "polys": {\n    "3": ' + "".join(
         p.json_pieces(2)) + "\n  }\n}"
-    # the module-level renderers of a term map packed key by key render the
-    # same pieces
+    # the module-level renderers of runs render the same pieces from the one
+    # run of a term map packed key by key, and the same text when the run
+    # is split in two and its second part's keys and coefficients are
+    # carried by an offset and a weight
     store = {exact._pack(p.num_vars, exps): c for exps, c in p.items()}
+
+    def runs(keys):
+        coeffs = [store[key] for key in keys]
+        half = len(keys) // 2
+        rest = keys[half:]
+        offset = min(rest, default=0)
+        return ([(keys, 0, coeffs, 1)],
+                [(keys[:half], 0, coeffs[:half], 1),
+                 ([key - offset for key in rest], offset,
+                  [2 * c for c in coeffs[half:]], Fraction(1, 2))])
+
     for latex in (False, True):
-        assert list(term_pieces(p.num_vars, store, latex)) == list(p.term_pieces(latex))
+        whole, split = runs(exact._graded_lex(p.num_vars, store))
+        assert list(term_pieces(p.num_vars, whole, latex)) == list(p.term_pieces(latex))
+        assert "".join(term_pieces(p.num_vars, split, latex)) == "".join(p.term_pieces(latex))
     for depth in (0, 2):
-        assert list(json_pieces(p.num_vars, store, depth)) == list(p.json_pieces(depth))
+        whole, split = runs(sorted(store))
+        assert list(json_pieces(p.num_vars, whole, depth)) == list(p.json_pieces(depth))
+        assert "".join(json_pieces(p.num_vars, split, depth)) == "".join(p.json_pieces(depth))
 
 
 @given(render_poly_st, st.integers(0, 3))
@@ -386,12 +406,13 @@ def test_renderers_span_chunks(constant):
     terms[(0,) * 5] = constant
     assert len(terms) > 2 * exact._CHUNK
     p = MultiPoly(5, terms)
+    chunks = -(-len(terms) // exact._CHUNK)
     for latex in (False, True):
         pieces = list(p.term_pieces(latex))
-        assert len(pieces) == len(terms)
+        assert len(pieces) == chunks
         assert "".join(pieces) == _reference_render(p, latex)
     pieces = list(p.json_pieces())
-    assert len(pieces) == len(terms) + 1
+    assert len(pieces) == chunks + 1
     assert "".join(pieces) == json.dumps(p.to_obj(), indent=2)
     nested = json.dumps({"k": 2, "polys": {"1": p.to_obj()}}, indent=2)
     assert nested == '{\n  "k": 2,\n  "polys": {\n    "1": ' + "".join(
@@ -405,7 +426,12 @@ def test_poly_renderers_of_zero_and_constants():
     assert _latex(MultiPoly.constant(2, Fraction(-3, 2))) == "-\\frac{3}{2}"
     x0, x1 = xvars(2)
     one = MultiPoly.constant(2, 1)
-    assert list((x1 - x0 * x0 + one).term_pieces()) == ["-x0^2", " + x1", " + 1"]
+    assert list((x1 - x0 * x0 + one).term_pieces()) == ["-x0^2 + x1 + 1"]
+    assert list(one.term_pieces()) == ["1"]
+    assert list((x0 - one).json_pieces()) == [
+        '[\n  {\n    "exp": [\n      0,\n      0\n    ],\n    "coeff": "-1"\n  },'
+        '\n  {\n    "exp": [\n      1,\n      0\n    ],\n    "coeff": "1"\n  }',
+        "\n]"]
 
 
 def test_poly_exponent_limit():

@@ -20,7 +20,6 @@ from kcycles.treepoly import (
     double_sum_identity,
     l_poly,
     p_family,
-    p_family_terms,
     q_closed_ones,
     q_eval,
     reduced_tree_poly,
@@ -195,9 +194,9 @@ def test_tree_and_family_stores_match_their_multipolys(k):
     (x0,) = MultiPoly.variable(2 * k + 1, 0)._terms
     assert tree._terms == {e + x0: c for e, c in reduced._terms.items()}
     assert tree == MultiPoly(2 * k + 1, {(1,) + (0,) * 2 * k: 1}) * reduced
-    stores = list(p_family_terms(k))
-    assert [c for c, _ in stores] == list(range(1, 2 * k + 2, 2))
-    assert dict(stores) == p_family_x(k).polys
+    polys = p_family(k).polys
+    assert list(polys) == list(range(1, 2 * k + 2, 2))
+    assert polys == p_family_x(k).polys
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -225,6 +224,71 @@ def test_unpack_divides_on_the_packed_level(k):
             assert type(divided[e]) is (int if quotient.denominator == 1 else Fraction)
         if d == 3:
             assert any(type(c) is Fraction for c in divided.values())
+
+
+def test_no_p_family_term_has_a_z0_exponent():
+    # the x0 slices of the runs rest on this: no P_k^c in z coordinates
+    # holds z0, so every pre-final store has the one z0 exponent 0
+    for k in range(8):
+        for packed in treepoly._extend_levels(k):
+            assert packed.degree_in(0) == 0
+
+
+def _run_terms(runs):
+    return [(key + offset, c * weight)
+            for keys, offset, coeffs, weight in runs for key, c in zip(keys, coeffs)]
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_runs_list_the_x_terms_in_render_order(k):
+    # read in order, the runs of every variant are its x terms in ascending
+    # key order, or in graded-lex order when reversed, with int coefficients
+    family = p_family(k).polys
+    polys = [l_poly(k, n) for n in range(3)] + [tree_poly(k)] + list(family.values())
+    for reverse in (False, True):
+        runs = [treepoly.l_poly_runs(k, n, reverse) for n in range(3)]
+        runs.append(treepoly.l_poly_runs(k, 0, reverse, times_x0=True))
+        pairs = list(treepoly.p_family_runs(k, reverse))
+        assert [c for c, _ in pairs] == list(family)
+        runs += [r for _, r in pairs]
+        for poly, poly_runs in zip(polys, runs, strict=True):
+            terms = _run_terms(poly_runs)
+            order = (exact._graded_lex(poly.num_vars, poly._terms) if reverse
+                     else sorted(poly._terms))
+            assert terms == [(key, poly._terms[key]) for key in order]
+            assert all(type(c) is int for _, c in terms)
+
+
+def test_runs_refuse_a_store_with_z0_terms(monkeypatch, capsys):
+    # read in z0, z1, z2, a store with one z0 exponent in every term expands
+    # z1 = x0 + x1 alone; with two z0 exponents the x0 slices would be
+    # wrong, so the runs raise, and the command exits 6 having printed
+    # nothing
+    from kcycles import cli
+
+    x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
+
+    def in_x(p):
+        return p.substitute(2, x1 + x2).substitute(1, x0 + x1)
+
+    uniform = x0 * (x1 * x2 + 2 * x1 * x1)
+    assert treepoly._unpack(uniform, 3) == in_x(uniform)
+    mixed = x0 * x2 + 2 * x1 * x1
+    with pytest.raises(ArithmeticError, match="z0"):
+        treepoly._unpack(mixed, 3)
+    for reverse in (False, True):
+        with pytest.raises(ArithmeticError, match="z0"):
+            next(treepoly._x_runs(3, *treepoly._prefinal(mixed, 3), reverse=reverse))
+    # several degrees break only the graded order of text and LaTeX
+    graded = x1 * x2 + x1
+    assert treepoly._unpack(graded, 3) == in_x(graded)
+    with pytest.raises(ArithmeticError, match="degrees"):
+        next(treepoly._x_runs(3, *treepoly._prefinal(graded, 3), reverse=True))
+    monkeypatch.setattr(treepoly, "_extend_levels", lambda k: [mixed])
+    for fmt in ("text", "json", "latex"):
+        assert cli.main(["treepoly", "1", "--format", fmt]) == cli.EXIT_ARITH
+        out, err = capsys.readouterr()
+        assert out == "" and "z0" in err
 
 
 @pytest.mark.parametrize("variant", ["l:1", "full", "pfamily"])
