@@ -5,14 +5,14 @@ Layout:
 
 * exact     -- rationals, sparse multivariate polynomials, partitions,
                arrangements, Stirling numbers, double factorials
-* series    -- truncated formal power series in t
 * oracles   -- brute-force enumerations (increasing trees, cyclic
                shuffles, sign-sum tables, cycle statistics,
                compositions), the P-family recursion in x coordinates,
                the index-subset b sum, and Gauss-Jordan and whole-matrix
                forward-substitution inversion
-* treepoly  -- the production recursion for the tree polynomials and all
-               closed forms attached to them
+* treepoly  -- the production recursion for the integer tree polynomials,
+               its hyperbolic generating-function check, and all closed
+               forms attached to them
 * coeffs    -- the b coefficients, the a-rows over coarsenings, cup
                products, and the degenerate zero-padded extension
 * cache     -- the on-disk JSON result cache
@@ -36,7 +36,6 @@ _HOMES = {
         "normalize_partition", "partitions_of",
         "stirling_first_signed", "stirling_second",
     ), "exact"),
-    **dict.fromkeys(("TruncatedSeries", "elementary_series"), "series"),
     **dict.fromkeys((
         "EnumerationCapError", "compositions", "counting_identity_bruteforce",
         "counting_identity_closed", "enumerate_cyclic_shuffles",
@@ -57,7 +56,7 @@ _HOMES = {
     ), "coeffs"),
     "run_verify": "verify",
 }
-_SUBMODULES = frozenset(("exact", "series", "oracles", "treepoly", "coeffs", "cache", "verify", "cli"))
+_SUBMODULES = frozenset(("exact", "oracles", "treepoly", "coeffs", "cache", "verify", "cli"))
 
 __all__ = list(_HOMES)
 

@@ -31,11 +31,13 @@ JSON or in graded order for text and LaTeX, and it is the one expansion
 of slot 1: _unpack writes its runs into an x store for
 l_poly, reduced_tree_poly and p_family, and `kcycles treepoly` renders
 them as they come, through l_poly_runs and p_family_runs, with no x
-store.  The change is unimodular, so a denominator such as the 4^k of
-l_poly divides every x coefficient exactly when it divides every z
-coefficient; then it is divided out of the z terms, before the
-expansion, and no x term is divided.  The weighted sums of l_poly sum the
-z level first and convert the sum; the P_k^c are converted one at a time.
+store.  Every l_poly(k, n) has integer coefficients: the t^m/m!
+coefficients of sinh^2, sinh cosh and cosh^2 in the hyperbolic recursion
+are integers, so integrality passes from level k to k+1.  The change is
+unimodular, so the 4^k of l_poly divides every z coefficient too; _l_sum
+divides it out of the z terms, exactly, and the conversion runs on
+integers only.  The weighted sums of l_poly sum the z level first and
+convert the sum; the P_k^c are converted one at a time.
 An x exponent is at most 2k, so it stays far below MultiPoly's limit of
 255 through _MAX_LEVEL.
 q_eval, the average sign sum that the coefficient peel needs, runs the
@@ -60,10 +62,9 @@ from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .exact import (
-    _EXP_MAX, MultiPoly, _one_degree, _run_chunks, _settled, _shift, binomial,
+    _EXP_MAX, MultiPoly, _one_degree, _run_chunks, _shift, binomial,
     check_odd_tuple, double_factorial,
 )
-from .series import TruncatedSeries, elementary_series
 
 # A z-level slot never exceeds 2, and the levels are homogeneous of degree
 # 2k, so an x exponent after conversion is at most 2k <= 60 through
@@ -124,20 +125,15 @@ def _extend_levels(level: int) -> list[MultiPoly]:
     return _packed_levels[level]
 
 
-def _prefinal(packed: MultiPoly, num_vars: int, denominator: int = 1) -> tuple[dict, int]:
+def _prefinal(packed: MultiPoly, num_vars: int) -> dict:
     """The z-coordinate polynomial in z0, z1, x2, ..., x_{num_vars-1}, as a
-    term store, and the divisor its x coefficients still owe.
+    term store.
 
     Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down to
     slot 2, each a binomial expansion of the slot's exponent on the packed
-    keys; _x_runs expands slot 1.  The change of coordinates is unimodular,
-    x_j = z_j - z_{j-1}, so every x coefficient is divisible by the
-    denominator exactly when every z coefficient is: then the division runs
-    on the z terms and the divisor left is 1, and otherwise it is the
-    denominator.
+    keys; _x_runs expands slot 1.
     """
-    divisible = all(c % denominator == 0 for c in packed._terms.values())
-    terms = {e: c // denominator for e, c in packed._terms.items()} if divisible else packed._terms
+    terms = packed._terms
     for j in range(num_vars - 1, 1, -1):
         shift = _shift(num_vars, j)
         # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
@@ -157,14 +153,14 @@ def _prefinal(packed: MultiPoly, num_vars: int, denominator: int = 1) -> tuple[d
         for e in [e for e, c in expanded.items() if not c]:
             del expanded[e]
         terms = expanded
-    return terms, 1 if divisible else denominator
+    return terms
 
 
-def _x_runs(num_vars: int, store: dict, divisor: int = 1, reverse: bool = False,
+def _x_runs(num_vars: int, store: dict, reverse: bool = False,
             offset: int = 0) -> Iterator[tuple]:
-    """The x polynomial of a pre-final store, divided by `divisor` and
-    shifted by the key `offset`, as the renderers' runs, in ascending key
-    order, or in descending order if `reverse`.
+    """The x polynomial of a pre-final store, shifted by the key `offset`,
+    as the renderers' runs, in ascending key order, or in descending order
+    if `reverse`.
 
     The store is in z0, z1, x2, ..., as _prefinal leaves it.  With one z0
     exponent a in every term, z0^a z1^b expands to the terms x0^(a+i)
@@ -211,19 +207,16 @@ def _x_runs(num_vars: int, store: dict, divisor: int = 1, reverse: bool = False,
     for i in range(top_b, -1, -1) if reverse else range(top_b + 1):
         for b, group_keys, group_coeffs in groups:
             if b >= i:
-                weight = comb(b, i) if divisor == 1 else Fraction(comb(b, i), divisor)
-                yield group_keys, offset + i * carry, group_coeffs, weight
+                yield group_keys, offset + i * carry, group_coeffs, comb(b, i)
 
 
-def _unpack(packed: MultiPoly, num_vars: int, denominator: int = 1) -> MultiPoly:
-    """The z-coordinate polynomial divided by the denominator, in x: the
-    pre-final store of _prefinal, with its runs of _x_runs written into
-    one x store, each x coefficient as an int where it is whole."""
+def _unpack(packed: MultiPoly, num_vars: int) -> MultiPoly:
+    """The z-coordinate polynomial in x: the pre-final store of _prefinal,
+    with its runs of _x_runs written into one x store."""
     terms: dict = {}
-    for keys, coeffs in _run_chunks(_x_runs(num_vars, *_prefinal(packed, num_vars,
-                                                                 denominator))):
+    for keys, coeffs in _run_chunks(_x_runs(num_vars, _prefinal(packed, num_vars))):
         terms.update(zip(keys, coeffs))
-    return MultiPoly._raw(num_vars, _settled(terms))
+    return MultiPoly._raw(num_vars, terms)
 
 
 class PFamily:
@@ -275,7 +268,7 @@ def p_family_runs(k: int, reverse: bool = False) -> Iterator[tuple[int, Iterator
     caller that renders one at a time holds one."""
     num_vars = 2 * k + 1
     for s, packed in enumerate(_extend_levels(k)):
-        yield 2 * s + 1, _x_runs(num_vars, *_prefinal(packed, num_vars), reverse=reverse)
+        yield 2 * s + 1, _x_runs(num_vars, _prefinal(packed, num_vars), reverse=reverse)
 
 
 def reduced_tree_poly(k: int) -> MultiPoly:
@@ -303,13 +296,20 @@ def tree_poly(k: int) -> MultiPoly:
 
 
 def _l_sum(k: int, n: int) -> MultiPoly:
-    """sum (2s+1)^(2n) P_k^(2s+1), on the z level."""
+    """4^-k sum (2s+1)^(2n) P_k^(2s+1), on the z level.
+
+    The quotient is exact; raises ArithmeticError on a z coefficient that
+    4^k does not divide, which no level has.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     acc = MultiPoly.zero(2 * k + 1)
     for s, packed in enumerate(_extend_levels(k)):
         acc = acc + packed * (2 * s + 1) ** (2 * n)
-    return acc
+    divisor = 4 ** k
+    if any(c % divisor for c in acc._terms.values()):
+        raise ArithmeticError(f"4^{k} does not divide the level-{k} sum for n = {n}")
+    return MultiPoly._raw(acc.num_vars, {e: c // divisor for e, c in acc._terms.items()})
 
 
 def l_poly(k: int, n: int) -> MultiPoly:
@@ -319,7 +319,7 @@ def l_poly(k: int, n: int) -> MultiPoly:
     (2k)! (2k+1)^(2n).  The sum runs over the z level and is converted to x
     once.
     """
-    return _unpack(_l_sum(k, n), 2 * k + 1, 4 ** k)
+    return _unpack(_l_sum(k, n), 2 * k + 1)
 
 
 def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -> Iterator[tuple]:
@@ -328,7 +328,7 @@ def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -
     polynomial from its pre-final store, and no x store is built."""
     num_vars = 2 * k + 1
     offset = 1 << _shift(num_vars, 0) if times_x0 else 0
-    return _x_runs(num_vars, *_prefinal(_l_sum(k, n), num_vars, 4 ** k),
+    return _x_runs(num_vars, _prefinal(_l_sum(k, n), num_vars),
                    reverse=reverse, offset=offset)
 
 
@@ -489,6 +489,19 @@ def double_sum_identity(k: int, r: int) -> tuple[Fraction, Fraction]:
     return lhs, rhs
 
 
+def _hyperbolic(m: int) -> tuple[int, int, int]:
+    """The t^m/m! coefficients of sinh^2 t, sinh t cosh t and cosh^2 t.
+
+    sinh^2 = (cosh 2t - 1)/2, sinh cosh = sinh(2t)/2 and cosh^2 =
+    (cosh 2t + 1)/2, so each is 2^(m-1) or 0 by the parity of m, and
+    cosh^2 has 1 at m = 0.
+    """
+    if m == 0:
+        return 0, 0, 1
+    half = 2 ** (m - 1)
+    return (0, half, 0) if m % 2 else (half, 0, half)
+
+
 def verify_g_recursion(k: int, order: int) -> bool:
     """Check the hyperbolic recursion for the leaf generating function.
 
@@ -498,42 +511,36 @@ def verify_g_recursion(k: int, order: int) -> bool:
               + g_k' z_{2k+1} (y1 + y2) sinh t cosh t
               + g_k'' y1 y2 cosh^2 t
 
-    with z_j = x0+...+xj, y_i = x_{2k+i}.  Returns exact equality of both
-    sides through the (even) truncation order.
+    with z_j = x0+...+xj, y_i = x_{2k+i}.  Returns exact equality of the
+    t^m/m! coefficients of both sides through the (even) truncation order,
+    each an integer polynomial: the coefficient of a product is
+    sum_j C(m, j) f_j h_(m-j), and g_k' and g_k'' shift g_k's coefficients
+    by one and two.  Both sides vanish at odd m, so only even m are
+    compared.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if order < 2 or order % 2:
         raise ValueError(f"truncation order must be even and >= 2, got {order}")
     num_vars = 2 * k + 3
-    inner = order + 2  # two t-derivatives cost two orders of accuracy
-    zero = MultiPoly.zero(num_vars)
-
-    coeffs = [zero] * (inner + 1)
-    for n in range(inner // 2 + 1):
-        coeffs[2 * n] = l_poly(k, n).extended(num_vars) / factorial(2 * n)
-    g_full = TruncatedSeries(coeffs, inner)
-    g = g_full.truncated(order)
-    g1 = g_full.derivative().truncated(order)
-    g2 = g_full.derivative().derivative().truncated(order)
-
-    sinh = elementary_series("sinh", order, num_vars)
-    cosh = elementary_series("cosh", order, num_vars)
-    z2k = MultiPoly.var_sum(num_vars, 2 * k)
-    z2k1 = MultiPoly.var_sum(num_vars, 2 * k + 1)
-    z2k2 = MultiPoly.var_sum(num_vars, 2 * k + 2)
+    # g_k'' reaches two orders past the truncation order
+    g = [l_poly(k, n).extended(num_vars) for n in range(order // 2 + 2)]
+    z2k, z2k1, z2k2 = (MultiPoly.var_sum(num_vars, j) for j in range(2 * k, 2 * k + 3))
     y1 = MultiPoly.variable(num_vars, 2 * k + 1)
     y2 = MultiPoly.variable(num_vars, 2 * k + 2)
-
-    rhs = (
-        (g * (sinh * sinh)).scale(z2k * z2k2)
-        + g.scale(z2k * y2)
-        + (g1 * (sinh * cosh)).scale(z2k1 * (y1 + y2))
-        + (g2 * (cosh * cosh)).scale(y1 * y2)
-    )
-
-    lhs_coeffs = [zero] * (order + 1)
+    # the multipliers of g_k sinh^2, g_k' sinh cosh and g_k'' cosh^2
+    multipliers = (z2k * z2k2, z2k1 * (y1 + y2), y1 * y2)
     for n in range(order // 2 + 1):
-        lhs_coeffs[2 * n] = l_poly(k + 1, n) / factorial(2 * n)
-    lhs = TruncatedSeries(lhs_coeffs, order)
-    return lhs == rhs
+        m = 2 * n
+        sums = [MultiPoly.zero(num_vars)] * 3
+        for j in range(m + 1):
+            for d, c in enumerate(_hyperbolic(m - j)):
+                if c:
+                    # c != 0 makes j + d even: the t^(j+d) coefficient of g_k
+                    sums[d] = sums[d] + g[(j + d) // 2] * (comb(m, j) * c)
+        rhs = g[n] * (z2k * y2)
+        for total, multiplier in zip(sums, multipliers):
+            rhs = rhs + total * multiplier
+        if rhs != l_poly(k + 1, n):
+            return False
+    return True

@@ -43,8 +43,8 @@ from .coeffs import (
     sym_count,
     table_document,
 )
-from .series import elementary_series
 from .treepoly import (
+    _hyperbolic,
     double_sum_identity,
     l_poly,
     p_family,
@@ -250,14 +250,18 @@ def check_l_poly_anchors() -> Iterator[Triple]:
 
 
 def check_series_anchors() -> Iterator[Triple]:
-    cosh = elementary_series("cosh", 4)
-    combo = elementary_series("sinh2", 2) + elementary_series("cosh2", 2)
-    yield "cosh t^2", cosh.coefficient(2), MultiPoly.constant(1, Fraction(1, 2))
-    yield "cosh t^4", cosh.coefficient(4), MultiPoly.constant(1, Fraction(1, 24))
-    yield "sinh2+cosh2 t^0", combo.coefficient(0), MultiPoly.constant(1, 1)
-    yield "sinh2+cosh2 t^2", combo.coefficient(2), MultiPoly.constant(1, 2)
-    yield ("d/dt cosh", elementary_series("cosh", 4).derivative(),
-           elementary_series("sinh", 4).truncated(3))
+    # the products of the exponential series of cosh (1 at even m) and sinh
+    # (1 at odd m), coefficient by coefficient: sum_j C(m, j) f_j h_(m-j)
+    def cosh(m):
+        return int(m % 2 == 0)
+
+    def sinh(m):
+        return m % 2
+
+    for m in range(9):
+        products = tuple(sum(comb(m, j) * f(j) * h(m - j) for j in range(m + 1))
+                         for f, h in ((sinh, sinh), (sinh, cosh), (cosh, cosh)))
+        yield f"hyperbolic t^{m}/{m}!", _hyperbolic(m), products
     yield "g recursion k=0", verify_g_recursion(0, 4), True
 
 
@@ -455,7 +459,7 @@ def check_l_poly_sweep() -> Iterator[Triple]:
 
 
 def check_g_recursion_sweep() -> Iterator[Triple]:
-    for k in range(3):
+    for k in range(5):
         yield f"k={k}", verify_g_recursion(k, 6), True
 
 

@@ -24,6 +24,7 @@ one place each identity sweep is written:
 Criterion 10 drives the command line and runs `kcycles verify --level full`.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -143,5 +144,8 @@ def test_criterion_10_cli_determinism_and_full_verify(tmp_path):
     result = _run_cli("--cache-dir", str(cache), "verify", "--level", "full")
     verify_elapsed = time.perf_counter() - verify_start
     assert result.stdout.splitlines()[-1].startswith("OK:")
+    # the report's bytes: one PASS line per registry check, then the summary
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "82c177c867c770b6527c043c58d39d6cbbbfa96c9965b40dadb264d1bf26d327")
     assert verify_elapsed < 600.0, f"full verify took {verify_elapsed:.0f}s"
     _finish(10, 900.0, start, "CLI determinism and full self-verification")

@@ -366,6 +366,11 @@ def test_cache_file_that_is_not_text_is_rebuilt(tmp_path):
     assert path.read_bytes() == canonical
 
 
+# sha256 of the `verify --level quick` report; the benchmark's peel5
+# workload checks the same bytes
+VERIFY_QUICK_DIGEST = "24286e09152eff5da5adc808634814096a0776b3d2933728b01303fbdbae694a"
+
+
 def test_verify_quick_deterministic(tmp_path):
     cache = tmp_path / "cache"
     one = run_cli("--cache-dir", str(cache), "verify", "--level", "quick")
@@ -373,6 +378,7 @@ def test_verify_quick_deterministic(tmp_path):
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
     assert one.stdout.endswith("checks passed\n")
+    assert hashlib.sha256(one.stdout.encode()).hexdigest() == VERIFY_QUICK_DIGEST
 
 
 @pytest.mark.parametrize(

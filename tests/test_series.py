@@ -1,78 +1,23 @@
-"""Tests for truncated power series."""
+"""Tests for the hyperbolic series coefficients behind the g-recursion.
 
-from fractions import Fraction
+treepoly._hyperbolic(m) gives the t^m/m! coefficients of sinh^2 t,
+sinh t cosh t and cosh^2 t as integers.
+"""
 
-import pytest
-
-from kcycles.exact import MultiPoly
-from kcycles.series import TruncatedSeries, elementary_series
-
-
-def const(value, num_vars=1):
-    return MultiPoly.constant(num_vars, value)
-
-
-def test_cosh_taylor():
-    cosh = elementary_series("cosh", 4)
-    assert cosh.coefficient(0) == const(1)
-    assert cosh.coefficient(1) == MultiPoly.zero(1)
-    assert cosh.coefficient(2) == const(Fraction(1, 2))
-    assert cosh.coefficient(4) == const(Fraction(1, 24))
+from kcycles import treepoly
 
 
 def test_sinh2_plus_cosh2_is_cosh_2t():
-    combo = elementary_series("sinh2", 2) + elementary_series("cosh2", 2)
-    assert combo.coefficient(0) == const(1)
-    assert combo.coefficient(1) == MultiPoly.zero(1)
-    assert combo.coefficient(2) == const(2)
+    # cosh 2t has 2^m at t^m/m! for even m, 0 for odd m
+    for m in range(13):
+        sinh2, _, cosh2 = treepoly._hyperbolic(m)
+        assert sinh2 + cosh2 == (2 ** m if m % 2 == 0 else 0)
 
 
 def test_sinh_cosh_is_half_sinh_2t():
-    sc = elementary_series("sinh_cosh", 5)
-    # sinh(2t)/2 has coefficient 4^n/(2n+1)! at t^(2n+1)
-    assert sc.coefficient(1) == const(1)
-    assert sc.coefficient(3) == const(Fraction(4, 6))
-    assert sc.coefficient(5) == const(Fraction(16, 120))
-    assert sc.coefficient(2) == MultiPoly.zero(1)
-
-
-def test_derivative_of_cosh_is_sinh():
-    assert elementary_series("cosh", 4).derivative() == elementary_series(
-        "sinh", 4
-    ).truncated(3)
-
-
-def test_series_product_truncates():
-    cosh = elementary_series("cosh", 4)
-    sinh = elementary_series("sinh", 4)
-    # cosh^2 - sinh^2 = 1 exactly through the truncation order
-    one = TruncatedSeries.from_scalars([1], 4, 1)
-    assert cosh * cosh - sinh * sinh == one
-
-
-def test_scale_by_polynomial():
-    x0 = MultiPoly.variable(2, 0)
-    series = TruncatedSeries.from_scalars([1, 2, 3], 2, 2).scale(x0)
-    assert series.coefficient(1) == 2 * x0
-    with pytest.raises(ValueError):
-        series.scale(MultiPoly.variable(3, 0))
-
-
-def test_order_and_arity_errors():
-    with pytest.raises(ValueError):
-        TruncatedSeries.from_scalars([1], 0, 1)  # zero truncation order rejected
-    a = TruncatedSeries.from_scalars([1, 1], 1, 1)
-    b = TruncatedSeries.from_scalars([1, 1, 1], 2, 1)
-    with pytest.raises(ValueError):
-        a + b
-    c = TruncatedSeries.from_scalars([1, 1], 1, 2)
-    with pytest.raises(ValueError):
-        a * c
-    with pytest.raises(ValueError):
-        TruncatedSeries([const(1), const(1, 2)], 1)
-    with pytest.raises(ValueError):
-        elementary_series("tanh", 4)
-    with pytest.raises(ValueError):
-        b.truncated(5)
-    with pytest.raises(ValueError):
-        b.coefficient(3)
+    # sinh(2t)/2 has coefficient 4^n/(2n+1)! at t^(2n+1), so 2^(m-1) at
+    # t^m/m! for odd m and 0 for even m
+    for m in range(13):
+        _, sinh_cosh, _ = treepoly._hyperbolic(m)
+        assert 2 * sinh_cosh == (2 ** m if m % 2 else 0)
+    assert [treepoly._hyperbolic(m)[1] for m in (1, 2, 3, 5)] == [1, 0, 4, 16]

@@ -201,29 +201,36 @@ def test_tree_and_family_stores_match_their_multipolys(k):
 
 @pytest.mark.parametrize("k", range(7))
 def test_unpack_divides_on_the_packed_level(k):
-    # dividing the z terms when all are divisible gives the per-term
-    # quotients of the x terms, as ints; a denominator that does not divide
-    # takes the per-term route, with a Fraction where a quotient is not whole
+    # _l_sum divides by 4^k on the z level, exactly, so the conversion to x
+    # runs on ints only; it gives l_poly, the quotients of the x terms of
+    # the undivided sum
     level = treepoly._extend_levels(k)
-    cases = []
     for n in range(3):
-        acc = MultiPoly.zero(2 * k + 1)
-        for s, packed in enumerate(level):
-            acc = acc + packed * (2 * s + 1) ** (2 * n)
-        cases.append((acc, 4 ** k))
-    if k <= 4:
-        assert any(c % 3 for _, c in level[-1].items())
-        cases.append((level[-1], 3))
-    for packed, d in cases:
-        plain = dict(treepoly._unpack(packed, 2 * k + 1).items())
-        divided = dict(treepoly._unpack(packed, 2 * k + 1, d).items())
-        assert divided.keys() == plain.keys()
-        for e, c in plain.items():
-            quotient = Fraction(c, d)
-            assert divided[e] == quotient
-            assert type(divided[e]) is (int if quotient.denominator == 1 else Fraction)
-        if d == 3:
-            assert any(type(c) is Fraction for c in divided.values())
+        packed = treepoly._l_sum(k, n)
+        assert all(type(c) is int for _, c in packed.items())
+        unpacked = treepoly._unpack(packed, 2 * k + 1)
+        assert unpacked == l_poly(k, n)
+        assert all(type(c) is int for _, c in unpacked.items())
+        undivided = sum((p * (2 * s + 1) ** (2 * n) for s, p in enumerate(level)),
+                        MultiPoly.zero(2 * k + 1))
+        x_terms = treepoly._unpack(undivided, 2 * k + 1)._terms
+        assert all(c % 4 ** k == 0 for c in x_terms.values())
+        assert unpacked._terms == {e: c // 4 ** k for e, c in x_terms.items()}
+
+
+def test_l_sum_refuses_a_sum_that_4_k_does_not_divide(monkeypatch, capsys):
+    # a level whose sum is not divisible by 4^k raises rather than round,
+    # and the command exits 6 having printed nothing
+    from kcycles import cli
+
+    x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
+    monkeypatch.setattr(treepoly, "_extend_levels", lambda k: [x1 * x2])
+    with pytest.raises(ArithmeticError, match="divide"):
+        l_poly(1, 0)
+    for fmt in ("text", "json", "latex"):
+        assert cli.main(["treepoly", "1", "--variant", "l:1", "--format", fmt]) == cli.EXIT_ARITH
+        out, err = capsys.readouterr()
+        assert out == "" and "divide" in err
 
 
 def test_no_p_family_term_has_a_z0_exponent():
@@ -278,13 +285,14 @@ def test_runs_refuse_a_store_with_z0_terms(monkeypatch, capsys):
         treepoly._unpack(mixed, 3)
     for reverse in (False, True):
         with pytest.raises(ArithmeticError, match="z0"):
-            next(treepoly._x_runs(3, *treepoly._prefinal(mixed, 3), reverse=reverse))
+            next(treepoly._x_runs(3, treepoly._prefinal(mixed, 3), reverse=reverse))
     # several degrees break only the graded order of text and LaTeX
     graded = x1 * x2 + x1
     assert treepoly._unpack(graded, 3) == in_x(graded)
     with pytest.raises(ArithmeticError, match="degrees"):
-        next(treepoly._x_runs(3, *treepoly._prefinal(graded, 3), reverse=True))
-    monkeypatch.setattr(treepoly, "_extend_levels", lambda k: [mixed])
+        next(treepoly._x_runs(3, treepoly._prefinal(graded, 3), reverse=True))
+    # 4 * mixed passes the division by 4^1, so the z0 check is what refuses it
+    monkeypatch.setattr(treepoly, "_extend_levels", lambda k: [4 * mixed])
     for fmt in ("text", "json", "latex"):
         assert cli.main(["treepoly", "1", "--format", fmt]) == cli.EXIT_ARITH
         out, err = capsys.readouterr()
@@ -455,7 +463,7 @@ def test_double_sum_identity():
             assert lhs == rhs
 
 
-def test_g_recursion():
+def test_g_recursion(monkeypatch):
     assert verify_g_recursion(0, 4)
     assert verify_g_recursion(1, 4)
     assert verify_g_recursion(2, 2)
@@ -463,6 +471,28 @@ def test_g_recursion():
         verify_g_recursion(1, 3)
     with pytest.raises(ValueError):
         verify_g_recursion(1, 0)
+    # one extra term in L_2^1 breaks the recursion into level 2 (L_2^1 on
+    # the left) and out of it (on the right), and leaves k = 0 alone
+    production = treepoly.l_poly
+    x0, x4 = MultiPoly.variable(5, 0), MultiPoly.variable(5, 4)
+    extra = x0 * x0 * x4 * x4
+
+    def perturbed(k, n):
+        return production(k, n) + extra if (k, n) == (2, 1) else production(k, n)
+
+    monkeypatch.setattr(treepoly, "l_poly", perturbed)
+    assert not verify_g_recursion(1, 4)
+    assert not verify_g_recursion(2, 4)
+    assert verify_g_recursion(0, 4)
+
+
+def test_hyperbolic_coefficients():
+    # cosh^2 - sinh^2 = 1 at t^m/m!; tests/test_series.py checks the sums
+    # for cosh 2t and sinh 2t, and anchors/series checks the same values by
+    # the product rule
+    for m in range(13):
+        sinh2, _, cosh2 = treepoly._hyperbolic(m)
+        assert cosh2 - sinh2 == int(m == 0)
 
 
 def test_concurrent_family_builds():
