@@ -146,7 +146,7 @@ def _emit_terms(terms, fmt: str, head: dict, latex_basis) -> None:
 
 
 def _poly_summary(poly: MultiPoly) -> str:
-    return f"{len(poly)} terms, coefficient sum {format_rational(poly.coefficient_sum())}"
+    return f"{len(poly)} terms, coefficient sum {poly.coefficient_sum()}"
 
 
 # ---------------------------------------------------------------------------

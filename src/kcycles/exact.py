@@ -3,9 +3,10 @@ partitions and compositions, and classical counting sequences.
 
 Conventions used throughout the package:
 
-* rationals are `fractions.Fraction`; plain `int` is accepted anywhere a
-  rational is expected, and operations return `int` when the value is
-  integral (the two compare and hash equal, so mixing is safe);
+* rationals, the values of `coeffs`, are `fractions.Fraction`; plain
+  `int` is accepted anywhere a rational is expected, and an integral one
+  may be either (the two compare and hash equal, so mixing is safe, and
+  `format_rational` prints them alike);
 * a partition is a tuple of positive ints sorted weakly decreasing, the
   empty tuple being the empty partition;
 * an exponent vector is a tuple of nonnegative ints, one per variable.
@@ -17,8 +18,8 @@ as their exponent tuples do, so a plain sort puts them in exponent order.
 An exponent above 255 raises ValueError, at construction and in any
 product or substitution whose operands could carry into the next
 variable's field.  The constructor and `coefficient` take tuples, and
-`items` yields them.  Coefficients are exact: an int or a Fraction, and
-anything else raises TypeError.
+`items` yields them.  Coefficients are ints, as every tree polynomial's
+are, and anything else, a Fraction included, raises TypeError.
 
 Polynomials render from runs, by two module-level functions, one per
 format: `term_pieces` for text and LaTeX and `json_pieces` for JSON.  A
@@ -101,13 +102,6 @@ def check_odd_tuple(values: Iterable[int]) -> tuple[int, ...]:
     if any(v < 1 or v % 2 == 0 for v in values):
         raise ValueError(f"entries must be positive odd integers, got {values}")
     return values
-
-
-def _normalize_coeff(value: Coeff) -> Coeff:
-    # ints keep the heavy integer-only paths on fast native arithmetic
-    if type(value) is Fraction and value.denominator == 1:
-        return value.numerator
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -286,22 +280,6 @@ def _require_no_carry(num_vars: int, left: Iterable[int], right: Iterable[int]) 
         raise ValueError(f"an exponent would exceed {_EXP_MAX}")
 
 
-def _exact(value: Coeff) -> Coeff:
-    """The value, checked to be an exact coefficient: an int or a Fraction."""
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, got {value!r}")
-    return value
-
-
-def _settled(store: dict) -> dict:
-    # integral Fractions become ints, as everywhere else; a store of ints,
-    # as every tree level is, costs one pass of `map`
-    if Fraction in set(map(type, store.values())):
-        for e in [e for e, c in store.items() if type(c) is Fraction]:
-            store[e] = _normalize_coeff(store[e])
-    return store
-
-
 class _Memo(dict):
     """The values of a one-argument function by argument, each computed on
     first use; `known` seeds values that need no call."""
@@ -319,7 +297,7 @@ class _Memo(dict):
 _CHUNK = 2048
 
 
-def _run_chunks(runs: Iterable[tuple]) -> Iterator[tuple[list[int], list[Coeff]]]:
+def _run_chunks(runs: Iterable[tuple]) -> Iterator[tuple[list[int], list[int]]]:
     """The terms of the runs, _CHUNK at a time, as (keys, coefficients)
     lists: each run's keys plus its offset, its coefficients times its
     weight."""
@@ -402,7 +380,6 @@ def json_pieces(num_vars: int, runs: Iterable[tuple], depth: int = 0) -> Iterato
 
     def render(chunk: list, values: list) -> str:
         head_parts, tail_parts = _halves(num_vars, chunk)
-        # `str` of an int or a Fraction is its format_rational form
         return "".join(chain.from_iterable(zip(
             map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts),
             map(str, values), repeat(close))))
@@ -427,10 +404,10 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
     """
     if latex:
         names, open_, close = [f"x_{{{i}}}" for i in range(num_vars)], "^{", "}"
-        times, magnitude = " ", latex_rational
+        times = " "
     else:
         names, open_, close = [f"x{i}" for i in range(num_vars)], "^", ""
-        times, magnitude = "*", format_rational
+        times = "*"
     powers = [_Memo(lambda e, name=name: f"{name}{open_}{e}{close}", {0: "", 1: name})
               for name in names]
     middle = _head_length(num_vars)
@@ -441,11 +418,11 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
             None, map(dict.__getitem__, head_powers, vector))]),
         lambda vector: times.join(filter(None, map(dict.__getitem__, tail_powers, vector))))
 
-    def signed(coeff: Coeff) -> str:
+    def signed(coeff: int) -> str:
         # what a term puts before its monomial: " - 2*" for -2, " + " for 1
         if coeff < 0:
-            return " - " if coeff == -1 else " - " + magnitude(-coeff) + times
-        return " + " if coeff == 1 else " + " + magnitude(coeff) + times
+            return " - " if coeff == -1 else " - " + str(-coeff) + times
+        return " + " if coeff == 1 else " + " + str(coeff) + times
     prefixes = _Memo(signed)
 
     def render(chunk: list, values: list) -> str:
@@ -454,7 +431,7 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
             # the constant term, last in graded-lex order, has no monomial
             chunk.pop()
             coeff = values.pop()
-            constant = (" - " if coeff < 0 else " + ") + magnitude(abs(coeff))
+            constant = (" - " if coeff < 0 else " + ") + str(abs(coeff))
         head_parts, tail_parts = _halves(num_vars, chunk)
         text = "".join(chain.from_iterable(zip(
             map(prefixes.__getitem__, values),
@@ -475,31 +452,34 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
 
 
 class MultiPoly:
-    """Sparse polynomial in variables x0..x(N-1) with exact coefficients.
+    """Sparse polynomial in variables x0..x(N-1) with int coefficients.
 
     Terms are stored as a map from packed exponent vector (8 bits per
     variable, x0 highest, each exponent at most 255; see the module
-    docstring) to a nonzero int or Fraction, so two polynomials are equal
-    exactly when their term maps are equal.  The variable count is fixed
-    at construction; arithmetic between different arities raises instead
-    of coercing (silent broadcasting hides indexing bugs).  Instances are
-    immutable.
+    docstring) to a nonzero int, so two polynomials are equal exactly when
+    their term maps are equal.  Any other coefficient, and multiplying or
+    dividing by anything but an int, raises TypeError.  The variable count
+    is fixed at construction; arithmetic between different arities raises
+    instead of coercing (silent broadcasting hides indexing bugs).
+    Instances are immutable.
     """
 
     __slots__ = ("num_vars", "_terms")
 
-    def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], Coeff] | Iterable = ()):
+    def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | Iterable = ()):
         if num_vars < 1:
             raise ValueError(f"need at least one variable, got {num_vars}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        store: dict[int, Coeff] = {}
+        store: dict[int, int] = {}
         for exps, coeff in items:
             exps = tuple(exps)
             key = _pack(num_vars, exps)
             if key is None:
                 raise ValueError(f"bad exponent vector {exps} for {num_vars} variables "
                                  f"(exponents lie in 0..{_EXP_MAX})")
-            coeff = _normalize_coeff(store.get(key, 0) + _exact(coeff))
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficients must be int, got {coeff!r}")
+            coeff = store.get(key, 0) + coeff
             if coeff:
                 store[key] = coeff
             else:
@@ -511,9 +491,9 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _raw(cls, num_vars: int, store: dict[int, Coeff]) -> "MultiPoly":
+    def _raw(cls, num_vars: int, store: dict[int, int]) -> "MultiPoly":
         # internal: store is already canonical (packed keys that fit the
-        # arity, nonzero normalized coefficients)
+        # arity, nonzero int coefficients)
         self = object.__new__(cls)
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "_terms", store)
@@ -524,11 +504,8 @@ class MultiPoly:
         return cls._raw(num_vars, {})
 
     @classmethod
-    def constant(cls, num_vars: int, value: Coeff) -> "MultiPoly":
-        value = _normalize_coeff(_exact(value))
-        if not value:
-            return cls.zero(num_vars)
-        return cls._raw(num_vars, {0: value})
+    def constant(cls, num_vars: int, value: int) -> "MultiPoly":
+        return cls(num_vars, [((0,) * num_vars, value)])
 
     @classmethod
     def variable(cls, num_vars: int, index: int) -> "MultiPoly":
@@ -545,7 +522,7 @@ class MultiPoly:
 
     # -- inspection ---------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[tuple[int, ...], Coeff]]:
+    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """(exponent tuple, coefficient) pairs, each tuple decoded as it is read."""
         return zip(map(tuple, _vectors(self.num_vars, self._terms)), self._terms.values())
 
@@ -555,13 +532,13 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def coefficient(self, exps: Iterable[int]) -> Coeff:
+    def coefficient(self, exps: Iterable[int]) -> int:
         key = _pack(self.num_vars, tuple(exps))
         return 0 if key is None else self._terms.get(key, 0)
 
-    def coefficient_sum(self) -> Coeff:
+    def coefficient_sum(self) -> int:
         """Sum of all coefficients, i.e. the value at the all-ones point."""
-        return _normalize_coeff(sum(self._terms.values()))
+        return sum(self._terms.values())
 
     def degree(self) -> int:
         """Total degree; 0 for the zero polynomial."""
@@ -600,7 +577,7 @@ class MultiPoly:
                 store[exps] = total
             else:
                 del store[exps]
-        return MultiPoly._raw(self.num_vars, _settled(store))
+        return MultiPoly._raw(self.num_vars, store)
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -632,22 +609,14 @@ class MultiPoly:
                             store[exps] = total
                         else:
                             del store[exps]
-            return MultiPoly._raw(self.num_vars, _settled(store))
-        if isinstance(other, (int, Fraction)):
+            return MultiPoly._raw(self.num_vars, store)
+        if isinstance(other, int):
             if not other:
                 return MultiPoly.zero(self.num_vars)
-            return MultiPoly._raw(
-                self.num_vars, _settled({e: c * other for e, c in self._terms.items()}))
+            return MultiPoly._raw(self.num_vars, {e: c * other for e, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            raise ZeroDivisionError("division of polynomial by zero")
-        return self * (Fraction(1) / scalar)
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -670,19 +639,20 @@ class MultiPoly:
         rest = ~(_EXP_MAX << shift)  # clears the substituted variable's field
         _require_no_carry(self.num_vars, [reduce(or_, self._terms, 0) & rest],
                           chain.from_iterable(p._terms for p in powers))
-        # every term's expansion goes into one store; zeros and integral
-        # Fractions are settled once at the end
-        store: dict[int, Coeff] = {}
+        # every term's expansion goes into one store; zeros are dropped once
+        # at the end
+        store: dict[int, int] = {}
         get = store.get
         for exps, coeff in self._terms.items():
             base = exps & rest
             for pexps, pcoeff in powers[exps >> shift & _EXP_MAX]._terms.items():
                 key = base + pexps
                 store[key] = get(key, 0) + coeff * pcoeff
-        return MultiPoly._raw(self.num_vars, _settled({e: c for e, c in store.items() if c}))
+        return MultiPoly._raw(self.num_vars, {e: c for e, c in store.items() if c})
 
     def eval(self, point: Iterable[Coeff]) -> Coeff:
-        """Exact value at the point (one coordinate per variable)."""
+        """Exact value at the point (one coordinate per variable): an int at
+        an int point."""
         coords = tuple(point)
         if len(coords) != self.num_vars:
             raise ValueError(
@@ -694,8 +664,8 @@ class MultiPoly:
             self.num_vars, lambda vector: prod(map(pow, coords[:middle], vector)),
             lambda vector: prod(map(pow, coords[middle:], vector)))
         head_parts, tail_parts = _halves(self.num_vars, self._terms)
-        return _normalize_coeff(sum(map(mul, self._terms.values(), map(
-            mul, map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts)))))
+        return sum(map(mul, self._terms.values(), map(
+            mul, map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts))))
 
     def extended(self, num_vars: int) -> "MultiPoly":
         """Same polynomial viewed in a larger variable set, with the new
@@ -711,10 +681,11 @@ class MultiPoly:
     # -- serialization and rendering -----------------------------------------
 
     def to_obj(self) -> list[dict]:
-        """JSON form: [{"exp": [...], "coeff": "p/q"}, ...] sorted by exponents."""
+        """JSON form: [{"exp": [...], "coeff": "c"}, ...] sorted by exponents,
+        each coefficient the string of its int."""
         keys = sorted(self._terms)
         return [
-            {"exp": list(exps), "coeff": format_rational(self._terms[key])}
+            {"exp": list(exps), "coeff": str(self._terms[key])}
             for key, exps in zip(keys, _vectors(self.num_vars, keys))
         ]
 

@@ -516,7 +516,9 @@ def verify_g_recursion(k: int, order: int) -> bool:
     each an integer polynomial: the coefficient of a product is
     sum_j C(m, j) f_j h_(m-j), and g_k' and g_k'' shift g_k's coefficients
     by one and two.  Both sides vanish at odd m, so only even m are
-    compared.
+    compared.  The comparison runs on the z level, the _l_sum of each
+    level, where y1 = z_{2k+1} - z_{2k} and y2 = z_{2k+2} - z_{2k+1}; the
+    change of variables is a bijection, so equality in z is equality in x.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -524,10 +526,9 @@ def verify_g_recursion(k: int, order: int) -> bool:
         raise ValueError(f"truncation order must be even and >= 2, got {order}")
     num_vars = 2 * k + 3
     # g_k'' reaches two orders past the truncation order
-    g = [l_poly(k, n).extended(num_vars) for n in range(order // 2 + 2)]
-    z2k, z2k1, z2k2 = (MultiPoly.var_sum(num_vars, j) for j in range(2 * k, 2 * k + 3))
-    y1 = MultiPoly.variable(num_vars, 2 * k + 1)
-    y2 = MultiPoly.variable(num_vars, 2 * k + 2)
+    g = [_l_sum(k, n).extended(num_vars) for n in range(order // 2 + 2)]
+    z2k, z2k1, z2k2 = (MultiPoly.variable(num_vars, j) for j in range(2 * k, num_vars))
+    y1, y2 = z2k1 - z2k, z2k2 - z2k1
     # the multipliers of g_k sinh^2, g_k' sinh cosh and g_k'' cosh^2
     multipliers = (z2k * z2k2, z2k1 * (y1 + y2), y1 * y2)
     for n in range(order // 2 + 1):
@@ -541,6 +542,6 @@ def verify_g_recursion(k: int, order: int) -> bool:
         rhs = g[n] * (z2k * y2)
         for total, multiplier in zip(sums, multipliers):
             rhs = rhs + total * multiplier
-        if rhs != l_poly(k + 1, n):
+        if rhs != _l_sum(k + 1, n):
             return False
     return True

@@ -239,10 +239,21 @@ def test_oracle_xe():
     assert result.stdout.endswith("verdict: equal\n")
 
 
+# sha256 of the whole `oracle treepoly k` stdout: both polynomials'
+# MultiPoly.text() at level 2, their term counts and coefficient sums at
+# level 4, and the verdict, as printed when MultiPoly still took Fractions
+ORACLE_TREEPOLY_DIGESTS = {
+    "2": "3d77e9adc8578cd0dbaa26d18f422054090038e6be5a58be2c77892d88ad1cb0",
+    "4": "b5e6779f529b26a98dbf1fb8e9f23f8b04c33abc5989787cd8fc9dbb08dcd502",
+}
+
+
 def test_oracle_treepoly_small():
-    result = run_cli("oracle", "treepoly", "2")
-    assert result.returncode == 0
-    assert "verdict: equal" in result.stdout
+    for k, digest in ORACLE_TREEPOLY_DIGESTS.items():
+        result = run_cli("oracle", "treepoly", k)
+        assert result.returncode == 0
+        assert "verdict: equal" in result.stdout
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
 def test_cap_exceeded_exit_code():

@@ -37,6 +37,9 @@ def test_rational_parse_and_format():
     assert format_rational(Fraction(6, 2)) == "3"
     assert format_rational(Fraction(-29, 720)) == "-29/720"
     assert format_rational(5) == "5"
+    # the LaTeX form is of the magnitude, for the coefficient tables' output
+    assert latex_rational(Fraction(-29, 720)) == "\\frac{29}{720}"
+    assert latex_rational(Fraction(6, 2)) == latex_rational(-3) == "3"
     # the canonical form parses back to the value
     for value in (Fraction(29, 720), 3, Fraction(-1, 1440)):
         assert Fraction(format_rational(value)) == value
@@ -194,7 +197,6 @@ def test_poly_basic_arithmetic():
     assert (x0 - x0) == MultiPoly.zero(2)
     assert not MultiPoly.zero(2)
     assert 3 * x0 == x0 * 3
-    assert (x0 / 2).coefficient((1, 0)) == Fraction(1, 2)
 
 
 def test_poly_full_from_reduced():
@@ -258,7 +260,7 @@ def test_poly_extended():
 
 def _from_obj(num_vars, obj):
     # the JSON term list read back, as a consumer of `--format json` would
-    return MultiPoly(num_vars, [(entry["exp"], Fraction(entry["coeff"])) for entry in obj])
+    return MultiPoly(num_vars, [(entry["exp"], int(entry["coeff"])) for entry in obj])
 
 
 def _latex(p):
@@ -267,10 +269,10 @@ def _latex(p):
 
 def test_poly_serialization_schema():
     x0, x1 = xvars(2)
-    p = x0 * x0 - Fraction(1, 2) * x1
+    p = x0 * x0 - 3 * x1
     obj = p.to_obj()
     assert obj == [
-        {"exp": [0, 1], "coeff": "-1/2"},
+        {"exp": [0, 1], "coeff": "-3"},
         {"exp": [2, 0], "coeff": "1"},
     ]
     assert _from_obj(2, obj) == p
@@ -283,7 +285,7 @@ def test_poly_rendering():
     assert p.text() == "2*x0^2 - x1"
     assert _latex(p) == "2 x_{0}^{2} - x_{1}"
     assert MultiPoly.zero(2).text() == "0"
-    assert _latex(Fraction(-1, 2) * x1) == "-\\frac{1}{2} x_{1}"
+    assert _latex(-3 * x1) == "-3 x_{1}"
     # degrees 2 and 257 agree modulo 255, yet the second term leads
     assert MultiPoly(3, {(2, 0, 0): 1, (1, 255, 1): 1}).text() == "x0*x1^255*x2 + x0^2"
     # past the residue test's range, one degree is read from each key
@@ -300,14 +302,14 @@ def _reference_render(p, latex):
         if latex:
             factors = [f"x_{{{i}}}" if e == 1 else f"x_{{{i}}}^{{{e}}}"
                        for i, e in enumerate(exps) if e]
-            magnitude, times = latex_rational(coeff), " "
+            times = " "
         else:
             factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps) if e]
-            magnitude, times = format_rational(abs(coeff)), "*"
+            times = "*"
         if factors and abs(coeff) == 1:
             body = times.join(factors)
         else:
-            body = times.join([magnitude] + factors)
+            body = times.join([str(abs(coeff))] + factors)
         chunks.append(("-" if coeff < 0 else "+", body))
     return signed_join(chunks)
 
@@ -315,9 +317,9 @@ def _reference_render(p, latex):
 # the top of the 8-bit field, where a packed key's byte order matters most
 render_exp_st = st.one_of(st.integers(0, 3), st.integers(250, 255))
 render_coeff_st = st.one_of(
-    st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+    st.sampled_from([1, -1]),
     st.integers(-1000, 1000),
-    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.integers(-10 ** 30, 10 ** 30),
 )
 render_poly_st = st.integers(1, 4).flatmap(
     lambda n: st.dictionaries(
@@ -340,8 +342,8 @@ def test_poly_renderers_match_reference(p):
         p.json_pieces(2)) + "\n  }\n}"
     # the module-level renderers of runs render the same pieces from the one
     # run of a term map packed key by key, and the same text when the run
-    # is split in two and its second part's keys and coefficients are
-    # carried by an offset and a weight
+    # is split in two and its second part's keys and signs are carried by
+    # an offset and a weight
     store = {exact._pack(p.num_vars, exps): c for exps, c in p.items()}
 
     def runs(keys):
@@ -352,7 +354,7 @@ def test_poly_renderers_match_reference(p):
         return ([(keys, 0, coeffs, 1)],
                 [(keys[:half], 0, coeffs[:half], 1),
                  ([key - offset for key in rest], offset,
-                  [2 * c for c in coeffs[half:]], Fraction(1, 2))])
+                  [-c for c in coeffs[half:]], -1)])
 
     for latex in (False, True):
         whole, split = runs(exact._graded_lex(p.num_vars, store))
@@ -381,26 +383,33 @@ def test_packed_key_order_is_exponent_order(p, extra):
 
 
 def test_poly_coefficients_are_exact():
-    # a float would print as its binary expansion and make products inexact
-    for bad in (0.1, 1.0, 0.0, Decimal("0.5"), 1j):
+    # coefficients are ints: a float would print as its binary expansion and
+    # make products inexact, and a Fraction, even an integral one, is refused
+    # like it
+    for bad in (0.1, 1.0, 0.0, Decimal("0.5"), 1j, Fraction(1, 2), Fraction(2)):
         with pytest.raises(TypeError):
             MultiPoly(2, {(1, 0): bad})
         with pytest.raises(TypeError):
             MultiPoly(2, [((1, 0), bad)])
         with pytest.raises(TypeError):
             MultiPoly.constant(2, bad)
+    x = MultiPoly.variable(1, 0)
+    for bad in (0.5, Fraction(1, 2), Fraction(2)):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
     with pytest.raises(TypeError):
-        MultiPoly.variable(1, 0) * 0.5
-    assert MultiPoly(1, {(1,): Fraction(1, 2)}) * 2 == MultiPoly.variable(1, 0)
+        x / 2
 
 
-@pytest.mark.parametrize("constant", [1, -1, Fraction(-5, 3)])
+@pytest.mark.parametrize("constant", [1, -1, -5])
 def test_renderers_span_chunks(constant):
     # 6^5 terms are several render chunks; the leading term is negative, the
     # first variable alone and the last variable alone make an empty tail
     # and an empty head, and the constant term renders last
     exponents = list(itertools.product(range(6), repeat=5))
-    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-7, 4), 10 ** 20]
+    coeffs = [1, -1, 2, -3, 5, -7, 10 ** 20]
     terms = {e: coeffs[i % len(coeffs)] for i, e in enumerate(exponents)}
     terms[(5,) * 5] = -4
     terms[(0,) * 5] = constant
@@ -423,7 +432,7 @@ def test_poly_renderers_of_zero_and_constants():
     assert list(MultiPoly.zero(3).term_pieces()) == ["0"]
     assert list(MultiPoly.zero(3).json_pieces(2)) == ["[]"]
     assert MultiPoly.constant(2, -1).text() == "-1"
-    assert _latex(MultiPoly.constant(2, Fraction(-3, 2))) == "-\\frac{3}{2}"
+    assert _latex(MultiPoly.constant(2, -3)) == "-3"
     x0, x1 = xvars(2)
     one = MultiPoly.constant(2, 1)
     assert list((x1 - x0 * x0 + one).term_pieces()) == ["-x0^2 + x1 + 1"]
@@ -469,7 +478,7 @@ def test_poly_immutable():
 
 
 exps_st = st.tuples(*[st.integers(0, 3)] * 3)
-coeff_st = st.fractions(min_value=-9, max_value=9, max_denominator=4)
+coeff_st = st.integers(-9, 9)
 poly_st = st.dictionaries(exps_st, coeff_st, max_size=5).map(
     lambda d: MultiPoly(3, d)
 )

@@ -76,8 +76,8 @@ def test_p_family_x_small():
     zero = MultiPoly.zero(3)
     assert family[3].substitute(0, zero) == x1 * x1 + 2 * x1 * x2
     assert family[1].substitute(0, zero) == -(x1 * x1) + 2 * x1 * x2
-    # 4^-1 (P^1 + P^3) is the reduced tree polynomial
-    assert (family[1] + family[3]) / 4 == (x0 + x1) * x2
+    # P^1 + P^3 is 4 times the reduced tree polynomial
+    assert family[1] + family[3] == 4 * (x0 + x1) * x2
     with pytest.raises(ValueError):
         p_family_x(-1)
 

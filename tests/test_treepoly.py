@@ -172,7 +172,7 @@ def test_l_poly_against_bruteforce(k, n):
 @pytest.mark.parametrize("k", range(5))
 def test_l_poly_keys_pack_the_x_family_sum(k):
     # the keys are ints, one byte per variable; decoded they give the
-    # weighted sum over the x-coordinate family
+    # weighted sum over the x-coordinate family, 4^k times the polynomial
     family = p_family_x(k)
     for n in range(3):
         poly = l_poly(k, n)
@@ -180,9 +180,10 @@ def test_l_poly_keys_pack_the_x_family_sum(k):
         expected = sum(
             (family[2 * s + 1] * (2 * s + 1) ** (2 * n) for s in range(k + 1)),
             MultiPoly.zero(2 * k + 1),
-        ) / 4 ** k
-        assert {exact._pack(2 * k + 1, e): c for e, c in expected.items()} == poly._terms
-        assert poly == expected
+        )
+        assert ({exact._pack(2 * k + 1, e): c for e, c in expected.items()}
+                == (poly * 4 ** k)._terms)
+        assert poly * 4 ** k == expected
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -321,10 +322,11 @@ def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys, variant)
 
 
 def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
+    # the family sums are 4^3 times the polynomials
     family = p_family(3)
     expected = {
         n: sum((family[2 * s + 1] * (2 * s + 1) ** (2 * n) for s in range(4)),
-               MultiPoly.zero(7)) / 4 ** 3
+               MultiPoly.zero(7))
         for n in (0, 1)
     }
 
@@ -333,18 +335,17 @@ def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
 
     monkeypatch.setattr(treepoly, "p_family", refuse)
     monkeypatch.setattr(treepoly, "_reduced_cache", {})
-    assert l_poly(3, 1) == expected[1] == l_poly_bruteforce(3, 1)
-    assert reduced_tree_poly(3) == expected[0] == reduced_tree_poly_bruteforce(3)
+    assert l_poly(3, 1) * 4 ** 3 == expected[1] == l_poly_bruteforce(3, 1) * 4 ** 3
+    assert (reduced_tree_poly(3) * 4 ** 3 == expected[0]
+            == reduced_tree_poly_bruteforce(3) * 4 ** 3)
 
 
 def test_l_poly_closed_form_level_one():
     x0, x1, x2 = xs(3)
     s = x0 + x1
     for n in range(4):
-        expected = s * (2 * x2 + s) * Fraction(3 ** (2 * n), 4) + s * (
-            2 * x2 - s
-        ) * Fraction(1, 4)
-        assert l_poly(1, n) == expected
+        expected = s * (2 * x2 + s) * 3 ** (2 * n) + s * (2 * x2 - s)
+        assert 4 * l_poly(1, n) == expected
 
 
 def test_l_poly_totals():
@@ -471,16 +472,17 @@ def test_g_recursion(monkeypatch):
         verify_g_recursion(1, 3)
     with pytest.raises(ValueError):
         verify_g_recursion(1, 0)
-    # one extra term in L_2^1 breaks the recursion into level 2 (L_2^1 on
-    # the left) and out of it (on the right), and leaves k = 0 alone
-    production = treepoly.l_poly
-    x0, x4 = MultiPoly.variable(5, 0), MultiPoly.variable(5, 4)
-    extra = x0 * x0 * x4 * x4
+    # one extra z monomial in the z-level sum of L_2^1 breaks the recursion
+    # into level 2 (L_2^1 on the left) and out of it (on the right), and
+    # leaves k = 0 alone
+    production = treepoly._l_sum
+    z0, z4 = MultiPoly.variable(5, 0), MultiPoly.variable(5, 4)
+    extra = z0 * z0 * z4 * z4
 
     def perturbed(k, n):
         return production(k, n) + extra if (k, n) == (2, 1) else production(k, n)
 
-    monkeypatch.setattr(treepoly, "l_poly", perturbed)
+    monkeypatch.setattr(treepoly, "_l_sum", perturbed)
     assert not verify_g_recursion(1, 4)
     assert not verify_g_recursion(2, 4)
     assert verify_g_recursion(0, 4)
