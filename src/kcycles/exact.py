@@ -280,6 +280,29 @@ def _require_no_carry(num_vars: int, left: Iterable[int], right: Iterable[int]) 
         raise ValueError(f"an exponent would exceed {_EXP_MAX}")
 
 
+def _moved(terms: dict[int, int], shift: int,
+           moves: list[list[tuple[int, int]]]) -> dict[int, int]:
+    """A copy of the term store with every term's moves added, zeros dropped.
+
+    A term (key, coeff) whose field at `shift` holds the exponent a adds
+    coeff * weight at key + move for each (move, weight) of moves[a]; the
+    copy is the move of every term by 0 with weight 1, so an expansion that
+    keeps the whole term lists no move for it.  The caller has checked that
+    no move carries out of a field.
+    """
+    store = dict(terms)
+    get = store.get
+    for key, coeff in terms.items():
+        for move, weight in moves[key >> shift & _EXP_MAX]:
+            moved = key + move
+            store[moved] = get(moved, 0) + coeff * weight
+    # an expansion can cancel heavily, and the zeros go in place, with no
+    # second store
+    for key in [key for key, coeff in store.items() if not coeff]:
+        del store[key]
+    return store
+
+
 class _Memo(dict):
     """The values of a one-argument function by argument, each computed on
     first use; `known` seeds values that need no call."""
@@ -513,13 +536,6 @@ class MultiPoly:
             raise ValueError(f"variable index {index} out of range for {num_vars} variables")
         return cls._raw(num_vars, {1 << _shift(num_vars, index): 1})
 
-    @classmethod
-    def var_sum(cls, num_vars: int, upto: int) -> "MultiPoly":
-        """x0 + x1 + ... + x_upto."""
-        if not 0 <= upto < num_vars:
-            raise ValueError(f"variable index {upto} out of range for {num_vars} variables")
-        return cls._raw(num_vars, {1 << _shift(num_vars, i): 1 for i in range(upto + 1)})
-
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -628,7 +644,13 @@ class MultiPoly:
     # -- structural operations ----------------------------------------------
 
     def substitute(self, index: int, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace variable `index` by `replacement` and re-expand."""
+        """Replace variable `index` by `replacement` and re-expand.
+
+        The expansion is _moved's, with moves[a] taking x_index^a to the
+        terms of replacement^a: each moves a key by the power's key less
+        a in the field of x_index, and the move by 0 loses the weight 1 of
+        _moved's copy.
+        """
         if not 0 <= index < self.num_vars:
             raise ValueError(f"variable index {index} out of range")
         self._require_same_arity(replacement)
@@ -639,16 +661,13 @@ class MultiPoly:
         rest = ~(_EXP_MAX << shift)  # clears the substituted variable's field
         _require_no_carry(self.num_vars, [reduce(or_, self._terms, 0) & rest],
                           chain.from_iterable(p._terms for p in powers))
-        # every term's expansion goes into one store; zeros are dropped once
-        # at the end
-        store: dict[int, int] = {}
-        get = store.get
-        for exps, coeff in self._terms.items():
-            base = exps & rest
-            for pexps, pcoeff in powers[exps >> shift & _EXP_MAX]._terms.items():
-                key = base + pexps
-                store[key] = get(key, 0) + coeff * pcoeff
-        return MultiPoly._raw(self.num_vars, {e: c for e, c in store.items() if c})
+        moves = []
+        for a, power in enumerate(powers):
+            weights = dict(power._terms)
+            weights[a << shift] = weights.get(a << shift, 0) - 1
+            moves.append([(key - (a << shift), weight)
+                          for key, weight in weights.items() if weight])
+        return MultiPoly._raw(self.num_vars, _moved(self._terms, shift, moves))
 
     def eval(self, point: Iterable[Coeff]) -> Coeff:
         """Exact value at the point (one coordinate per variable): an int at

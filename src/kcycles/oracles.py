@@ -200,9 +200,9 @@ def p_family_x(k: int) -> PFamily:
     family = [MultiPoly.constant(1, 1)]
     for j in range(k):
         n = 2 * j + 3
-        y1, y2 = MultiPoly.variable(n, 2 * j + 1), MultiPoly.variable(n, 2 * j + 2)
-        z2j, z2j1, z2j2 = (MultiPoly.var_sum(n, i) for i in range(2 * j, 2 * j + 3))
-        family = _p_step([p.extended(n) for p in family], y1, y2, z2j, z2j1, z2j2)
+        x = [MultiPoly.variable(n, i) for i in range(n)]
+        z = list(itertools.accumulate(x))
+        family = _p_step([p.extended(n) for p in family], x[-2], x[-1], *z[-3:])
     return PFamily(k, {2 * s + 1: p for s, p in enumerate(family)})
 
 

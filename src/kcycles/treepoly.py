@@ -20,7 +20,9 @@ it in the partial sums z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k}
 and y2 = z_{2k+2} - z_{2k+1}; there every P_k^c has exactly 2*4^(k-1)
 terms (k >= 1) and no exponent above 2, against tens of thousands of
 terms in x.  Converting to x substitutes z_j = z_{j-1} + x_j slot by slot
-on the packed keys of the z polynomial.  _prefinal stops before slot 1
+on the packed keys of the z polynomial, each slot one pass of
+exact._moved, the expansion loop of MultiPoly.substitute, with a binomial
+moves table in place of substitute's powers.  _prefinal stops before slot 1
 and leaves the pre-final store, in z0, z1, x2, ..., x_{2k}: about 30% of
 the x terms.  No P_k^c holds z0, so z1 = x0 + x1 is the last expansion,
 and no two of its terms meet: the x terms of one x0 exponent, in key
@@ -62,7 +64,7 @@ from math import comb, factorial, prod
 from typing import Iterator, Sequence
 
 from .exact import (
-    _EXP_MAX, MultiPoly, _one_degree, _run_chunks, _shift, binomial,
+    _EXP_MAX, MultiPoly, _moved, _one_degree, _run_chunks, _shift, binomial,
     check_odd_tuple, double_factorial,
 )
 
@@ -130,29 +132,19 @@ def _prefinal(packed: MultiPoly, num_vars: int) -> dict:
     term store.
 
     Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down to
-    slot 2, each a binomial expansion of the slot's exponent on the packed
-    keys; _x_runs expands slot 1.
+    slot 2, each _moved with a binomial moves table: z_j^a expands to
+    C(a, b) x_j^b z_{j-1}^(a-b), and the copy is b = a.  A slot's exponent
+    stays below num_vars, so no move carries, and the carry check and the
+    powers of MultiPoly.substitute, the tests' oracle for this table, are
+    skipped.  _x_runs expands slot 1.
     """
     terms = packed._terms
     for j in range(num_vars - 1, 1, -1):
         shift = _shift(num_vars, j)
-        # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key;
-        # moves[a] expands z_j^a, one entry per exponent b < a kept as x_j^b
+        # moving one unit of exponent from z_j to z_{j-1} adds `carry` to a key
         carry = (1 << _shift(num_vars, j - 1)) - (1 << shift)
-        moves = [[((a - b) * carry, comb(a, b)) for b in range(a)]
-                 for a in range(num_vars)]
-        # the copy is the move that keeps the whole exponent (b = a, weight 1)
-        expanded = dict(terms)
-        get = expanded.get
-        for e, c in terms.items():
-            for move, weight in moves[(e >> shift) & _EXP_MAX]:
-                key = e + move
-                expanded[key] = get(key, 0) + c * weight
-        # the expansion cancels heavily; dropping zeros slot by slot keeps
-        # the lower slots' expansions small
-        for e in [e for e, c in expanded.items() if not c]:
-            del expanded[e]
-        terms = expanded
+        terms = _moved(terms, shift, [[((a - b) * carry, comb(a, b)) for b in range(a)]
+                                      for a in range(num_vars)])
     return terms
 
 
@@ -411,63 +403,38 @@ def xe_tables(variant: str, n: int, m: int) -> tuple[int, Fraction]:
     """Closed-form (X, E) for the three shuffle sign-sum families.
 
     X is the total oriented sign sum over the binomial(n+m, n) shuffles and
-    E its average, tabulated by the parities of n and m; E * binomial(n+m, n)
-    equals X in every case.
+    E its average; E * binomial(n+m, n) equals X in every case.  Variant Xv
+    has v = 0, 1 or 2 fixed a-letters, and each parity case of (n, m) is
+    one formula in v.  With j = ceil(n/2), kk = ceil(m/2) and
+    base = (2j-1)!! (2kk-1)!!, the factor f of each case is
+
+        n, m even:      f = 2j + v,              X = f C(j+kk, j)
+        n even, m odd:  f = 1 if v = 1 else 0,   X = f C(j+kk-1, j)
+        n odd, m even:  f = 2j + 2kk - 1 + v,    X = f C(j+kk-1, kk)
+
+    with E = f base / (2j+2kk-1)!! in all three, and for n, m odd,
+    f = -1 for X2 and 1 otherwise, X = 2kk f C(j+kk-1, kk) and
+    E = f base / (2j+2kk-3)!!.
     """
     if variant not in ("X0", "X1", "X2"):
         raise ValueError(f"unknown variant {variant!r}")
     if n < 0 or m < 0:
         raise ValueError(f"need n, m >= 0, got ({n}, {m})")
+    v = int(variant[1])
     df = double_factorial
+    j, kk = (n + 1) // 2, (m + 1) // 2
+    base = df(2 * j - 1) * df(2 * kk - 1)
+    if n % 2 == 0 and m % 2 == 0:
+        factor = 2 * j + v
+        return factor * comb(j + kk, j), Fraction(factor * base, df(2 * j + 2 * kk - 1))
     if n % 2 == 0:
-        j = n // 2
-        if m % 2 == 0:
-            kk = m // 2
-            x = {
-                "X0": 2 * j * comb(j + kk, j),
-                "X1": (2 * j + 1) * comb(j + kk, j),
-                "X2": (2 * j + 2) * comb(j + kk, j),
-            }[variant]
-            e = {
-                "X0": Fraction(2 * j * df(2 * j - 1) * df(2 * kk - 1), df(2 * j + 2 * kk - 1)),
-                "X1": Fraction(df(2 * j + 1) * df(2 * kk - 1), df(2 * j + 2 * kk - 1)),
-                "X2": Fraction(
-                    (2 * j + 2) * df(2 * j - 1) * df(2 * kk - 1), df(2 * j + 2 * kk - 1)
-                ),
-            }[variant]
-        else:
-            kk = (m + 1) // 2
-            x = {"X0": 0, "X1": comb(j + kk - 1, j), "X2": 0}[variant]
-            e = {
-                "X0": Fraction(0),
-                "X1": Fraction(df(2 * j - 1) * df(2 * kk - 1), df(2 * j + 2 * kk - 1)),
-                "X2": Fraction(0),
-            }[variant]
-    else:
-        j = (n + 1) // 2
-        if m % 2 == 0:
-            kk = m // 2
-            x = {
-                "X0": (2 * j + 2 * kk - 1) * comb(j + kk - 1, kk),
-                "X1": (2 * j + 2 * kk) * comb(j + kk - 1, kk),
-                "X2": (2 * j + 2 * kk + 1) * comb(j + kk - 1, kk),
-            }[variant]
-            base = Fraction(df(2 * j - 1) * df(2 * kk - 1), 1)
-            e = {
-                "X0": base / df(2 * j + 2 * kk - 3),
-                "X1": (2 * j + 2 * kk) * base / df(2 * j + 2 * kk - 1),
-                "X2": (2 * j + 2 * kk + 1) * base / df(2 * j + 2 * kk - 1),
-            }[variant]
-        else:
-            kk = (m + 1) // 2
-            x = {
-                "X0": 2 * kk * comb(j + kk - 1, kk),
-                "X1": 2 * kk * comb(j + kk - 1, kk),
-                "X2": -2 * kk * comb(j + kk - 1, kk),
-            }[variant]
-            base = Fraction(df(2 * j - 1) * df(2 * kk - 1), df(2 * j + 2 * kk - 3))
-            e = {"X0": base, "X1": base, "X2": -base}[variant]
-    return x, e
+        factor = v % 2  # only X1 is nonzero
+        return factor * comb(j + kk - 1, j), Fraction(factor * base, df(2 * j + 2 * kk - 1))
+    if m % 2 == 0:
+        factor = 2 * j + 2 * kk - 1 + v
+        return factor * comb(j + kk - 1, kk), Fraction(factor * base, df(2 * j + 2 * kk - 1))
+    sign = -1 if v == 2 else 1
+    return sign * 2 * kk * comb(j + kk - 1, kk), Fraction(sign * base, df(2 * j + 2 * kk - 3))
 
 
 def double_sum_identity(k: int, r: int) -> tuple[Fraction, Fraction]:

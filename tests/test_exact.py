@@ -501,6 +501,30 @@ def test_poly_substitute_composes(p, q, r):
     assert left == right
 
 
+def _replacements(index):
+    # one strategy per kind of substitute's moves table for x_index
+    x = [MultiPoly.variable(3, i) for i in range(3)]
+    others = st.sampled_from([x[j] for j in range(3) if j != index])
+    return st.one_of(
+        others.map(lambda other: x[index] + other),  # x_index at weight 1
+        st.sampled_from([2, 3, -1, -2]).map(lambda w: x[index] * w),  # at another weight
+        others,  # no x_index: another variable
+        st.integers(-3, 3).map(lambda c: MultiPoly.constant(3, c)),  # a constant or zero
+        poly_st,
+    )
+
+
+@given(poly_st, st.integers(0, 2).flatmap(lambda i: st.tuples(st.just(i), _replacements(i))),
+       st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_poly_substitute_evaluates_as_the_replacement(p, substitution, point):
+    # eval does not expand, so it is an oracle for substitute's expansion
+    index, replacement = substitution
+    at_replacement = list(point)
+    at_replacement[index] = replacement.eval(point)
+    assert p.substitute(index, replacement).eval(point) == p.eval(at_replacement)
+
+
 @given(poly_st)
 @settings(max_examples=60, deadline=None)
 def test_poly_serialization_roundtrip(p):

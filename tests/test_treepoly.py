@@ -1,6 +1,8 @@
 """Tests for the production tree-polynomial route and its closed forms."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,6 +11,7 @@ import pytest
 from kcycles import exact, treepoly
 from kcycles.exact import MultiPoly
 from kcycles.oracles import (
+    DEFAULT_SHUFFLE_CAP,
     enumerate_increasing_trees,
     p_family_x,
     reduced_tree_poly_bruteforce,
@@ -267,6 +270,20 @@ def test_runs_list_the_x_terms_in_render_order(k):
             assert all(type(c) is int for _, c in terms)
 
 
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("n", range(3))
+def test_prefinal_matches_substitute(k, n):
+    # _prefinal's binomial moves table against substitute's, built from the
+    # powers of z_(j-1) + x_j: the same slots, top down to slot 2
+    num_vars = 2 * k + 1
+    packed = treepoly._l_sum(k, n)
+    x = xs(num_vars)
+    expected = packed
+    for j in range(2 * k, 1, -1):
+        expected = expected.substitute(j, x[j - 1] + x[j])
+    assert treepoly._prefinal(packed, num_vars) == expected._terms
+
+
 def test_runs_refuse_a_store_with_z0_terms(monkeypatch, capsys):
     # read in z0, z1, z2, a store with one z0 exponent in every term expands
     # z1 = x0 + x1 alone; with two z0 exponents the x0 slices would be
@@ -434,12 +451,22 @@ def test_t_closed_main():
 
 
 def test_xe_tables_against_bruteforce():
+    # n + m up to the oracle's own default cap
     for variant in ("X0", "X1", "X2"):
-        for n in range(8):
-            for m in range(8 - n):
+        for n in range(DEFAULT_SHUFFLE_CAP + 1):
+            for m in range(DEFAULT_SHUFFLE_CAP + 1 - n):
                 x_closed, e_closed = xe_tables(variant, n, m)
                 assert x_closed == shuffle_sign_sum_bruteforce(variant, n, m)
                 assert e_closed * comb(n + m, n) == x_closed
+
+
+def test_xe_tables_grid_digest():
+    # every (X, E) of a 3 x 60 x 60 grid, pinned by sha256: the brute force
+    # reaches n + m <= 12 only, and the closed forms must hold past it
+    grid = [[v, n, m, str(x), str(e)] for v in ("X0", "X1", "X2")
+            for n in range(60) for m in range(60) for x, e in [xe_tables(v, n, m)]]
+    assert hashlib.sha256(json.dumps(grid).encode()).hexdigest() == (
+        "01c090bec7278cf9872e29fa1466df17a64f3539b8ef84d692c2b330f7ef9bf2")
 
 
 def test_xe_table_rows():
