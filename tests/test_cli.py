@@ -86,6 +86,15 @@ TREEPOLY_DIGESTS = {
         "c6425c2022b4a79ba6c67a43bb0bc4bf62f306f1ba871c5c13e3b88b68cc4ecf",
     ("6", "--variant", "l:1", "--format", "latex"):
         "e4dc8a1dae9f1b98d9f2275f979fb1763e4c77eb12d8e9487480db847a374c69",
+    # the one LaTeX output with negative coefficients, an offset run in
+    # LaTeX, and level 6 with large coefficients in text, as the head/tail
+    # renderers printed them
+    ("5", "--variant", "pfamily", "--format", "latex"):
+        "4c766bd70361880292f0d9b0342100fa0dd6890da43f10c9afc51bab405defaa",
+    ("5", "--variant", "full", "--format", "latex"):
+        "cb2d9afb61912dd731f3681a1ba3765c8d8fd52e7347d699b94d07fe400e7c84",
+    ("6", "--variant", "l:2", "--format", "text"):
+        "3fa973a0a36c3a848d2c04418df64064101fd7a3da12199fb34866ef7f378976",
 }
 
 
