@@ -32,18 +32,24 @@ so the x terms are never stored.  The renderers yield one piece per
 chunk of _CHUNK terms, so a caller can stream a level of a million
 terms without holding its rendering.
 
-A renderer splits each packed key with a shift and a mask into a head,
-the first half of the variables, and a tail, the rest, and renders each
-distinct half once, in a memo that lives for one call: the powers for
-text and LaTeX, the exponent lines for JSON.  A tree level has few
-distinct halves (the l:2 polynomial of level 5 has 52,899 terms but
-3,349 heads and 131 tails), so a term costs a few lookups.  A chunk is
-rendered as one flat join of the memos' strings, a run's offset and
-weight added and multiplied in one pass of `map` each, so what is in
-flight is one chunk's text and the memos.  The text order needs total
-degrees only where they differ: a key is its degree modulo 255, and a
-store whose keys share one residue while its exponents stay small, as
-every tree polynomial does, is of one degree and is sorted once.
+A renderer splits each packed key with shifts and masks into three
+parts: x0 and x1, and x2, x3, ... in two halves.  It renders each distinct
+value of a part once, in a memo that lives for one call: the powers for
+text and LaTeX, the exponent lines for JSON.  Every run of a tree
+polynomial is one b-group of its pre-final store moved in x0 and x1 only,
+so a run's keys share one (x0, x1) part, rendered once per chunk, and a
+group's runs share one keys list, whose two x2.. halves are looked up once
+per list, as two lists of references into the memos, and reused by each
+later run of the list.  A chunk is rendered as one flat join of those
+strings with its coefficients, formatted by one `map(str, ...)`, and its
+signs and unit coefficients fixed by two `str.replace` passes over the
+chunk's text, so what is in flight is one chunk's text, the memos and the
+groups' lookups.  The 52,899 terms of the level-5 l:2 polynomial come in
+35 runs of 7 keys lists, which hold its 15,489 pre-final terms, and have
+1,363 and 42 distinct halves.  The text order needs total degrees only
+where they differ: a key is its degree modulo 255, and a store whose
+keys share one residue while its exponents stay small, as every tree
+polynomial does, is of one degree and is sorted once.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -320,38 +326,71 @@ class _Memo(dict):
 _CHUNK = 2048
 
 
-def _run_chunks(runs: Iterable[tuple]) -> Iterator[tuple[list[int], list[int]]]:
-    """The terms of the runs, _CHUNK at a time, as (keys, coefficients)
-    lists: each run's keys plus its offset, its coefficients times its
-    weight."""
+def _part_memos(num_vars: int, renders: list) -> list[tuple[_Memo, int, int]]:
+    """The three parts of a packed key, x0 and x1, then x2, x3, ... in two
+    halves, each as (memo, shift, mask): the part is key >> shift & mask,
+    and the memo holds renders[i](first variable, vector) of each distinct
+    value of part i, the value decoded to its `bytes` vector once."""
+    low = max(num_vars - 2, 0)
+    parts, start = [], 0
+    for size, render in zip((num_vars - low, (low + 1) // 2, low // 2), renders):
+        start += size
+        memo = _Memo(lambda part, size=size, first=start - size, render=render:
+                     render(first, part.to_bytes(size, "big")))
+        parts.append((memo, _EXP_BITS * (num_vars - start), (1 << _EXP_BITS * size) - 1))
+    return parts
+
+
+def _looked_up(part: tuple[_Memo, int, int], keys: Iterable[int]) -> Iterator:
+    """The memo's values of one part of the packed keys."""
+    memo, shift, mask = part
+    return map(memo.__getitem__, map(and_, map(rshift, keys, repeat(shift)), repeat(mask)))
+
+
+def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[tuple]:
+    """The terms of the runs, _CHUNK at a time, as (highs, lows1, lows2,
+    values): the renderings of their three parts of _part_memos, by
+    `renders`, and their coefficients.
+
+    A run's offset and weight apply per chunk.  An offset that leaves x2,
+    x3, ... alone leaves a key's two low parts alone: a keys list's lows
+    are looked up on its first such run, and its later ones reuse the two
+    lists of references into the memos, as every run of a b-group of
+    treepoly._x_runs does.  A chunk whose keys share one (x0, x1) part, as
+    every chunk of such a run does, looks that part up once.
+    """
+    high, low1, low2 = _part_memos(num_vars, renders)
+    high_memo, low_shift = high[:2]
+    low_mask = (1 << low_shift) - 1
+    # per keys list, the list itself, which keeps its id, and per chunk the
+    # (x0, x1) part shared by its keys, or each key's, and the lows
+    shared: dict[int, tuple] = {}
+
+    def parts(keys: list[int]) -> tuple:
+        top = min(keys) >> low_shift
+        if top != max(keys) >> low_shift:
+            top = list(map(rshift, keys, repeat(low_shift)))
+        return top, list(_looked_up(low1, keys)), list(_looked_up(low2, keys))
+
     for keys, offset, coeffs, weight in runs:
-        for start in range(0, len(keys), _CHUNK):
-            chunk, values = keys[start:start + _CHUNK], coeffs[start:start + _CHUNK]
-            if offset:
-                chunk = list(map(add, chunk, repeat(offset)))
+        starts = range(0, len(keys), _CHUNK)
+        if offset & low_mask:
+            chunks = (parts(list(map(add, keys[start:start + _CHUNK], repeat(offset))))
+                      for start in starts)
+            lift = 0
+        else:
+            if id(keys) not in shared:
+                shared[id(keys)] = keys, [parts(keys[start:start + _CHUNK]) for start in starts]
+            chunks, lift = shared[id(keys)][1], offset >> low_shift
+        for start, (top, lows1, lows2) in zip(starts, chunks):
+            values = coeffs[start:start + _CHUNK]
             if weight != 1:
                 values = list(map(mul, values, repeat(weight)))
-            yield chunk, values
-
-
-def _head_length(num_vars: int) -> int:
-    # a renderer splits the variables into a head of ceil(n/2) and a tail
-    return (num_vars + 1) // 2
-
-
-def _halves(num_vars: int, keys: Iterable[int]) -> tuple[Iterator[int], Iterator[int]]:
-    """The heads of the packed keys, their first _head_length variables, and
-    their tails, the rest, as ints."""
-    shift = _shift(num_vars, _head_length(num_vars) - 1)
-    return map(rshift, keys, repeat(shift)), map(and_, keys, repeat((1 << shift) - 1))
-
-
-def _half_memos(num_vars: int, render_head, render_tail) -> tuple[_Memo, _Memo]:
-    """Memos of the renderings of distinct heads and tails of packed keys,
-    each half decoded to its `bytes` vector once."""
-    middle = _head_length(num_vars)
-    return (_Memo(lambda part: render_head(part.to_bytes(middle, "big"))),
-            _Memo(lambda part: render_tail(part.to_bytes(num_vars - middle, "big"))))
+            if type(top) is int:
+                highs = repeat(high_memo[top + lift])
+            else:
+                highs = map(high_memo.__getitem__, map(add, top, repeat(lift)))
+            yield highs, lows1, lows2, values
 
 
 def _one_degree(num_vars: int, keys: list[int]) -> bool:
@@ -382,7 +421,10 @@ def json_pieces(num_vars: int, runs: Iterable[tuple], depth: int = 0) -> Iterato
     `runs` are (keys, offset, coeffs, weight) tuples, in ascending key
     order: the terms key + offset with coefficient coeff * weight, for the
     packed keys and nonzero coefficients of two parallel lists.  A
-    MultiPoly is the one run of its sorted keys.  The pieces join to the
+    MultiPoly is the one run of its sorted keys; the runs of one b-group of
+    treepoly._x_runs share its keys list, and their offsets move x0 and x1
+    only, so the list's x2.. parts are looked up once (see _rendered).  A
+    list is read as it is when first seen.  The pieces join to the
     list of `MultiPoly.to_obj` as it appears nested `depth` levels deep in
     an indent-2 `json.dumps` document, so a caller can write a large
     polynomial without holding its rendering.
@@ -390,24 +432,25 @@ def json_pieces(num_vars: int, runs: Iterable[tuple], depth: int = 0) -> Iterato
     item = "\n" + "  " * (depth + 1)
     field = item + "  "
     number = "," + field + "  "
-    # a term is four strings: its head's memo (the object's opening and the
-    # head's exponent lines), its tail's (the tail's lines and the
-    # coefficient's opening), the coefficient, and the object's close
-    heads, tails = _half_memos(
-        num_vars,
-        lambda vector: "," + item + "{" + field + '"exp": [' + number[1:]
+    # a term is five strings: its (x0, x1) part's (the object's opening and
+    # the exponent lines of x0 and x1), its two low parts' (the other
+    # exponent lines, then the coefficient's opening), the coefficient, and
+    # the object's close
+    def lines(first: int, vector: bytes) -> str:
+        return "".join([number + str(e) for e in vector])
+
+    renders = [
+        lambda first, vector: "," + item + "{" + field + '"exp": [' + number[1:]
         + number.join(map(str, vector)),
-        lambda vector: "".join([number + str(e) for e in vector])
-        + field + "]," + field + '"coeff": "')
+        lines,
+        lambda first, vector: lines(first, vector) + field + "]," + field + '"coeff": "']
     close = '"' + item + "}"
 
-    def render(chunk: list, values: list) -> str:
-        head_parts, tail_parts = _halves(num_vars, chunk)
+    def render(highs, lows1, lows2, values: list) -> str:
         return "".join(chain.from_iterable(zip(
-            map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts),
-            map(str, values), repeat(close))))
+            highs, lows1, lows2, map(str, values), repeat(close))))
 
-    pieces = starmap(render, _run_chunks(runs))
+    pieces = starmap(render, _rendered(num_vars, runs, renders))
     first = next(pieces, None)
     if first is None:
         yield "[]"
@@ -423,7 +466,10 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
     `runs` are as for json_pieces, but in graded-lex order with x0 most
     significant, leading term first.  The first piece starts with the
     leading term, every later one with " + " or " - "; no terms is the
-    single piece "0".
+    single piece "0".  A chunk's coefficients are formatted by one
+    `map(str, ...)`, with no memo per coefficient: a term is written
+    " + c" and its powers, and the chunk's text is fixed up once for the
+    signs and the unit coefficients.
     """
     if latex:
         names, open_, close = [f"x_{{{i}}}" for i in range(num_vars)], "^{", "}"
@@ -431,41 +477,26 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
     else:
         names, open_, close = [f"x{i}" for i in range(num_vars)], "^", ""
         times = "*"
-    powers = [_Memo(lambda e, name=name: f"{name}{open_}{e}{close}", {0: "", 1: name})
+    # each power is rendered with the `times` before it, and the last part
+    # ends with the next term's " + ", so a term is its coefficient's str
+    # and its parts' strings, and the constant term, last in graded-lex
+    # order, is its coefficient's str alone
+    powers = [_Memo(lambda e, name=name: f"{times}{name}{open_}{e}{close}",
+                    {0: "", 1: times + name})
               for name in names]
-    middle = _head_length(num_vars)
-    head_powers, tail_powers = powers[:middle], powers[middle:]
-    heads, tails = _half_memos(
-        num_vars,
-        lambda vector: "".join([power + times for power in filter(
-            None, map(dict.__getitem__, head_powers, vector))]),
-        lambda vector: times.join(filter(None, map(dict.__getitem__, tail_powers, vector))))
 
-    def signed(coeff: int) -> str:
-        # what a term puts before its monomial: " - 2*" for -2, " + " for 1
-        if coeff < 0:
-            return " - " if coeff == -1 else " - " + str(-coeff) + times
-        return " + " if coeff == 1 else " + " + str(coeff) + times
-    prefixes = _Memo(signed)
+    def part(first: int, vector: bytes) -> str:
+        return "".join(map(dict.__getitem__, powers[first:first + len(vector)], vector))
 
-    def render(chunk: list, values: list) -> str:
-        constant = ""
-        if not chunk[-1]:
-            # the constant term, last in graded-lex order, has no monomial
-            chunk.pop()
-            coeff = values.pop()
-            constant = (" - " if coeff < 0 else " + ") + str(abs(coeff))
-        head_parts, tail_parts = _halves(num_vars, chunk)
-        text = "".join(chain.from_iterable(zip(
-            map(prefixes.__getitem__, values),
-            map(heads.__getitem__, head_parts),
-            map(tails.__getitem__, tail_parts))))
-        # a head ends in `times`, so a term with an empty tail ends in it,
-        # before the next term's space or at the chunk's end; nowhere else
-        # is `times` followed by a space or last
-        return text.replace(times + " ", " ").rstrip(times) + constant
+    def render(highs, lows1, lows2, values: list) -> str:
+        text = "".join(chain([" + "], chain.from_iterable(zip(
+            map(str, values), highs, lows1, lows2))))[:-3]
+        # a sign is followed by a coefficient's str, and that by `times`
+        # exactly when a power follows it: drop a 1 there
+        return text.replace(" + -", " - ").replace(" 1" + times, " ")
 
-    pieces = starmap(render, _run_chunks(runs))
+    pieces = starmap(render, _rendered(
+        num_vars, runs, [part, part, lambda first, vector: part(first, vector) + " + "]))
     first = next(pieces, None)
     if first is None:
         yield "0"
@@ -677,14 +708,10 @@ class MultiPoly:
             raise ValueError(
                 f"point has {len(coords)} coordinates, polynomial has {self.num_vars} variables"
             )
-        # each distinct head and tail monomial is evaluated once
-        middle = _head_length(self.num_vars)
-        heads, tails = _half_memos(
-            self.num_vars, lambda vector: prod(map(pow, coords[:middle], vector)),
-            lambda vector: prod(map(pow, coords[middle:], vector)))
-        head_parts, tail_parts = _halves(self.num_vars, self._terms)
-        return sum(map(mul, self._terms.values(), map(
-            mul, map(heads.__getitem__, head_parts), map(tails.__getitem__, tail_parts))))
+        # each distinct value of a part of the keys is evaluated once
+        high, low1, low2 = (_looked_up(part, self._terms) for part in _part_memos(
+            self.num_vars, [lambda first, vector: prod(map(pow, coords[first:], vector))] * 3))
+        return sum(map(mul, self._terms.values(), map(mul, map(mul, high, low1), low2)))
 
     def extended(self, num_vars: int) -> "MultiPoly":
         """Same polynomial viewed in a larger variable set, with the new

@@ -59,12 +59,13 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .exact import (
-    _EXP_MAX, MultiPoly, _moved, _one_degree, _run_chunks, _shift, binomial,
+    _EXP_MAX, MultiPoly, _moved, _one_degree, _shift, binomial,
     check_odd_tuple, double_factorial,
 )
 
@@ -160,6 +161,9 @@ def _x_runs(num_vars: int, store: dict, reverse: bool = False,
     store meet.  So the x terms with x0 exponent a+i, in key order, are the
     terms with b >= i of the sorted store, contiguous b-groups of it, each
     moved by one offset and weighted by one weight: one run per b-group.
+    The b+1 runs of a group share its keys and coefficient lists, and
+    their offsets move x0 and x1 only, so a renderer looks up the rest of
+    each key once per group.
     Raises ArithmeticError on a store whose z0 exponent is not uniform, or,
     for the descending order, which is the text renderer's graded order
     only when every term has one degree, on a store of several degrees.
@@ -206,8 +210,8 @@ def _unpack(packed: MultiPoly, num_vars: int) -> MultiPoly:
     """The z-coordinate polynomial in x: the pre-final store of _prefinal,
     with its runs of _x_runs written into one x store."""
     terms: dict = {}
-    for keys, coeffs in _run_chunks(_x_runs(num_vars, _prefinal(packed, num_vars))):
-        terms.update(zip(keys, coeffs))
+    for keys, offset, coeffs, weight in _x_runs(num_vars, _prefinal(packed, num_vars)):
+        terms.update(zip(map(add, keys, repeat(offset)), map(mul, coeffs, repeat(weight))))
     return MultiPoly._raw(num_vars, terms)
 
 

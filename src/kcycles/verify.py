@@ -384,6 +384,12 @@ def check_counting_sweep() -> Iterator[Triple]:
                    oracles.counting_identity_closed(n, s))
 
 
+def _tree_value(values: tuple[int, ...]) -> Fraction:
+    """The tree polynomial at an odd point, from q_eval: times the shuffle
+    count, the product of the partial sums of all entries but the last."""
+    return q_eval(values) * prod(accumulate(values[:-1]))
+
+
 def check_even_cycles() -> Iterator[Triple]:
     # histograms by full permutation enumeration up to degree 8, and the
     # x0-degree profile of the reduced polynomial through level 7, where no
@@ -396,6 +402,16 @@ def check_even_cycles() -> Iterator[Triple]:
         for exps, coeff in reduced_tree_poly(k).items():
             by_x0[exps[0]] = by_x0.get(exps[0], 0) + coeff
         yield f"T~{k}(x,1..1)", [by_x0.get(i, 0) for i in range(k + 1)], closed
+        yield f"deg T~{k}(x,1..1)", max(by_x0), k
+    # the profile through level 30 from points, with no level built.  x0
+    # counts the root's even child subtrees, which share 2k vertices, so
+    # T~_k(x, 1, ..., 1) has degree at most k in x, and its values at the
+    # k+1 odd points n = 1, 3, ..., 2k+1 fix it
+    for k in range(1, 31):
+        closed = oracles.even_cycle_closed_coeffs(2 * k)
+        for n in range(1, 2 * k + 2, 2):
+            yield (f"T~{k}({n},1..1)", _tree_value((n,) + (1,) * (2 * k)) / n,
+                   sum(c * n ** i for i, c in enumerate(closed)))
 
 
 def check_closed_ones_sweep() -> Iterator[Triple]:
@@ -409,6 +425,15 @@ def check_closed_ones_sweep() -> Iterator[Triple]:
             for m in range(1, 10, 2):
                 values = (n,) + (1,) * (2 * k - 1) + (m,)
                 yield f"T k={k} n={n} m={m}", poly.eval(values), t_closed_ones(k, n, m)
+    # each one-slot line from the all-ones point through level 30, from
+    # points: T~_k is homogeneous of degree 2k and T = x0 T~_k, so T has
+    # degree at most 2k+1 in any one slot, and 2k+2 odd points fix it in n
+    # (m = 1) and in m (n = 1)
+    for k in range(1, 31):
+        for v in range(1, 4 * k + 4, 2):
+            ones = (1,) * (2 * k - 1)
+            yield f"T k={k} n={v} m=1", _tree_value((v, *ones, 1)), t_closed_ones(k, v, 1)
+            yield f"T k={k} n=1 m={v}", _tree_value((1, *ones, v)), t_closed_ones(k, 1, v)
 
 
 def check_closed_main_sweep() -> Iterator[Triple]:

@@ -428,6 +428,71 @@ def test_renderers_span_chunks(constant):
         p.json_pieces(2)) + "\n  }\n}"
 
 
+
+@pytest.mark.parametrize(("num_vars", "degrees", "side"), [
+    (1, [0], 256), (2, [0], 65), (3, [0, 1, 2], 38), (5, [0, 1, 2, 70], 2)])
+def test_renderers_reuse_shared_keys_lists(num_vars, degrees, side):
+    # runs as treepoly._x_runs makes them: keys lists of x2, x3, ...
+    # exponents, each shared by the runs that move it by every (x0, x1)
+    # offset of a side x side grid (side-long for one variable), with
+    # weights of their own.  The grid's (0, 0) leaves an empty (x0, x1)
+    # factor, the zero vector an empty x2.. part, and the two the constant
+    # term; coefficients and weights are signed, so the products 1 and -1
+    # come from each pair of signs.  With x2 present, each list is moved once
+    # more by one in x_(n-1), at an x0 exponent of its own past the grid, so
+    # that run's lows are not the list's.
+    low = num_vars - min(num_vars, 2)
+    vectors = [v for d in degrees for v in itertools.product(range(d + 1), repeat=low)
+               if sum(v) == d]
+    x0 = 1 << exact._shift(num_vars, 0)
+    x1 = 1 << exact._shift(num_vars, 1) if num_vars > 1 else 0
+    grid = [a * x0 + b * x1 for a in range(side) for b in range(side if num_vars > 1 else 1)]
+    signs, weights = [1, -1, 2, -3, 10 ** 20, -(10 ** 20)], [1, -1, 3, -2, -1]
+
+    def runs(group, descending):
+        # one keys list per group of vectors, so that each run is one block
+        # of the renderer's order (text: by degree, then key; JSON: by key),
+        # and the runs in that order
+        lists: dict = {}
+        for v in vectors:
+            lists.setdefault(group(v), []).append(int.from_bytes(bytes(v), "big"))
+        moves = [(g, offset) for g in lists for offset in grid]
+        if low:
+            moves += [(g, (side + i) * x0 + 1) for i, g in enumerate(lists)]
+        shared = {}
+        for g, keys in lists.items():
+            keys.sort(reverse=descending)
+            shared[g] = keys, [signs[key % len(signs)] for key in keys]
+        out = [(keys, offset, coeffs, weights[i % len(weights)])
+               for i, (g, offset) in enumerate(moves) for keys, coeffs in [shared[g]]]
+
+        def first(run):
+            key = run[0][0] + run[1]
+            return (sum(key.to_bytes(num_vars, "big")) if descending else 0, key)
+        out.sort(key=first, reverse=descending)
+        terms = {}
+        for keys, offset, coeffs, weight in out:
+            for key, c in zip(keys, coeffs):
+                terms[tuple((key + offset).to_bytes(num_vars, "big"))] = c * weight
+        assert len(terms) == sum(len(run[0]) for run in out)
+        assert {-1, 1} <= set(terms.values()) and min(terms.values()) < -1
+        p = MultiPoly(num_vars, terms)
+        assert (len(p) > 2 * exact._CHUNK) == (num_vars > 1)
+        return out, p, sum(-(-len(run[0]) // exact._CHUNK) for run in out)
+
+    text_runs, p, chunks = runs(sum, True)
+    for latex in (False, True):
+        pieces = list(term_pieces(num_vars, text_runs, latex))
+        assert len(pieces) == chunks
+        assert "".join(pieces) == _reference_render(p, latex)
+    # by key, the lists of one (x0, x1) part must not interleave: one per x2
+    json_runs, p, chunks = runs(lambda v: v[:1], False)
+    assert "".join(json_pieces(num_vars, json_runs)) == json.dumps(p.to_obj(), indent=2)
+    for depth in (0, 2):
+        pieces = list(json_pieces(num_vars, json_runs, depth))
+        assert len(pieces) == chunks + 1
+        assert "".join(pieces) == "".join(p.json_pieces(depth))
+
 def test_poly_renderers_of_zero_and_constants():
     assert list(MultiPoly.zero(3).term_pieces()) == ["0"]
     assert list(MultiPoly.zero(3).json_pieces(2)) == ["[]"]
