@@ -326,31 +326,37 @@ class _Memo(dict):
 _CHUNK = 2048
 
 
-def _part_memos(num_vars: int, renders: list) -> list[tuple[_Memo, int, int]]:
-    """The three parts of a packed key, x0 and x1, then x2, x3, ... in two
-    halves, each as (memo, shift, mask): the part is key >> shift & mask,
-    and the memo holds renders[i](first variable, vector) of each distinct
-    value of part i, the value decoded to its `bytes` vector once."""
-    low = max(num_vars - 2, 0)
+def _part_memos(sizes: list[int], renders: list) -> list[tuple]:
+    """Consecutive parts of the packed keys of sum(sizes) variables, x0's
+    part first, `sizes[i]` variables in part i, each as (memo, shift,
+    mask): the part is key >> shift, & mask after x0's part, and the memo
+    holds renders[i](first variable, vector) of each distinct value of the
+    part, the value decoded to its `bytes` vector once."""
     parts, start = [], 0
-    for size, render in zip((num_vars - low, (low + 1) // 2, low // 2), renders):
-        start += size
-        memo = _Memo(lambda part, size=size, first=start - size, render=render:
+    for size, render in zip(sizes, renders):
+        memo = _Memo(lambda part, size=size, first=start, render=render:
                      render(first, part.to_bytes(size, "big")))
-        parts.append((memo, _EXP_BITS * (num_vars - start), (1 << _EXP_BITS * size) - 1))
+        # x0's part is all the bits above its shift
+        mask = (1 << _EXP_BITS * size) - 1 if start else None
+        start += size
+        parts.append((memo, _EXP_BITS * (sum(sizes) - start), mask))
     return parts
 
 
-def _looked_up(part: tuple[_Memo, int, int], keys: Iterable[int]) -> Iterator:
+def _looked_up(part: tuple, keys: Iterable[int]) -> Iterator:
     """The memo's values of one part of the packed keys."""
     memo, shift, mask = part
-    return map(memo.__getitem__, map(and_, map(rshift, keys, repeat(shift)), repeat(mask)))
+    if shift:
+        keys = map(rshift, keys, repeat(shift))
+    if mask is not None:
+        keys = map(and_, keys, repeat(mask))
+    return map(memo.__getitem__, keys)
 
 
 def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[tuple]:
     """The terms of the runs, _CHUNK at a time, as (highs, lows1, lows2,
-    values): the renderings of their three parts of _part_memos, by
-    `renders`, and their coefficients.
+    values): the renderings, by `renders`, of three parts of their keys,
+    x0 and x1, then x2, x3, ... in two halves, and their coefficients.
 
     A run's offset and weight apply per chunk.  An offset that leaves x2,
     x3, ... alone leaves a key's two low parts alone: a keys list's lows
@@ -359,7 +365,8 @@ def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[t
     treepoly._x_runs does.  A chunk whose keys share one (x0, x1) part, as
     every chunk of such a run does, looks that part up once.
     """
-    high, low1, low2 = _part_memos(num_vars, renders)
+    low = max(num_vars - 2, 0)
+    high, low1, low2 = _part_memos([num_vars - low, (low + 1) // 2, low // 2], renders)
     high_memo, low_shift = high[:2]
     low_mask = (1 << low_shift) - 1
     # per keys list, the list itself, which keeps its id, and per chunk the
@@ -708,10 +715,13 @@ class MultiPoly:
             raise ValueError(
                 f"point has {len(coords)} coordinates, polynomial has {self.num_vars} variables"
             )
-        # each distinct value of a part of the keys is evaluated once
-        high, low1, low2 = (_looked_up(part, self._terms) for part in _part_memos(
-            self.num_vars, [lambda first, vector: prod(map(pow, coords[first:], vector))] * 3))
-        return sum(map(mul, self._terms.values(), map(mul, map(mul, high, low1), low2)))
+        # each distinct half of a key, the first ceil(n/2) variables and the
+        # rest, is evaluated once
+        middle = (self.num_vars + 1) // 2
+        head, tail = (_looked_up(part, self._terms) for part in _part_memos(
+            [middle, self.num_vars - middle],
+            [lambda first, vector: prod(map(pow, coords[first:], vector))] * 2))
+        return sum(map(mul, self._terms.values(), map(mul, head, tail)))
 
     def extended(self, num_vars: int) -> "MultiPoly":
         """Same polynomial viewed in a larger variable set, with the new
