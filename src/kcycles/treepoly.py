@@ -211,7 +211,12 @@ def _unpack(packed: MultiPoly, num_vars: int) -> MultiPoly:
     with its runs of _x_runs written into one x store."""
     terms: dict = {}
     for keys, offset, coeffs, weight in _x_runs(num_vars, _prefinal(packed, num_vars)):
-        terms.update(zip(map(add, keys, repeat(offset)), map(mul, coeffs, repeat(weight))))
+        # a run that neither moves nor weights its terms stores the ints it has
+        if offset:
+            keys = map(add, keys, repeat(offset))
+        if weight != 1:
+            coeffs = map(mul, coeffs, repeat(weight))
+        terms.update(zip(keys, coeffs))
     return MultiPoly._raw(num_vars, terms)
 
 

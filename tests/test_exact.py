@@ -428,7 +428,6 @@ def test_renderers_span_chunks(constant):
         p.json_pieces(2)) + "\n  }\n}"
 
 
-
 @pytest.mark.parametrize(("num_vars", "degrees", "side"), [
     (1, [0], 256), (2, [0], 65), (3, [0, 1, 2], 38), (5, [0, 1, 2, 70], 2)])
 def test_renderers_reuse_shared_keys_lists(num_vars, degrees, side):
@@ -492,6 +491,7 @@ def test_renderers_reuse_shared_keys_lists(num_vars, degrees, side):
         pieces = list(json_pieces(num_vars, json_runs, depth))
         assert len(pieces) == chunks + 1
         assert "".join(pieces) == "".join(p.json_pieces(depth))
+
 
 def test_poly_renderers_of_zero_and_constants():
     assert list(MultiPoly.zero(3).term_pieces()) == ["0"]
