@@ -367,7 +367,7 @@ def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[t
     """
     low = max(num_vars - 2, 0)
     high, low1, low2 = _part_memos([num_vars - low, (low + 1) // 2, low // 2], renders)
-    high_memo, low_shift = high[:2]
+    high_memo, low_shift, _ = high
     low_mask = (1 << low_shift) - 1
     # per keys list, the list itself, which keeps its id, and per chunk the
     # (x0, x1) part shared by its keys, or each key's, and the lows

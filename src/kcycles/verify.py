@@ -430,8 +430,8 @@ def check_closed_ones_sweep() -> Iterator[Triple]:
     # degree at most 2k+1 in any one slot, and 2k+2 odd points fix it in n
     # (m = 1) and in m (n = 1)
     for k in range(1, 31):
+        ones = (1,) * (2 * k - 1)
         for v in range(1, 4 * k + 4, 2):
-            ones = (1,) * (2 * k - 1)
             yield f"T k={k} n={v} m=1", _tree_value((v, *ones, 1)), t_closed_ones(k, v, 1)
             yield f"T k={k} n=1 m={v}", _tree_value((1, *ones, v)), t_closed_ones(k, 1, v)
 
