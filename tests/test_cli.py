@@ -265,6 +265,24 @@ def test_oracle_treepoly_small():
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of the whole `oracle shuffle-sum` stdout: the enumerated sign sum,
+# the tree polynomial at the point and the verdict, as printed when the
+# reference was q_eval times the shuffle count, a Fraction
+SHUFFLE_SUM_DIGESTS = {
+    "3,1,1": "2560fc366b342b3493232f3bdc6df309c0fdeeb5408d14a7ea79902b2660f9a1",
+    "3,1,1,1,1": "d1542e5edf61dd6417ed839e9b46a9317a01f40afef205dd0924fa00ba86c6d3",
+    "5,3,1": "0cf64f0faf59790fb0f648c45f113bdd510965c25771fecaa5cd60d84b662212",
+    "1,3,1,3,1": "82893ead0a570fd05e5d8765df2178af46d61359e09b3863cb7cf3be6544a90f",
+}
+
+
+@pytest.mark.parametrize("values", sorted(SHUFFLE_SUM_DIGESTS))
+def test_oracle_shuffle_sum_pinned(values):
+    result = run_cli("oracle", "shuffle-sum", values)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == SHUFFLE_SUM_DIGESTS[values]
+
+
 def test_cap_exceeded_exit_code():
     result = run_cli("oracle", "shuffle-sum", "13")
     assert result.returncode == 3
