@@ -46,7 +46,7 @@ _HOMES = {
     **dict.fromkeys((
         "PFamily", "double_sum_identity", "l_poly", "p_family", "q_closed_ones",
         "q_eval", "reduced_tree_poly", "t_closed_main", "t_closed_ones", "tree_poly",
-        "verify_g_recursion", "xe_tables",
+        "tree_value", "verify_g_recursion", "xe_tables",
     ), "treepoly"),
     **dict.fromkeys((
         "CoeffTable", "a_lambda_mu", "a_matrix", "a_single", "b_extend",

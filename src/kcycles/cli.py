@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import accumulate
-from math import prod
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -49,7 +47,7 @@ from .oracles import (
     tree_poly_bruteforce,
 )
 from .treepoly import (
-    l_poly_runs, p_family_runs, q_eval, reduced_tree_poly, xe_tables,
+    l_poly_runs, p_family_runs, reduced_tree_poly, tree_value, xe_tables,
 )
 
 EXIT_OK = 0
@@ -271,8 +269,8 @@ def cmd_oracle(args) -> int:
     if args.what == "shuffle-sum":
         values = args.tuple
         brute = tree_poly_bruteforce(values, cap_letters)
-        closed = q_eval(values) * prod(accumulate(values[:-1]))
-        return _oracle_report(brute, closed, str(brute), format_rational(closed))
+        closed = tree_value(values)
+        return _oracle_report(brute, closed, str(brute), str(closed))
     if args.what == "counting":
         brute = counting_identity_bruteforce(args.n, args.s)
         closed = counting_identity_closed(args.n, args.s)

@@ -52,7 +52,6 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Sequence
 
 from .exact import (
-    Coeff,
     arrangements,
     double_factorial,
     format_rational,
@@ -122,15 +121,19 @@ def closed_b_pair(r: int, k: int) -> Fraction:
     return b_single(r) * b_single(k) * (2 * r + 2 * k + 3) + b_single(r + k)
 
 
-def closed_a_pair(r: int, k: int) -> Coeff:
-    """Two-part closed form on the a side: -(a_r a_k + (2r+2k+3) a_{r+k}) / Sym(r, k)."""
+def closed_a_pair(r: int, k: int) -> int:
+    """Two-part closed form on the a side: -(a_r a_k + (2r+2k+3) a_{r+k}) / Sym(r, k).
+
+    An int: 2^(n+1) divides every a_n and Sym(r, k) is 1 or 2, so the
+    quotient is exact; raises ArithmeticError on a remainder.
+    """
     if r < 1 or k < 1:
         raise ValueError(f"need r, k >= 1, got ({r}, {k})")
-    value = Fraction(
-        -(a_single(r) * a_single(k) + (2 * r + 2 * k + 3) * a_single(r + k)),
-        sym_count((r, k)),
-    )
-    return int(value) if value.denominator == 1 else value
+    value, rest = divmod(-(a_single(r) * a_single(k) + (2 * r + 2 * k + 3) * a_single(r + k)),
+                         sym_count((r, k)))
+    if rest:
+        raise ArithmeticError(f"Sym({r}, {k}) does not divide the a_pair numerator")
+    return value
 
 
 class CoeffTable:

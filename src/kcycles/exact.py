@@ -25,12 +25,13 @@ Polynomials render from runs, by two module-level functions, one per
 format: `term_pieces` for text and LaTeX and `json_pieces` for JSON.  A
 run is (keys, offset, coeffs, weight): the terms key + offset with
 coefficient coeff * weight, for two parallel lists of packed keys and
-coefficients, in output order.  A MultiPoly is the one run of its sorted
-keys, and its methods of the same names delegate to the two functions;
-`treepoly` hands them the runs of a tree polynomial's pre-final store,
-so the x terms are never stored.  The renderers yield one piece per
-chunk of _CHUNK terms, so a caller can stream a level of a million
-terms without holding its rendering.
+coefficients, in output order, and an offset that moves x0 and x1 only
+(the renderers raise ArithmeticError on any other).  A MultiPoly is the
+one run of its sorted keys, and its methods of the same names delegate
+to the two functions; `treepoly` hands them the runs of a tree
+polynomial's pre-final store, so the x terms are never stored.  The
+renderers yield one piece per chunk of _CHUNK terms, so a caller can
+stream a level of a million terms without holding its rendering.
 
 A renderer splits each packed key with shifts and masks into three
 parts: x0 and x1, and x2, x3, ... in two halves.  It renders each distinct
@@ -358,12 +359,13 @@ def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[t
     values): the renderings, by `renders`, of three parts of their keys,
     x0 and x1, then x2, x3, ... in two halves, and their coefficients.
 
-    A run's offset and weight apply per chunk.  An offset that leaves x2,
-    x3, ... alone leaves a key's two low parts alone: a keys list's lows
-    are looked up on its first such run, and its later ones reuse the two
-    lists of references into the memos, as every run of a b-group of
-    treepoly._x_runs does.  A chunk whose keys share one (x0, x1) part, as
-    every chunk of such a run does, looks that part up once.
+    A run's offset and weight apply per chunk.  An offset moves x0 and x1
+    only, as every run of treepoly._x_runs and a MultiPoly's one run (offset
+    0) do, so it leaves a key's two low parts alone: a keys list's lows are
+    looked up on its first run, and its later ones reuse the two lists of
+    references into the memos.  Raises ArithmeticError on a run whose
+    offset moves x2, x3, ....  A chunk whose keys share one (x0, x1) part,
+    as every chunk of a b-group's run does, looks that part up once.
     """
     low = max(num_vars - 2, 0)
     high, low1, low2 = _part_memos([num_vars - low, (low + 1) // 2, low // 2], renders)
@@ -380,15 +382,12 @@ def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[t
         return top, list(_looked_up(low1, keys)), list(_looked_up(low2, keys))
 
     for keys, offset, coeffs, weight in runs:
-        starts = range(0, len(keys), _CHUNK)
         if offset & low_mask:
-            chunks = (parts(list(map(add, keys[start:start + _CHUNK], repeat(offset))))
-                      for start in starts)
-            lift = 0
-        else:
-            if id(keys) not in shared:
-                shared[id(keys)] = keys, [parts(keys[start:start + _CHUNK]) for start in starts]
-            chunks, lift = shared[id(keys)][1], offset >> low_shift
+            raise ArithmeticError("a run's offset moves x2, x3, ...; only x0 and x1 can move")
+        starts = range(0, len(keys), _CHUNK)
+        if id(keys) not in shared:
+            shared[id(keys)] = keys, [parts(keys[start:start + _CHUNK]) for start in starts]
+        chunks, lift = shared[id(keys)][1], offset >> low_shift
         for start, (top, lows1, lows2) in zip(starts, chunks):
             values = coeffs[start:start + _CHUNK]
             if weight != 1:
@@ -427,14 +426,14 @@ def json_pieces(num_vars: int, runs: Iterable[tuple], depth: int = 0) -> Iterato
 
     `runs` are (keys, offset, coeffs, weight) tuples, in ascending key
     order: the terms key + offset with coefficient coeff * weight, for the
-    packed keys and nonzero coefficients of two parallel lists.  A
+    packed keys and nonzero coefficients of two parallel lists, and an
+    offset that moves x0 and x1 only; ArithmeticError on any other.  A
     MultiPoly is the one run of its sorted keys; the runs of one b-group of
-    treepoly._x_runs share its keys list, and their offsets move x0 and x1
-    only, so the list's x2.. parts are looked up once (see _rendered).  A
-    list is read as it is when first seen.  The pieces join to the
-    list of `MultiPoly.to_obj` as it appears nested `depth` levels deep in
-    an indent-2 `json.dumps` document, so a caller can write a large
-    polynomial without holding its rendering.
+    treepoly._x_runs share its keys list, so the list's x2.. parts are
+    looked up once (see _rendered).  A list is read as it is when first
+    seen.  The pieces join to the list of `MultiPoly.to_obj` as it appears
+    nested `depth` levels deep in an indent-2 `json.dumps` document, so a
+    caller can write a large polynomial without holding its rendering.
     """
     item = "\n" + "  " * (depth + 1)
     field = item + "  "

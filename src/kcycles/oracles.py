@@ -186,23 +186,22 @@ def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
 def p_family_x(k: int) -> PFamily:
     """The level-k P-family by the recursion run directly in x coordinates.
 
-    Each step multiplies MultiPoly values, with y1 = x_{2j+1}, y2 =
-    x_{2j+2} and z_i = x0 + ... + x_i.  The level build of treepoly runs
-    the same _p_step on the same type and differs only in the y and z
-    polynomials it passes: variables of partial-sum coordinates, which
-    treepoly._unpack converts to x.  So the check oracle/p-family-coordinates,
-    which compares the two, covers the change of coordinates and _unpack,
-    not the step or the polynomial arithmetic; the checks against
-    enumerated trees through level 5 cover those.  Nothing is cached.
+    Each step multiplies MultiPoly values, with z_i = x0 + ... + x_i.  The
+    level build of treepoly runs the same _p_step on the same type and
+    differs only in the z polynomials it passes: variables of partial-sum
+    coordinates, which treepoly._unpack converts to x.  So the check
+    oracle/p-family-coordinates, which compares the two, covers the change
+    of coordinates and _unpack, not the step or the polynomial arithmetic;
+    the checks against enumerated trees through level 5 cover those.
+    Nothing is cached.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     family = [MultiPoly.constant(1, 1)]
     for j in range(k):
         n = 2 * j + 3
-        x = [MultiPoly.variable(n, i) for i in range(n)]
-        z = list(itertools.accumulate(x))
-        family = _p_step([p.extended(n) for p in family], x[-2], x[-1], *z[-3:])
+        z = list(itertools.accumulate(MultiPoly.variable(n, i) for i in range(n)))
+        family = _p_step([p.extended(n) for p in family], *z[-3:])
     return PFamily(k, {2 * s + 1: p for s, p in enumerate(family)})
 
 

@@ -14,15 +14,16 @@ checked by verify_g_recursion.  Closed forms for near-all-ones
 evaluations and the shuffle sign-sum tables live here too, next to the
 recursion they cross-check.
 
-One step of the recursion, _p_step, serves three routes, and the two
-polynomial routes run it on the same MultiPoly type.  The level build runs
-it in the partial sums z_j = x0 + ... + x_j, where y1 = z_{2k+1} - z_{2k}
-and y2 = z_{2k+2} - z_{2k+1}; there every P_k^c has exactly 2*4^(k-1)
-terms (k >= 1) and no exponent above 2, against tens of thousands of
-terms in x.  Converting to x substitutes z_j = z_{j-1} + x_j slot by slot
-on the packed keys of the z polynomial, each slot one pass of
-exact._moved, the expansion loop of MultiPoly.substitute, with a binomial
-moves table in place of substitute's powers.  _prefinal stops before slot 1
+One step of the recursion, _p_step, serves three routes.  Each passes it
+the partial sums z_{2k}, z_{2k+1} and z_{2k+2} of z_j = x0 + ... + x_j,
+and nothing else, and the two polynomial routes run it on the same
+MultiPoly type.  The level build runs it with the z_j as its variables;
+there every P_k^c has exactly 2*4^(k-1) terms (k >= 1) and no exponent
+above 2, against tens of thousands of terms in x.  Converting to x
+substitutes z_j = z_{j-1} + x_j slot by slot on the packed keys of the z
+polynomial, each slot one pass of exact._moved, the expansion loop of
+MultiPoly.substitute, with a binomial moves table in place of
+substitute's powers.  _prefinal stops before slot 1
 and leaves the pre-final store, in z0, z1, x2, ..., x_{2k}: about 30% of
 the x terms.  No P_k^c holds z0, so z1 = x0 + x1 is the last expansion,
 and no two of its terms meet: the x terms of one x0 exponent, in key
@@ -42,16 +43,18 @@ integers only.  The weighted sums of l_poly sum the z level first and
 convert the sum; the P_k^c are converted one at a time.
 An x exponent is at most 2k, so it stays far below MultiPoly's limit of
 255 through _MAX_LEVEL.
-q_eval, the average sign sum that the coefficient peel needs, runs the
-step on integers at one point: O(k^2) multiply-adds, with no level
-built, so it works at any level.  oracles.p_family_x runs it in x.
+tree_value, the full tree polynomial at an odd point, runs the step on
+the integer partial sums of the point: O(k^2) multiply-adds, with no
+level built, so it works at any level.  q_eval, the average sign sum that
+the coefficient peel needs, is the tree value over the shuffle count.
+oracles.p_family_x runs the step with the z_j as sums of x variables.
 
 Values are immutable.  The z levels and reduced_tree_poly(k) are cached
 per process; p_family and l_poly unpack new polynomials from the cached
 z level on every call, tree_poly multiplies the cached reduced one by
-x0, a monomial, which adds x0's key to each key, and q_eval caches
-nothing.  Building a new level or reduced polynomial takes an internal
-lock, and a built one is read without taking the lock.
+x0, a monomial, which adds x0's key to each key, and tree_value and
+q_eval cache nothing.  Building a new level or reduced polynomial takes
+an internal lock, and a built one is read without taking the lock.
 """
 
 from __future__ import annotations
@@ -75,14 +78,15 @@ from .exact import (
 _MAX_LEVEL = 30
 
 
-def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
+def _p_step(family: list, z2k, z2k1, z2k2) -> list:
     """One step k -> k+1 of the P-family recursion; family[s] is P_k^{2s+1}.
 
-    y1 = x_{2k+1}, y2 = x_{2k+2} and z_i = x0 + ... + x_i, all ints (a
-    point) or all MultiPoly in 2k+3 variables, in z coordinates (the level
-    build) or in x coordinates (the oracle).  With S_c = P_k^c, S_{-1} =
-    S_1 and S_c = 0 beyond c = 2k+1, the terms are grouped by multiplier so
-    that every product has a linear factor:
+    z_i = x0 + ... + x_i, all ints (a point) or all MultiPoly in 2k+3
+    variables, in z coordinates (the level build) or in x coordinates (the
+    oracle); the step takes y1 = x_{2k+1} = z_{2k+1} - z_{2k} and y2 =
+    x_{2k+2} = z_{2k+2} - z_{2k+1} as their differences.  With S_c = P_k^c,
+    S_{-1} = S_1 and S_c = 0 beyond c = 2k+1, the terms are grouped by
+    multiplier so that every product has a linear factor:
 
         P_{k+1}^c = y1 y2 (2c^2 S_c + (c-2)^2 S_{c-2} + (c+2)^2 S_{c+2})
                   + z_{2k+1} (y1 + y2) ((c-2) S_{c-2} - (c+2) S_{c+2})
@@ -90,6 +94,7 @@ def _p_step(family: list, y1, y2, z2k, z2k1, z2k2) -> list:
     """
     zero = family[0] * 0
     padded = [family[0], *family, zero, zero]  # padded[s] is S_{2s-1}
+    y1, y2 = z2k1 - z2k, z2k2 - z2k1
     y1y2, ysum, drop = y1 * y2, y1 + y2, z2k1 - y2
     step = []
     for s in range(len(family) + 1):
@@ -123,8 +128,7 @@ def _extend_levels(level: int) -> list[MultiPoly]:
                 n = 2 * k + 3
                 z2k, z2k1, z2k2 = (MultiPoly.variable(n, i) for i in range(2 * k, n))
                 family = [p.extended(n) for p in _packed_levels[k]]
-                _packed_levels.append(
-                    _p_step(family, z2k1 - z2k, z2k2 - z2k1, z2k, z2k1, z2k2))
+                _packed_levels.append(_p_step(family, z2k, z2k1, z2k2))
     return _packed_levels[level]
 
 
@@ -333,24 +337,36 @@ def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -
                    reverse=reverse, offset=offset)
 
 
-def q_eval(values: Sequence[int]) -> Fraction:
-    """Average oriented sign sum over cyclic shuffles of the given alphabet.
+def tree_value(values: Sequence[int]) -> int:
+    """The full tree polynomial tree_poly(k) at an odd point of 2k+1 entries.
 
-    Equals the full tree polynomial divided by the shuffle count
-    z0 z1 ... z_{2k-1}, where z_j is the j-th partial sum of the entries.
     The P-family step of the level build runs on exact integers at the
-    point, so a level-k call costs O(k^2) multiply-adds at any k; no level
-    is built, cached or locked.  The verify check oracle/reduced-tree-poly
-    compares it with the polynomial from enumerated increasing trees.
+    partial sums z_j of the entries, so a level-k call costs O(k^2)
+    multiply-adds at any k; no level is built, cached or locked.  The
+    reduced polynomial has integer coefficients, so 4^k divides the sum of
+    the family, exactly; raises ArithmeticError on a remainder, as _l_sum
+    does.  The verify checks oracle/reduced-tree-poly and
+    oracle/cyclic-shuffles compare it with enumerated trees and words.
     """
     values = check_odd_tuple(values)
     k = (len(values) - 1) // 2
     z = list(accumulate(values))
     family = [1]  # family[s] is P_j^{2s+1} at the point
     for j in range(k):
-        family = _p_step(family, values[2 * j + 1], values[2 * j + 2],
-                         z[2 * j], z[2 * j + 1], z[2 * j + 2])
-    return Fraction(values[0] * sum(family), 4 ** k * prod(z[: 2 * k]))
+        family = _p_step(family, *z[2 * j:2 * j + 3])
+    reduced, rest = divmod(sum(family), 4 ** k)
+    if rest:
+        raise ArithmeticError(f"4^{k} does not divide the level-{k} sum at {values}")
+    return values[0] * reduced
+
+
+def q_eval(values: Sequence[int]) -> Fraction:
+    """Average oriented sign sum over cyclic shuffles of the given alphabet.
+
+    The tree value over the shuffle count z0 z1 ... z_{2k-1}, where z_j is
+    the j-th partial sum of the entries: the kernel of the coefficient peel.
+    """
+    return Fraction(tree_value(values), prod(accumulate(values[:-1])))
 
 
 # ---------------------------------------------------------------------------

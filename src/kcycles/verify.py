@@ -54,6 +54,7 @@ from .treepoly import (
     t_closed_main,
     t_closed_ones,
     tree_poly,
+    tree_value,
     verify_g_recursion,
     xe_tables,
 )
@@ -203,7 +204,7 @@ def check_pair_closed_anchors() -> Iterator[Triple]:
         expected = Fraction(
             -12 * a_single(n) - (2 * n + 5) * a_single(n + 1), sym_count((n, 1))
         )
-        yield f"a_pair({n},1)", Fraction(closed_a_pair(n, 1)), expected
+        yield f"a_pair({n},1)", closed_a_pair(n, 1), expected
 
 
 def check_xe_anchors() -> Iterator[Triple]:
@@ -330,15 +331,13 @@ def check_cache_consistency(cache_dir=None) -> Iterator[Triple]:
 # ---------------------------------------------------------------------------
 
 def check_oracle_reduced() -> Iterator[Triple]:
-    # the levels, and q_eval at every odd tuple of total <= 17, against the
-    # enumerated trees; q_eval times the shuffle count is the full tree
-    # polynomial at the point
+    # the levels, and the tree value at every odd tuple of total <= 17,
+    # against the enumerated trees
     for k in range(6):
         brute = oracles.reduced_tree_poly_bruteforce(k)
         yield f"k={k}", reduced_tree_poly(k), brute
         for values in _odd_tuples(2 * k + 1, 17):
-            yield (f"Q{values}", q_eval(values) * prod(accumulate(values[:-1])),
-                   values[0] * brute.eval(values))
+            yield f"Q{values}", tree_value(values), values[0] * brute.eval(values)
 
 
 def check_p_family_coordinates() -> Iterator[Triple]:
@@ -357,7 +356,7 @@ def check_oracle_shuffles() -> Iterator[Triple]:
             yield f"T{values}", brute, poly.eval(values)
             # the point route against words, not against the level build it
             # shares its recursion step with
-            yield f"Q{values}", q_eval(values) * prod(accumulate(values[:-1])), brute
+            yield f"Q{values}", tree_value(values), brute
 
 
 def check_shuffle_counts() -> Iterator[Triple]:
@@ -384,12 +383,6 @@ def check_counting_sweep() -> Iterator[Triple]:
                    oracles.counting_identity_closed(n, s))
 
 
-def _tree_value(values: tuple[int, ...]) -> Fraction:
-    """The tree polynomial at an odd point, from q_eval: times the shuffle
-    count, the product of the partial sums of all entries but the last."""
-    return q_eval(values) * prod(accumulate(values[:-1]))
-
-
 def check_even_cycles() -> Iterator[Triple]:
     # histograms by full permutation enumeration up to degree 8, and the
     # x0-degree profile of the reduced polynomial through level 7, where no
@@ -406,12 +399,12 @@ def check_even_cycles() -> Iterator[Triple]:
     # the profile through level 30 from points, with no level built.  x0
     # counts the root's even child subtrees, which share 2k vertices, so
     # T~_k(x, 1, ..., 1) has degree at most k in x, and its values at the
-    # k+1 odd points n = 1, 3, ..., 2k+1 fix it
+    # k+1 odd points n = 1, 3, ..., 2k+1 fix it; T = n T~_k at the point
     for k in range(1, 31):
         closed = oracles.even_cycle_closed_coeffs(2 * k)
         for n in range(1, 2 * k + 2, 2):
-            yield (f"T~{k}({n},1..1)", _tree_value((n,) + (1,) * (2 * k)) / n,
-                   sum(c * n ** i for i, c in enumerate(closed)))
+            yield (f"T~{k}({n},1..1)", tree_value((n,) + (1,) * (2 * k)),
+                   n * sum(c * n ** i for i, c in enumerate(closed)))
 
 
 def check_closed_ones_sweep() -> Iterator[Triple]:
@@ -432,8 +425,8 @@ def check_closed_ones_sweep() -> Iterator[Triple]:
     for k in range(1, 31):
         ones = (1,) * (2 * k - 1)
         for v in range(1, 4 * k + 4, 2):
-            yield f"T k={k} n={v} m=1", _tree_value((v, *ones, 1)), t_closed_ones(k, v, 1)
-            yield f"T k={k} n=1 m={v}", _tree_value((1, *ones, v)), t_closed_ones(k, 1, v)
+            yield f"T k={k} n={v} m=1", tree_value((v, *ones, 1)), t_closed_ones(k, v, 1)
+            yield f"T k={k} n=1 m={v}", tree_value((1, *ones, v)), t_closed_ones(k, 1, v)
 
 
 def check_closed_main_sweep() -> Iterator[Triple]:
@@ -446,6 +439,16 @@ def check_closed_main_sweep() -> Iterator[Triple]:
                 yield f"k={k} r={r} p={p}", poly.eval(values), t_closed_main(k, p, q, r)
             lhs, rhs = double_sum_identity(k, r)
             yield f"double k={k} r={r}", lhs, rhs
+    # in r through level 30, from points, at the first, middle and last
+    # splits: T has degree at most 2k in the slot p+1, which holds 2r+1, and
+    # the closed form has degree at most k+1 in r, so the 2k+2 values
+    # r = 0, ..., 2k+1 fix both
+    for k in range(1, 31):
+        for p in sorted({0, k - 1, 2 * k - 1}):
+            q = 2 * k - 1 - p
+            for r in range(2 * k + 2):
+                values = (3,) + (1,) * p + (2 * r + 1,) + (1,) * q
+                yield f"k={k} r={r} p={p}", tree_value(values), t_closed_main(k, p, q, r)
 
 
 def check_pair_closed_sweep() -> Iterator[Triple]:
@@ -454,8 +457,7 @@ def check_pair_closed_sweep() -> Iterator[Triple]:
         for r in range(1, total):
             k = total - r
             yield f"b({r},{k})", table.b_lambda_n((r, k)), closed_b_pair(r, k)
-            yield (f"a({r},{k})", table.a_lambda_mu((r, k), (total,)),
-                   Fraction(closed_a_pair(r, k)))
+            yield f"a({r},{k})", table.a_lambda_mu((r, k), (total,)), closed_a_pair(r, k)
 
 
 def check_structural() -> Iterator[Triple]:

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from kcycles import coeffs
 from kcycles.coeffs import (
     CoeffTable,
     a_single,
@@ -141,6 +142,15 @@ def test_closed_pairs(table):
                     -12 * a_single(r) - (2 * r + 5) * a_single(r + 1), sym_count((r, 1))
                 )
                 assert closed_a_pair(r, 1) == expected
+
+
+def test_closed_a_pair_is_an_int(monkeypatch):
+    # 2^(n+1) divides every a_n and Sym(r, k) <= 2, so the quotient is exact;
+    # a divisor that leaves a remainder raises rather than round
+    assert all(type(closed_a_pair(r, k)) is int for r in range(1, 40) for k in range(1, 40))
+    monkeypatch.setattr(coeffs, "sym_count", lambda values: 7)
+    with pytest.raises(ArithmeticError, match="divide"):
+        closed_a_pair(1, 1)
 
 
 # ---------------------------------------------------------------------------

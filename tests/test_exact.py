@@ -343,14 +343,16 @@ def test_poly_renderers_match_reference(p):
     # the module-level renderers of runs render the same pieces from the one
     # run of a term map packed key by key, and the same text when the run
     # is split in two and its second part's keys and signs are carried by
-    # an offset and a weight
+    # an offset and a weight; the offset is the x0 and x1 fields of the
+    # second part's least key, as a run of the renderers moves only those
     store = {exact._pack(p.num_vars, exps): c for exps, c in p.items()}
+    low_bits = exact._EXP_BITS * max(p.num_vars - 2, 0)
 
     def runs(keys):
         coeffs = [store[key] for key in keys]
         half = len(keys) // 2
         rest = keys[half:]
-        offset = min(rest, default=0)
+        offset = min(rest, default=0) >> low_bits << low_bits
         return ([(keys, 0, coeffs, 1)],
                 [(keys[:half], 0, coeffs[:half], 1),
                  ([key - offset for key in rest], offset,
@@ -438,8 +440,8 @@ def test_renderers_reuse_shared_keys_lists(num_vars, degrees, side):
     # factor, the zero vector an empty x2.. part, and the two the constant
     # term; coefficients and weights are signed, so the products 1 and -1
     # come from each pair of signs.  With x2 present, each list is moved once
-    # more by one in x_(n-1), at an x0 exponent of its own past the grid, so
-    # that run's lows are not the list's.
+    # more, by one in x1 at an x0 exponent of its own past the grid, with a
+    # weight of its own.
     low = num_vars - min(num_vars, 2)
     vectors = [v for d in degrees for v in itertools.product(range(d + 1), repeat=low)
                if sum(v) == d]
@@ -457,7 +459,7 @@ def test_renderers_reuse_shared_keys_lists(num_vars, degrees, side):
             lists.setdefault(group(v), []).append(int.from_bytes(bytes(v), "big"))
         moves = [(g, offset) for g in lists for offset in grid]
         if low:
-            moves += [(g, (side + i) * x0 + 1) for i, g in enumerate(lists)]
+            moves += [(g, (side + i) * x0 + x1) for i, g in enumerate(lists)]
         shared = {}
         for g, keys in lists.items():
             keys.sort(reverse=descending)
@@ -491,6 +493,21 @@ def test_renderers_reuse_shared_keys_lists(num_vars, degrees, side):
         pieces = list(json_pieces(num_vars, json_runs, depth))
         assert len(pieces) == chunks + 1
         assert "".join(pieces) == "".join(p.json_pieces(depth))
+
+
+def test_renderers_refuse_a_run_that_moves_x2():
+    # a run moves x0 and x1 only, so that its keys list's x2.. halves are
+    # its own; a run that moves x2 raises rather than render a wrong term,
+    # and one that moves x1 renders
+    x0, x1, x2 = (1 << exact._shift(3, i) for i in range(3))
+    keys, coeffs = [x2], [5]
+    for offset in (x2, x0 + x2):
+        runs = [(keys, offset, coeffs, 1)]
+        for pieces in (term_pieces(3, runs), term_pieces(3, runs, latex=True),
+                       json_pieces(3, runs)):
+            with pytest.raises(ArithmeticError, match="x2"):
+                list(pieces)
+    assert "".join(term_pieces(3, [(keys, x0 + x1, coeffs, -1)])) == "-5*x0*x1*x2"
 
 
 def test_poly_renderers_of_zero_and_constants():

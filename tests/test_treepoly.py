@@ -12,6 +12,7 @@ from kcycles import exact, treepoly
 from kcycles.exact import MultiPoly
 from kcycles.oracles import (
     DEFAULT_SHUFFLE_CAP,
+    enumerate_cyclic_shuffles,
     enumerate_increasing_trees,
     p_family_x,
     reduced_tree_poly_bruteforce,
@@ -29,6 +30,7 @@ from kcycles.treepoly import (
     t_closed_main,
     t_closed_ones,
     tree_poly,
+    tree_value,
     verify_g_recursion,
     xe_tables,
 )
@@ -376,8 +378,68 @@ def test_l_poly_totals():
 
 
 # ---------------------------------------------------------------------------
-# q_eval and closed forms
+# tree_value, q_eval and closed forms
 # ---------------------------------------------------------------------------
+
+def _odd_tuples(max_total):
+    """Every tuple of an odd number of positive odd ints summing to at most
+    max_total."""
+    def tuples(budget):
+        yield ()
+        for v in range(1, budget + 1, 2):
+            for rest in tuples(budget - v):
+                yield (v,) + rest
+
+    return [values for values in tuples(max_total) if len(values) % 2]
+
+
+def test_tree_value_matches_the_words():
+    # every odd tuple of at most 9 letters: the tree value is the oriented
+    # sign sum over the enumerated cyclic shuffles, and q_eval is it over
+    # their count
+    points = _odd_tuples(9)
+    assert {len(values) for values in points} == {1, 3, 5, 7, 9}
+    for values in points:
+        value = tree_value(values)
+        assert type(value) is int
+        assert value == tree_poly_bruteforce(values)
+        count = sum(1 for _ in enumerate_cyclic_shuffles(values))
+        assert q_eval(values) == Fraction(value, count)
+
+
+def test_tree_value_matches_the_tree_polynomials():
+    assert tree_value((3, 1, 1, 1, 1)) == 216
+    assert tree_value((9,)) == 9
+    by_length = {}
+    for values in _odd_tuples(13):
+        by_length.setdefault(len(values), []).append(values)
+    for k in range(5):
+        poly = tree_poly(k)
+        for values in by_length[2 * k + 1]:
+            assert tree_value(values) == poly.eval(values)
+    with pytest.raises(ValueError):
+        tree_value((2, 1, 1))
+
+
+def test_tree_value_refuses_a_sum_that_4_k_does_not_divide(monkeypatch, capsys):
+    # a step whose sum is off by one leaves a family sum that 4^k does not
+    # divide; the point route raises rather than round, and the shuffle-sum
+    # oracle exits 6 having printed nothing
+    from kcycles import cli
+
+    production = treepoly._p_step
+
+    def off_by_one(family, *z):
+        step = production(family, *z)
+        return [step[0] + 1, *step[1:]]
+
+    monkeypatch.setattr(treepoly, "_p_step", off_by_one)
+    with pytest.raises(ArithmeticError, match="divide"):
+        tree_value((3, 1, 1, 1, 1))
+    assert cli.main(["oracle", "shuffle-sum", "3,1,1,1,1"]) == cli.EXIT_ARITH
+    out, err = capsys.readouterr()
+    assert out == "" and "divide" in err
+
 
 def test_q_eval_examples():
     assert q_eval((9,)) == 9
@@ -516,12 +578,28 @@ def test_g_recursion(monkeypatch):
 
 
 def test_hyperbolic_coefficients():
-    # cosh^2 - sinh^2 = 1 at t^m/m!; tests/test_series.py checks the sums
-    # for cosh 2t and sinh 2t, and anchors/series checks the same values by
-    # the product rule
+    # cosh^2 - sinh^2 = 1 at t^m/m!; the two tests below check the sums for
+    # cosh 2t and sinh 2t, and anchors/series checks the same values by the
+    # product rule
     for m in range(13):
         sinh2, _, cosh2 = treepoly._hyperbolic(m)
         assert cosh2 - sinh2 == int(m == 0)
+
+
+def test_sinh2_plus_cosh2_is_cosh_2t():
+    # cosh 2t has 2^m at t^m/m! for even m, 0 for odd m
+    for m in range(13):
+        sinh2, _, cosh2 = treepoly._hyperbolic(m)
+        assert sinh2 + cosh2 == (2 ** m if m % 2 == 0 else 0)
+
+
+def test_sinh_cosh_is_half_sinh_2t():
+    # sinh(2t)/2 has coefficient 4^n/(2n+1)! at t^(2n+1), so 2^(m-1) at
+    # t^m/m! for odd m and 0 for even m
+    for m in range(13):
+        _, sinh_cosh, _ = treepoly._hyperbolic(m)
+        assert 2 * sinh_cosh == (2 ** m if m % 2 else 0)
+    assert [treepoly._hyperbolic(m)[1] for m in (1, 2, 3, 5)] == [1, 0, 4, 16]
 
 
 def test_concurrent_family_builds():
