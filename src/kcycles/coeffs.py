@@ -19,19 +19,31 @@ subsets giving it: 1^8 has 7 proper blocks rather than 254 slot subsets.
 
 A one-part superscript b_lambda^n is computed by peeling one part k at a
 time: peeling costs a weighted sum of average shuffle sign sums q_eval
-over compositions of the remaining weight into 2k+1 slots.  Each q_eval is
-O(k^2) integer multiply-adds and builds no tree polynomial, so a peel at
-any k costs one such call per composition whose b-weight is nonzero.
-Which part is peeled must not matter; the test suite checks that over all
-peel orders instead of assuming it.
+over compositions of the remaining weight into 2k+1 slots.  The
+compositions whose nonzero slots are the partition mu add up to a peel
+kernel K(mu, k) that does not depend on lambda, so the table memoizes each
+kernel once and a peel is a sum over the b-row of the rest of b^mu K(mu, k)
+(oracles.peel_by_compositions keeps the sum over every composition).  Each
+q_eval is O(k^2) integer multiply-adds and builds no tree polynomial; a
+weight-8 table makes 244 such calls for 44 kernels.  Which part is peeled
+must not matter; the test suite checks that over all peel orders instead
+of assuming it.
 
 A coarsening has fewer parts or is lambda itself, so in partitions_of order
 (part count first) the b-matrix is lower triangular and so is its inverse a.
 Row lambda of b.a = 1 gives a_lambda = (e_lambda - sum b_lambda^nu a_nu) /
 b_lambda^lambda over the entries nu != lambda of lambda's b-row, so one
 a-row needs only the rows of its coarsenings and never the whole weight.
-The a-rows are memoized too.  b_extend, cup_coeff and b_matrix walk b-rows;
-a_lambda_mu, witten_expansion, cup_coeff and a_matrix read a-rows.
+The a-rows are memoized as the integers A_lambda^mu = Sym(lambda)
+a_lambda^mu: scaled by the lcm D of the denominators of b_lambda^nu /
+Sym(nu), the substitution runs on ints, with one divmod per entry by
+D b_lambda^lambda / Sym(lambda).  That integrality is checked where it is
+used: a remainder raises ArithmeticError (exit code 6), never rounds, and
+the public a-values are Fraction(A, Sym(lambda)).  The verify checks
+matrix/duality and oracle/b-matrix compare the a-rows with forward
+substitution and Gauss-Jordan elimination over the rationals.
+b_extend, cup_coeff and b_matrix walk b-rows; a_lambda_mu,
+witten_expansion, cup_coeff and a_matrix read a-rows.
 
 Zero parts (the degenerate weight-0 class) extend both matrices by
 Stirling-number factors; see CoeffTable.degenerate_b and degenerate_a.
@@ -48,7 +60,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .exact import (
@@ -56,6 +68,7 @@ from .exact import (
     double_factorial,
     format_rational,
     normalize_partition,
+    partition_order,
     partitions_of,
     stirling_first_signed,
     stirling_second,
@@ -64,6 +77,8 @@ from .oracles import invert_rational_matrix  # noqa: F401 -- perfbench/layers.py
 from .treepoly import q_eval
 
 SCHEMA_VERSION = 1
+
+_ZERO = Fraction(0)
 
 
 def a_single(n: int) -> int:
@@ -137,18 +152,22 @@ def closed_a_pair(r: int, k: int) -> int:
 
 
 class CoeffTable:
-    """Memoized b-rows and a-rows over partitions, one lock per table.
+    """Memoized b-rows, peel kernels and a-rows over partitions, one lock
+    per table.
 
-    The row of lam holds b_lam^nu for the coarsenings nu of lam, nonzero
-    entries only; every b reader walks or indexes it.  Reads after a row is
-    built are cheap dictionary hits; building takes the re-entrant lock, so
-    a table can be shared between threads.
+    The b-row of lam holds b_lam^nu for the coarsenings nu of lam, nonzero
+    entries only; every b reader walks or indexes it.  The kernel of
+    (mu, k) holds K(mu, k) for the peels, and the a-row of lam holds the
+    ints Sym(lam) a_lam^mu.  Reads after a memo is filled are cheap
+    dictionary hits; filling takes the re-entrant lock, so a table can be
+    shared between threads.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._brows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
-        self._arows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        self._arows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        self._kernels: dict[tuple[tuple[int, ...], int], Fraction] = {}
 
     # -- the b side ----------------------------------------------------------
 
@@ -175,15 +194,31 @@ class CoeffTable:
             self._brows[lam] = row
         return row
 
+    def _peel_kernel(self, mu: tuple[int, ...], k: int) -> Fraction:
+        # K(mu, k): the sum over the compositions with nonzero slots mu of
+        # (2m0+1)/(2m0+3) q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1); the caller
+        # holds the lock
+        key = mu, k
+        value = self._kernels.get(key)
+        if value is None:
+            value = Fraction(0)
+            for comp in arrangements(mu, 2 * k + 1):
+                tuple_q = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
+                value += Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(tuple_q)
+            self._kernels[key] = value
+        return value
+
     def b_extend(self, lam: Sequence[int], k: int) -> Fraction:
         """Peel step: the b-coefficient of lam + {k} with one-part superscript.
 
         Sums b_lam^mu * (2m0+1)/(2m0+3) * q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1)
         over all compositions (m0..m_{2k}) of sum(lam) into 2k+1 slots, where
         mu is the partition of the nonzero slots, then divides by
-        (-2)^(k+1) (2k-1)!!.  The compositions are visited by the entries of
-        lam's b-row with at most 2k+1 parts, so those whose b_lam^mu vanishes
-        are never enumerated.
+        (-2)^(k+1) (2k-1)!!.  The compositions of one mu add up to the peel
+        kernel K(mu, k), which does not depend on lam and is memoized, so the
+        peel is sum over lam's b-row of b_lam^mu K(mu, k) over the entries
+        with at most 2k+1 parts.  oracles.peel_by_compositions is the sum
+        over every composition that this replaces.
         """
         if k < 1:
             raise ValueError(f"need a peeled part k >= 1, got {k}")
@@ -191,11 +226,8 @@ class CoeffTable:
         with self._lock:
             total = Fraction(0)
             for mu, weight in self._b_row(lam).items():
-                if len(mu) > 2 * k + 1:
-                    continue
-                for comp in arrangements(mu, 2 * k + 1):
-                    tuple_q = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
-                    total += weight * Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(tuple_q)
+                if len(mu) <= 2 * k + 1:
+                    total += weight * self._peel_kernel(mu, k)
             return total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))
 
     def b_lambda_n(self, lam: Sequence[int]) -> Fraction:
@@ -223,26 +255,44 @@ class CoeffTable:
         if sum(lam) != sum(mu):
             raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
         with self._lock:
-            return self._b_row(lam).get(mu, Fraction(0))
+            return self._b_row(lam).get(mu, _ZERO)
 
     # -- the a side and everything built on it --------------------------------
 
-    def _a_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        # b.a = 1 read along row lam: a_lam = (e_lam - sum b_lam^nu a_nu) / b_lam^lam
-        # over the coarsenings nu != lam, which all have fewer parts than lam;
-        # the caller holds the lock and must not mutate the memoized row
+    def _a_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        # the ints A_lam^mu = Sym(lam) a_lam^mu in canonical order, nonzero
+        # entries only.  b.a = 1 read along row lam, over the coarsenings
+        # nu != lam, which all have fewer parts than lam:
+        #   A_lam = (e_lam - sum b_lam^nu / Sym(nu) A_nu) / (b_lam^lam / Sym(lam)).
+        # Scaled by the lcm D of the denominators of b_lam^nu / Sym(nu), nu = lam
+        # included, every coefficient is an int and each entry one exact
+        # division by D b_lam^lam / Sym(lam).  The caller holds the lock and
+        # must not mutate the memoized row
         row = self._arows.get(lam)
         if row is None:
-            acc = {lam: Fraction(1)}
-            b_row = self._b_row(lam)
-            for nu, scale in b_row.items():
-                if nu != lam:
-                    for mu, value in self._a_row(nu).items():
-                        acc[mu] = acc.get(mu, 0) - scale * value
-            pivot = b_row[lam]
-            row = {mu: acc[mu] / pivot for mu in partitions_of(sum(lam), len(lam)) if acc.get(mu)}
+            ratios = [(nu, value / sym_count(nu)) for nu, value in self._b_row(lam).items()]
+            scale = lcm(*(x.denominator for _, x in ratios))
+            factors = {nu: x.numerator * (scale // x.denominator) for nu, x in ratios}
+            pivot = factors.pop(lam)
+            acc = {lam: scale}
+            for nu, factor in factors.items():
+                for mu, value in self._a_row(nu).items():
+                    acc[mu] = acc.get(mu, 0) - factor * value
+            row = {}
+            for mu in sorted(acc, key=partition_order):
+                value, rest = divmod(acc[mu], pivot)
+                if rest:
+                    raise ArithmeticError(f"Sym{lam} a{lam}^{mu} is not an integer")
+                if value:
+                    row[mu] = value
             self._arows[lam] = row
         return row
+
+    def _a_values(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        # a_lam^mu = A_lam^mu / Sym(lam) by mu, in canonical order; the caller
+        # holds the lock
+        sym = sym_count(lam)
+        return {mu: Fraction(value, sym) for mu, value in self._a_row(lam).items()}
 
     def b_matrix(self, n: int) -> list[list[Fraction]]:
         """Matrix of b over partitions of n, rows and columns in partitions_of
@@ -251,15 +301,15 @@ class CoeffTable:
         parts = partitions_of(n)
         with self._lock:
             rows = [self._b_row(lam) for lam in parts]
-        return [[row.get(mu, Fraction(0)) for mu in parts] for row in rows]
+        return [[row.get(mu, _ZERO) for mu in parts] for row in rows]
 
     def a_matrix(self, n: int) -> list[list[Fraction]]:
         """Exact inverse of b_matrix(n), lower triangular like it: row i is the
         a-row of the i-th partition of n."""
         parts = partitions_of(n)
         with self._lock:
-            rows = [self._a_row(lam) for lam in parts]
-        return [[row.get(mu, Fraction(0)) for mu in parts] for row in rows]
+            rows = [self._a_values(lam) for lam in parts]
+        return [[row.get(mu, _ZERO) for mu in parts] for row in rows]
 
     def a_lambda_mu(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """a_lam^mu, the coefficient of the kappa-monomial mu in the dual cycle
@@ -269,14 +319,15 @@ class CoeffTable:
         if sum(lam) != sum(mu):
             raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
         with self._lock:
-            return self._a_row(lam).get(mu, Fraction(0))
+            value = self._a_row(lam).get(mu)
+        return _ZERO if value is None else Fraction(value, sym_count(lam))
 
     def witten_expansion(self, lam: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
         """Row of the a-matrix for lam: the dual-cycle class expanded in
         kappa-monomials, nonzero entries only, in partitions_of order."""
         lam = normalize_partition(lam)
         with self._lock:
-            return dict(self._a_row(lam))
+            return self._a_values(lam)
 
     def cup_coeff(
         self, lam: Sequence[int], mu: Sequence[int]
@@ -290,15 +341,16 @@ class CoeffTable:
         """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
-        total = sum(lam) + sum(mu)
         out: dict[tuple[int, ...], Fraction] = {}
         with self._lock:
             for alpha, a_left in self._a_row(lam).items():
                 for beta, a_right in self._a_row(mu).items():
                     scale = a_left * a_right
                     for nu, factor in self._b_row(normalize_partition(alpha + beta)).items():
-                        out[nu] = out.get(nu, Fraction(0)) + scale * factor
-        return {nu: out[nu] for nu in partitions_of(total, len(lam) + len(mu)) if out.get(nu)}
+                        out[nu] = out.get(nu, 0) + scale * factor
+        # the a-rows hold Sym times a, so the sum carries Sym(lam) Sym(mu)
+        sym = sym_count(lam) * sym_count(mu)
+        return {nu: out[nu] / sym for nu in sorted(out, key=partition_order) if out[nu]}
 
     # -- degenerate (zero-padded) extension ------------------------------------
 

@@ -74,7 +74,7 @@ Coeff = int | Fraction
 
 def format_rational(value: Coeff) -> str:
     """Canonical string form: "p/q" with q > 0 and gcd 1, or plain "p" if integral."""
-    return str(value) if type(value) is int else str(Fraction(value))
+    return str(value) if type(value) in (int, Fraction) else str(Fraction(value))
 
 
 def latex_rational(value: Coeff) -> str:
@@ -187,13 +187,19 @@ def normalize_partition(parts: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of n (at most max_parts parts if given) in canonical order.
+def partition_order(parts: tuple[int, ...]) -> tuple:
+    """Sort key of the canonical partition order: by number of parts
+    ascending, then lexicographically descending.
 
-    The order -- by number of parts ascending, then lexicographically
-    descending -- is part of the interface: emitted tables and cached
-    files index rows and columns by it.
+    The order is part of the interface: emitted tables and cached files
+    index rows and columns by it.
     """
+    return len(parts), tuple(-x for x in parts)
+
+
+def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
+    """All partitions of n (at most max_parts parts if given) in canonical
+    order, the order of partition_order."""
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     out: list[tuple[int, ...]] = []
@@ -210,7 +216,7 @@ def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]
             prefix.pop()
 
     rec(n, n, [])
-    out.sort(key=lambda p: (len(p), tuple(-x for x in p)))
+    out.sort(key=partition_order)
     return out
 
 

@@ -3,8 +3,10 @@ ordinary shuffle sign sums, permutation cycle statistics and
 compositions, plus the routes the production code replaced and which now
 check it: the P-family recursion run in x coordinates (replaced by the
 packed partial-sum build), the sum over index subsets behind multi-part
-b-coefficients (replaced by sub-multiset blocks), and Gauss-Jordan and
-whole-matrix forward substitution (replaced by a-rows over coarsenings).
+b-coefficients (replaced by sub-multiset blocks), the peel as a sum over
+every composition (replaced by memoized peel kernels), and Gauss-Jordan
+and whole-matrix forward substitution over the rationals (replaced by
+integer a-rows over coarsenings).
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .exact import Coeff, MultiPoly, check_odd_tuple, double_factorial, normalize_partition
-from .treepoly import PFamily, _p_step
+from .treepoly import PFamily, _p_step, q_eval
 
 DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
 DEFAULT_LETTER_CAP = 11     # total letters in a cyclic-shuffle alphabet
@@ -270,6 +272,28 @@ def b_lambda_mu_subsets(
     return b(lam, mu)
 
 
+def peel_by_compositions(
+    lam: Sequence[int], k: int, b_entry: Callable[[tuple[int, ...], tuple[int, ...]], Fraction]
+) -> Fraction:
+    """The peel b of lam + {k} with one-part superscript, as one sum over
+    every composition (m0..m_{2k}) of sum(lam) into 2k+1 slots of
+    b_entry(lam, mu) (2m0+1)/(2m0+3) q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1),
+    mu the partition of the nonzero slots, divided by (-2)^(k+1) (2k-1)!!.
+
+    This is the per-lam sum that the peel kernel of coeffs regroups by mu;
+    no entry b_lam^mu is assumed to vanish.
+    """
+    if k < 1:
+        raise ValueError(f"need a peeled part k >= 1, got {k}")
+    lam = normalize_partition(lam)
+    total = Fraction(0)
+    for comp in compositions(sum(lam), 2 * k + 1):
+        mu = normalize_partition(x for x in comp if x)
+        point = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
+        total += b_entry(lam, mu) * Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(point)
+    return total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))
+
+
 def invert_rational_matrix(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(rows)
@@ -483,6 +507,7 @@ __all__ = [
     "p_family_x",
     "compositions",
     "b_lambda_mu_subsets",
+    "peel_by_compositions",
     "invert_rational_matrix",
     "invert_lower_triangular",
     "shuffle_sign_sum_bruteforce",

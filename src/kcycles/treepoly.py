@@ -408,20 +408,23 @@ def t_closed_main(k: int, p: int, q: int, r: int) -> int:
         raise ValueError(f"need k >= 1 and p, q, r >= 0, got (k={k}, p={p}, q={q}, r={r})")
     if p + q != 2 * k - 1:
         raise ValueError(f"need p + q = 2k - 1, got p={p}, q={q}, k={k}")
-    total = Fraction(0)
+    # the factor q!/(q-2s+1)! is an int except at s = 0, where it is 1/(q+1):
+    # sum (q+1) times each term on ints and divide once, exactly
+    total = 0
     for s in range((q + 1) // 2 + 1):
         bracket = (q - 2 * s + 1) * (2 * r + 2 * s + 1) - 2 * s * (2 * k - 2 * s + 3)
         total += (
-            Fraction(factorial(q), factorial(q - 2 * s + 1))
+            factorial(q + 1) // factorial(q - 2 * s + 1)
             * binomial(r - 1 + s, s)
             * factorial(2 * k - 2 * s)
             * 3
             * (k - s + 1)
             * bracket
         )
-    if total.denominator != 1:
-        raise ArithmeticError(f"closed form produced a non-integer: {total}")
-    return int(total)
+    value, rest = divmod(total, q + 1)
+    if rest:
+        raise ArithmeticError(f"closed form produced a non-integer: {total}/{q + 1}")
+    return value
 
 
 def xe_tables(variant: str, n: int, m: int) -> tuple[int, Fraction]:

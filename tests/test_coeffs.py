@@ -1,11 +1,13 @@
 """Tests for the coefficient pipeline: b/a tables, cup products, degenerate case."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
 
-from kcycles import coeffs
+from kcycles import coeffs, oracles
 from kcycles.coeffs import (
     CoeffTable,
     a_single,
@@ -20,8 +22,13 @@ from kcycles.coeffs import (
     sym_count,
     table_document,
 )
-from kcycles.exact import partitions_of, stirling_second
-from kcycles.oracles import b_lambda_mu_subsets, invert_lower_triangular, invert_rational_matrix
+from kcycles.exact import partition_order, partitions_of, stirling_second
+from kcycles.oracles import (
+    b_lambda_mu_subsets,
+    invert_lower_triangular,
+    invert_rational_matrix,
+    peel_by_compositions,
+)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,45 @@ def test_order_independence_small(table):
         assert values.pop() == table.b_lambda_n(lam)
 
 
+def peels_through(weight):
+    # every distinct peel (rest, part) of a partition of weight <= `weight`
+    return sorted({(lam[:i] + lam[i + 1:], lam[i]) for w in range(1, weight + 1)
+                   for lam in partitions_of(w) for i in range(len(lam))})
+
+
+def test_peel_kernel_matches_the_composition_oracle(monkeypatch):
+    # the kernel regroups the sum over every composition by the partition of
+    # its nonzero slots; the oracle walks every composition, zero b-entries
+    # included.  q_eval is a pure function, so the oracle may memoize it
+    monkeypatch.setattr(oracles, "q_eval", lru_cache(maxsize=None)(oracles.q_eval))
+    fresh = CoeffTable()
+    peels = peels_through(10)
+    assert len(peels) == 284
+    for rest, part in peels:
+        assert fresh.b_extend(rest, part) == peel_by_compositions(rest, part, fresh.b_lambda_mu)
+
+
+def test_peel_kernel_evaluates_each_key_once(monkeypatch):
+    # a key (mu, k) owns the compositions with nonzero slots mu in 2k+1 slots,
+    # so no point is evaluated twice when each key is evaluated once
+    calls = Counter()
+    production = coeffs.q_eval
+
+    def counting(point):
+        calls[point] += 1
+        return production(point)
+
+    monkeypatch.setattr(coeffs, "q_eval", counting)
+    fresh = CoeffTable()
+    table_document(8, fresh)
+    assert len(fresh._kernels) == 44
+    assert sum(calls.values()) == len(calls) == 244
+    # peeling every part, not only the smallest, adds keys but repeats none
+    for rest, part in peels_through(8):
+        fresh.b_extend(rest, part)
+    assert len(fresh._kernels) > 44 and max(calls.values()) == 1
+
+
 def test_closed_pairs(table):
     assert closed_b_pair(1, 1) == Fraction(29, 720)
     assert closed_b_pair(2, 1) == Fraction(-19, 3360)
@@ -187,6 +233,33 @@ def test_invert_lower_triangular():
         invert_lower_triangular([[Fraction(1), Fraction(0)]])
     with pytest.raises(ValueError):
         invert_lower_triangular([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]])
+
+
+def test_a_rows_are_integers_times_sym():
+    # a row holds Sym(lam) a_lam^mu as ints, and the public values divide it back
+    fresh = CoeffTable()
+    for lam in partitions_of(8):
+        row = fresh._a_row(lam)
+        assert all(type(value) is int and value for value in row.values())
+        assert list(row) == sorted(row, key=partition_order)
+        assert fresh.witten_expansion(lam) == {
+            mu: Fraction(value, sym_count(lam)) for mu, value in row.items()}
+
+
+def test_non_integral_a_row_raises(monkeypatch, tmp_path, capsys):
+    # b_1 = 7/12 makes a_1 = 12/7: the integer solve raises rather than round,
+    # and the table command exits 6 having printed and cached nothing
+    from kcycles import cli
+
+    monkeypatch.setattr(coeffs, "b_single", lambda n: Fraction(7, a_single(n)))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        CoeffTable().a_lambda_mu((1,), (1,))
+    monkeypatch.setattr(coeffs, "_shared", CoeffTable())
+    cache = tmp_path / "cache"
+    assert cli.main(["--cache-dir", str(cache), "table", "--weight", "4"]) == cli.EXIT_ARITH
+    out, err = capsys.readouterr()
+    assert out == "" and "not an integer" in err
+    assert not cache.exists() or not any(cache.iterdir())
 
 
 def test_matrix_weight_one(table):
@@ -268,17 +341,18 @@ def test_cup_weights(table):
 
 def test_cup_consistency_with_kappa_expansion(table):
     # recompute the cup terms from scratch through the kappa expansion:
-    # expand both factors, multiply the kappa-monomials, convert back via b
-    lam, mu = (1,), (2,)
-    recovered = {}
-    for alpha, a1 in table.witten_expansion(lam).items():
-        for beta, a2 in table.witten_expansion(mu).items():
-            joined = tuple(sorted(alpha + beta, reverse=True))
-            for nu in partitions_of(3):
-                val = table.b_lambda_mu(joined, nu)
-                if val:
-                    recovered[nu] = recovered.get(nu, Fraction(0)) + a1 * a2 * val
-    assert {k: v for k, v in recovered.items() if v} == table.cup_coeff(lam, mu)
+    # expand both factors, multiply the kappa-monomials, convert back via b;
+    # repeated parts are where a factor's Sym is not 1
+    for lam, mu in [((1,), (2,)), ((1, 1), (1,)), ((2, 2), (1, 1, 1))]:
+        recovered = {}
+        for alpha, a1 in table.witten_expansion(lam).items():
+            for beta, a2 in table.witten_expansion(mu).items():
+                joined = tuple(sorted(alpha + beta, reverse=True))
+                for nu in partitions_of(sum(lam) + sum(mu)):
+                    val = table.b_lambda_mu(joined, nu)
+                    if val:
+                        recovered[nu] = recovered.get(nu, Fraction(0)) + a1 * a2 * val
+        assert {k: v for k, v in recovered.items() if v} == table.cup_coeff(lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from kcycles.exact import (
     json_pieces,
     latex_rational,
     normalize_partition,
+    partition_order,
     partitions_of,
     signed_join,
     stirling_first_signed,
@@ -37,6 +38,7 @@ def test_rational_parse_and_format():
     assert format_rational(Fraction(6, 2)) == "3"
     assert format_rational(Fraction(-29, 720)) == "-29/720"
     assert format_rational(5) == "5"
+    assert format_rational(Fraction(4, 1)) == format_rational(4) == "4"
     # the LaTeX form is of the magnitude, for the coefficient tables' output
     assert latex_rational(Fraction(-29, 720)) == "\\frac{29}{720}"
     assert latex_rational(Fraction(6, 2)) == latex_rational(-3) == "3"
@@ -137,6 +139,14 @@ def test_partitions_of_order():
     assert partitions_of(5)[0] == (5,)
     with pytest.raises(ValueError):
         partitions_of(-1)
+
+
+def test_partition_order_is_the_order_of_partitions_of():
+    for n in range(9):
+        parts = partitions_of(n)
+        assert sorted(reversed(parts), key=partition_order) == parts
+    assert sorted([(1, 1), (2,), (1, 1, 1), (2, 1)], key=partition_order) == [
+        (2,), (2, 1), (1, 1), (1, 1, 1)]
 
 
 def test_partitions_counts():

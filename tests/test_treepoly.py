@@ -502,6 +502,16 @@ def test_t_closed_main():
                 assert poly.eval(values) == t_closed_main(k, p, q, r)
 
 
+def test_t_closed_main_refuses_a_non_integral_sum(monkeypatch):
+    # the terms are summed times q+1 on ints and divided once; a factorial off
+    # by one leaves a sum that q+1 = 7 does not divide, and the closed form
+    # raises rather than round
+    assert t_closed_main(4, 1, 6, 2) == tree_value((3, 1, 5) + (1,) * 6)
+    monkeypatch.setattr(treepoly, "factorial", lambda n: factorial(n) + 1)
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        t_closed_main(4, 1, 6, 2)
+
+
 def test_xe_tables_against_bruteforce():
     # n + m up to the oracle's own default cap
     for variant in ("X0", "X1", "X2"):
