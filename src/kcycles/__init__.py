@@ -5,11 +5,8 @@ Layout:
 
 * exact     -- rationals, sparse multivariate polynomials, partitions,
                arrangements, Stirling numbers, double factorials
-* oracles   -- brute-force enumerations (increasing trees, cyclic
-               shuffles, sign-sum tables, cycle statistics,
-               compositions), the P-family recursion in x coordinates,
-               the index-subset b sum, and Gauss-Jordan and whole-matrix
-               forward-substitution inversion
+* oracles   -- brute-force enumerations and the routes the production
+               code replaced, each kept to check it
 * treepoly  -- the production recursion for the integer tree polynomials,
                its hyperbolic generating-function check, and all closed
                forms attached to them

@@ -20,6 +20,10 @@ from .coeffs import SCHEMA_VERSION
 
 ENV_CACHE_DIR = "KCYCLES_CACHE_DIR"
 
+# reading the umask sets it, so it is read once, at import
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
 
 def default_cache_dir() -> Path:
     env = os.environ.get(ENV_CACHE_DIR)
@@ -48,6 +52,8 @@ def write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        # mkstemp makes the file 0o600; give it the mode open(path, "w") would
+        os.chmod(tmp_name, 0o666 & ~_UMASK)
         os.replace(tmp_name, path)
     except BaseException:
         try:

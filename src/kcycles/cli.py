@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import cache as cache_mod
@@ -110,17 +111,12 @@ def _emit(text: str) -> None:
 
 
 def _kappa_latex(parts: tuple[int, ...]) -> str:
-    if not parts:
-        return "1"
     factors = []
-    seen: dict[int, int] = {}
-    for p in parts:
-        seen[p] = seen.get(p, 0) + 1
-    for value in sorted(seen, reverse=True):
-        power = seen[value]
+    for value, power in sorted(Counter(parts).items(), reverse=True):
         body = f"\\tilde{{\\kappa}}_{{{value}}}"
         factors.append(body if power == 1 else f"{body}^{{{power}}}")
-    return " ".join(factors)
+    # the empty partition is the unit class
+    return " ".join(factors) or "1"
 
 
 def _emit_terms(terms, fmt: str, head: dict, latex_basis) -> None:

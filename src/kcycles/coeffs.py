@@ -7,46 +7,14 @@ are exact rationals.  One-part coefficients are explicit:
 
     a_n = (-2)^(n+1) (2n+1)!!,   b_n = 1/a_n.
 
-b_lambda^mu vanishes unless mu coarsens lambda, so all b-coefficients come
-from one memo of rows: the row of lambda maps each coarsening nu to
-b_lambda^nu and holds the nonzero entries only.  Its one-part entry is b_n
-or a peel (below).  A multi-part nu is a sum of products over surjections:
-the block of lambda sent to nu[0] contributes its own one-part entry, the
-rest contributes its entry at nu[1:].  So the row is assembled from the rows
-of the sub-multisets of lambda, each block taking t_i of the m_i copies of
-each distinct part and weighted by prod C(m_i, t_i), the number of slot
-subsets giving it: 1^8 has 7 proper blocks rather than 254 slot subsets.
-
-A one-part superscript b_lambda^n is computed by peeling one part k at a
-time: peeling costs a weighted sum of average shuffle sign sums q_eval
-over compositions of the remaining weight into 2k+1 slots.  The
-compositions whose nonzero slots are the partition mu add up to a peel
-kernel K(mu, k) that does not depend on lambda, so the table memoizes each
-kernel once and a peel is a sum over the b-row of the rest of b^mu K(mu, k)
-(oracles.peel_by_compositions keeps the sum over every composition).  Each
-q_eval is O(k^2) integer multiply-adds and builds no tree polynomial; a
-weight-8 table makes 244 such calls for 44 kernels.  Which part is peeled
-must not matter; the test suite checks that over all peel orders instead
-of assuming it.
-
-A coarsening has fewer parts or is lambda itself, so in partitions_of order
-(part count first) the b-matrix is lower triangular and so is its inverse a.
-Row lambda of b.a = 1 gives a_lambda = (e_lambda - sum b_lambda^nu a_nu) /
-b_lambda^lambda over the entries nu != lambda of lambda's b-row, so one
-a-row needs only the rows of its coarsenings and never the whole weight.
-The a-rows are memoized as the integers A_lambda^mu = Sym(lambda)
-a_lambda^mu: scaled by the lcm D of the denominators of b_lambda^nu /
-Sym(nu), the substitution runs on ints, with one divmod per entry by
-D b_lambda^lambda / Sym(lambda).  That integrality is checked where it is
-used: a remainder raises ArithmeticError (exit code 6), never rounds, and
-the public a-values are Fraction(A, Sym(lambda)).  The verify checks
-matrix/duality and oracle/b-matrix compare the a-rows with forward
-substitution and Gauss-Jordan elimination over the rationals.
-b_extend, cup_coeff and b_matrix walk b-rows; a_lambda_mu,
-witten_expansion, cup_coeff and a_matrix read a-rows.
-
-Zero parts (the degenerate weight-0 class) extend both matrices by
-Stirling-number factors; see CoeffTable.degenerate_b and degenerate_a.
+b_lambda^mu vanishes unless mu coarsens lambda, and a coarsening has
+fewer parts or is lambda itself, so in partitions_of order (part count
+first) the b-matrix is lower triangular and so is its inverse a.
+CoeffTable._b_row builds the b-rows, b_extend the one-part entries by
+peeling one part through a peel kernel, and CoeffTable._a_row the a-rows,
+in integers.  Zero parts (the degenerate weight-0 class) extend both
+matrices by Stirling-number factors; see CoeffTable.degenerate_b and
+degenerate_a.
 
 Every coefficient, the degenerate ones included, is a CoeffTable method,
 and a CoeffTable memoizes everything behind a re-entrant lock.  The module
@@ -57,10 +25,11 @@ cup_coeff, degenerate_b, ...) are its bound methods.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .exact import (
@@ -95,13 +64,7 @@ def b_single(n: int) -> Fraction:
 
 def sym_count(values: Iterable[int]) -> int:
     """Number of permutations fixing the multiset: product of multiplicity factorials."""
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    out = 1
-    for c in counts.values():
-        out *= factorial(c)
-    return out
+    return prod(map(factorial, Counter(values).values()))
 
 
 @lru_cache(maxsize=None)
@@ -151,16 +114,21 @@ def closed_a_pair(r: int, k: int) -> int:
     return value
 
 
-class CoeffTable:
-    """Memoized b-rows, peel kernels and a-rows over partitions, one lock
-    per table.
+def _same_weight(lam: Sequence[int], mu: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """lam and mu as partitions; ValueError unless they have one weight."""
+    lam, mu = normalize_partition(lam), normalize_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+    return lam, mu
 
-    The b-row of lam holds b_lam^nu for the coarsenings nu of lam, nonzero
-    entries only; every b reader walks or indexes it.  The kernel of
-    (mu, k) holds K(mu, k) for the peels, and the a-row of lam holds the
-    ints Sym(lam) a_lam^mu.  Reads after a memo is filled are cheap
-    dictionary hits; filling takes the re-entrant lock, so a table can be
-    shared between threads.
+
+class CoeffTable:
+    """Memoized b-rows (_b_row), peel kernels (b_extend) and a-rows
+    (_a_row) over partitions, one lock per table.
+
+    Every b reader walks or indexes a b-row, and every a reader an a-row.
+    Reads after a memo is filled are cheap dictionary hits; filling takes
+    the re-entrant lock, so a table can be shared between threads.
     """
 
     def __init__(self) -> None:
@@ -172,8 +140,16 @@ class CoeffTable:
     # -- the b side ----------------------------------------------------------
 
     def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        # the nonzero b_lam^nu by coarsening nu; the caller holds the lock and
-        # must not mutate the memoized row
+        """The nonzero b_lam^nu by coarsening nu of lam.
+
+        The one-part entry is b_n or the peel of the smallest part.  A
+        multi-part nu is a sum of products over surjections: the block of
+        lam sent to nu[0] contributes its own one-part entry, the rest its
+        entry at nu[1:].  So the row is assembled from the rows of the
+        sub-multisets of lam, each block weighted by the number of slot
+        subsets giving it (_sub_multisets).  The caller holds the lock and
+        must not mutate the memoized row.
+        """
         row = self._brows.get(lam)
         if row is None:
             if len(lam) < 2:
@@ -215,10 +191,10 @@ class CoeffTable:
         over all compositions (m0..m_{2k}) of sum(lam) into 2k+1 slots, where
         mu is the partition of the nonzero slots, then divides by
         (-2)^(k+1) (2k-1)!!.  The compositions of one mu add up to the peel
-        kernel K(mu, k), which does not depend on lam and is memoized, so the
-        peel is sum over lam's b-row of b_lam^mu K(mu, k) over the entries
-        with at most 2k+1 parts.  oracles.peel_by_compositions is the sum
-        over every composition that this replaces.
+        kernel K(mu, k), which does not depend on lam and is memoized per
+        table, so the peel is sum over lam's b-row of b_lam^mu K(mu, k) over
+        the entries with at most 2k+1 parts.  oracles.peel_by_compositions
+        is the sum over every composition, and the oracle of this one.
         """
         if k < 1:
             raise ValueError(f"need a peeled part k >= 1, got {k}")
@@ -250,24 +226,30 @@ class CoeffTable:
         One entry of lam's b-row, zero unless mu coarsens lam; a first query
         builds the whole row.  A one-part mu is the peel of the smallest part.
         """
-        lam = normalize_partition(lam)
-        mu = normalize_partition(mu)
-        if sum(lam) != sum(mu):
-            raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+        lam, mu = _same_weight(lam, mu)
         with self._lock:
             return self._b_row(lam).get(mu, _ZERO)
 
     # -- the a side and everything built on it --------------------------------
 
     def _a_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        # the ints A_lam^mu = Sym(lam) a_lam^mu in canonical order, nonzero
-        # entries only.  b.a = 1 read along row lam, over the coarsenings
-        # nu != lam, which all have fewer parts than lam:
-        #   A_lam = (e_lam - sum b_lam^nu / Sym(nu) A_nu) / (b_lam^lam / Sym(lam)).
-        # Scaled by the lcm D of the denominators of b_lam^nu / Sym(nu), nu = lam
-        # included, every coefficient is an int and each entry one exact
-        # division by D b_lam^lam / Sym(lam).  The caller holds the lock and
-        # must not mutate the memoized row
+        """The ints A_lam^mu = Sym(lam) a_lam^mu in canonical order, nonzero
+        entries only.
+
+        b.a = 1 read along row lam, over the coarsenings nu != lam, which
+        all have fewer parts than lam, gives
+
+            A_lam = (e_lam - sum b_lam^nu / Sym(nu) A_nu) / (b_lam^lam / Sym(lam)),
+
+        so an a-row needs only the a-rows of its coarsenings.  Scaled by the
+        lcm D of the denominators of b_lam^nu / Sym(nu), nu = lam included,
+        every coefficient is an int and each entry one exact division by
+        D b_lam^lam / Sym(lam); a remainder raises ArithmeticError, never
+        rounds.  The public a-values are Fraction(A, Sym(lam)).  The checks
+        matrix/duality and oracle/b-matrix compare the rows with forward
+        substitution and Gauss-Jordan elimination over the rationals.  The
+        caller holds the lock and must not mutate the memoized row.
+        """
         row = self._arows.get(lam)
         if row is None:
             ratios = [(nu, value / sym_count(nu)) for nu, value in self._b_row(lam).items()]
@@ -314,10 +296,7 @@ class CoeffTable:
     def a_lambda_mu(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
         """a_lam^mu, the coefficient of the kappa-monomial mu in the dual cycle
         of lam: one entry of lam's a-row, zero unless mu coarsens lam."""
-        lam = normalize_partition(lam)
-        mu = normalize_partition(mu)
-        if sum(lam) != sum(mu):
-            raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+        lam, mu = _same_weight(lam, mu)
         with self._lock:
             value = self._a_row(lam).get(mu)
         return _ZERO if value is None else Fraction(value, sym_count(lam))

@@ -8,49 +8,15 @@ Conventions used throughout the package:
   may be either (the two compare and hash equal, so mixing is safe, and
   `format_rational` prints them alike);
 * a partition is a tuple of positive ints sorted weakly decreasing, the
-  empty tuple being the empty partition;
+  empty tuple being the empty partition, and `partition_order` is the
+  canonical order of partitions;
 * an exponent vector is a tuple of nonnegative ints, one per variable.
 
-A MultiPoly packs each exponent vector into one int, 8 bits per variable
-with x0 in the high byte, the one key type of the module: multiplying two
-monomials is one integer add, and two keys of one arity compare as ints
-as their exponent tuples do, so a plain sort puts them in exponent order.
-An exponent above 255 raises ValueError, at construction and in any
-product or substitution whose operands could carry into the next
-variable's field.  The constructor and `coefficient` take tuples, and
-`items` yields them.  Coefficients are ints, as every tree polynomial's
-are, and anything else, a Fraction included, raises TypeError.
-
-Polynomials render from runs, by two module-level functions, one per
-format: `term_pieces` for text and LaTeX and `json_pieces` for JSON.  A
-run is (keys, offset, coeffs, weight): the terms key + offset with
-coefficient coeff * weight, for two parallel lists of packed keys and
-coefficients, in output order, and an offset that moves x0 and x1 only
-(the renderers raise ArithmeticError on any other).  A MultiPoly is the
-one run of its sorted keys, and its methods of the same names delegate
-to the two functions; `treepoly` hands them the runs of a tree
-polynomial's pre-final store, so the x terms are never stored.  The
-renderers yield one piece per chunk of _CHUNK terms, so a caller can
-stream a level of a million terms without holding its rendering.
-
-A renderer splits each packed key with shifts and masks into three
-parts: x0 and x1, and x2, x3, ... in two halves.  It renders each distinct
-value of a part once, in a memo that lives for one call: the powers for
-text and LaTeX, the exponent lines for JSON.  Every run of a tree
-polynomial is one b-group of its pre-final store moved in x0 and x1 only,
-so a run's keys share one (x0, x1) part, rendered once per chunk, and a
-group's runs share one keys list, whose two x2.. halves are looked up once
-per list, as two lists of references into the memos, and reused by each
-later run of the list.  A chunk is rendered as one flat join of those
-strings with its coefficients, formatted by one `map(str, ...)`, and its
-signs and unit coefficients fixed by two `str.replace` passes over the
-chunk's text, so what is in flight is one chunk's text, the memos and the
-groups' lookups.  The 52,899 terms of the level-5 l:2 polynomial come in
-35 runs of 7 keys lists, which hold its 15,489 pre-final terms, and have
-1,363 and 42 distinct halves.  The text order needs total degrees only
-where they differ: a key is its degree modulo 255, and a store whose
-keys share one residue while its exponents stay small, as every tree
-polynomial does, is of one degree and is sorted once.
+MultiPoly is the one polynomial type, with int coefficients and packed
+int keys (see MultiPoly).  Polynomials render from runs of packed keys,
+by `term_pieces` for text and LaTeX and `json_pieces` for JSON, one piece
+per chunk of terms; _rendered explains how the keys of the runs are
+rendered by parts.
 
 All values are immutable after construction and every operation is a pure
 function, so everything here can be shared freely across threads.
@@ -58,6 +24,7 @@ function, so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, repeat, starmap
@@ -79,8 +46,6 @@ def format_rational(value: Coeff) -> str:
 
 def latex_rational(value: Coeff) -> str:
     """LaTeX form of |value|: "\\frac{p}{q}", or plain "p" if integral."""
-    if type(value) is int:
-        return str(abs(value))
     value = Fraction(value)
     if value.denominator == 1:
         return str(abs(value.numerator))
@@ -197,9 +162,8 @@ def partition_order(parts: tuple[int, ...]) -> tuple:
     return len(parts), tuple(-x for x in parts)
 
 
-def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
-    """All partitions of n (at most max_parts parts if given) in canonical
-    order, the order of partition_order."""
+def partitions_of(n: int) -> list[tuple[int, ...]]:
+    """All partitions of n in canonical order, the order of partition_order."""
     if n < 0:
         raise ValueError(f"cannot partition {n}")
     out: list[tuple[int, ...]] = []
@@ -207,8 +171,6 @@ def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]
     def rec(remaining: int, largest: int, prefix: list[int]) -> None:
         if remaining == 0:
             out.append(tuple(prefix))
-            return
-        if max_parts is not None and len(prefix) >= max_parts:
             return
         for part in range(min(remaining, largest), 0, -1):
             prefix.append(part)
@@ -230,9 +192,8 @@ def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
     parts = tuple(parts)
     if len(parts) > slots or any(p < 1 for p in parts):
         raise ValueError(f"need at most {slots} positive parts, got {parts}")
-    counts: dict[int, int] = {0: slots - len(parts)}
-    for p in parts:
-        counts[p] = counts.get(p, 0) + 1
+    # the arrangements come in the order of these keys, 0 first
+    counts = Counter((0,) * (slots - len(parts)) + parts)
 
     def rec(left: int) -> Iterator[tuple[int, ...]]:
         if left == 0:
@@ -252,9 +213,7 @@ def arrangements(parts: Iterable[int], slots: int) -> Iterator[tuple[int, ...]]:
 # sparse multivariate polynomials
 # ---------------------------------------------------------------------------
 
-# An exponent vector packs into one int, _EXP_BITS bits per variable with x0
-# in the high bits, so multiplying two monomials is one integer add and the
-# int order of keys of one arity is the order of their exponent tuples.
+# bits per variable of a packed key (see MultiPoly)
 _EXP_BITS = 8
 _EXP_MAX = (1 << _EXP_BITS) - 1
 
@@ -365,13 +324,16 @@ def _rendered(num_vars: int, runs: Iterable[tuple], renders: list) -> Iterator[t
     values): the renderings, by `renders`, of three parts of their keys,
     x0 and x1, then x2, x3, ... in two halves, and their coefficients.
 
-    A run's offset and weight apply per chunk.  An offset moves x0 and x1
-    only, as every run of treepoly._x_runs and a MultiPoly's one run (offset
-    0) do, so it leaves a key's two low parts alone: a keys list's lows are
-    looked up on its first run, and its later ones reuse the two lists of
-    references into the memos.  Raises ArithmeticError on a run whose
-    offset moves x2, x3, ....  A chunk whose keys share one (x0, x1) part,
-    as every chunk of a b-group's run does, looks that part up once.
+    Each distinct value of a part is rendered once per call, in a memo.  A
+    run's offset and weight apply per chunk.  An offset moves x0 and x1
+    only, as every run of treepoly._x_runs and a MultiPoly's one run
+    (offset 0) do, so it leaves a key's two low parts alone: a keys list's
+    lows are looked up on its first run, as two lists of references into
+    the memos, and its later runs reuse them, as the b+1 runs of one
+    b-group of _x_runs do.  Raises ArithmeticError on a run whose offset
+    moves x2, x3, ....  A chunk whose keys share one (x0, x1) part, as
+    every chunk of a b-group's run does, looks that part up once.  So what
+    is in flight is one chunk's text, the memos and the keys lists' lows.
     """
     low = max(num_vars - 2, 0)
     high, low1, low2 = _part_memos([num_vars - low, (low + 1) // 2, low // 2], renders)
@@ -409,9 +371,8 @@ def _one_degree(num_vars: int, keys: list[int]) -> bool:
     """Whether the packed keys share one total degree.
 
     256 is 1 modulo 255, so a key is its degree modulo 255: while the
-    exponents' bounds sum below 255 (70 for the pre-final store of level
-    7), one residue is one degree, and only larger exponents need each
-    key's degree."""
+    exponents' bounds sum below 255, one residue is one degree, and only
+    larger exponents need each key's degree."""
     if sum(_bounds(num_vars, keys)) < _EXP_MAX:
         return len(set(map(mod, keys, repeat(_EXP_MAX)))) <= 1
     return len(set(map(sum, _vectors(num_vars, keys)))) <= 1
@@ -434,12 +395,11 @@ def json_pieces(num_vars: int, runs: Iterable[tuple], depth: int = 0) -> Iterato
     order: the terms key + offset with coefficient coeff * weight, for the
     packed keys and nonzero coefficients of two parallel lists, and an
     offset that moves x0 and x1 only; ArithmeticError on any other.  A
-    MultiPoly is the one run of its sorted keys; the runs of one b-group of
-    treepoly._x_runs share its keys list, so the list's x2.. parts are
-    looked up once (see _rendered).  A list is read as it is when first
-    seen.  The pieces join to the list of `MultiPoly.to_obj` as it appears
-    nested `depth` levels deep in an indent-2 `json.dumps` document, so a
-    caller can write a large polynomial without holding its rendering.
+    MultiPoly is the one run of its sorted keys.  A list is read as it is
+    when first seen.  The pieces join to the list of `MultiPoly.to_obj` as
+    it appears nested `depth` levels deep in an indent-2 `json.dumps`
+    document, so a caller can write a large polynomial without holding its
+    rendering.
     """
     item = "\n" + "  " * (depth + 1)
     field = item + "  "
@@ -520,14 +480,19 @@ def term_pieces(num_vars: int, runs: Iterable[tuple], latex: bool = False) -> It
 class MultiPoly:
     """Sparse polynomial in variables x0..x(N-1) with int coefficients.
 
-    Terms are stored as a map from packed exponent vector (8 bits per
-    variable, x0 highest, each exponent at most 255; see the module
-    docstring) to a nonzero int, so two polynomials are equal exactly when
-    their term maps are equal.  Any other coefficient, and multiplying or
-    dividing by anything but an int, raises TypeError.  The variable count
-    is fixed at construction; arithmetic between different arities raises
-    instead of coercing (silent broadcasting hides indexing bugs).
-    Instances are immutable.
+    Terms are a map from packed key to nonzero int, so two polynomials are
+    equal exactly when their term maps are equal.  A key packs an exponent
+    vector into one int, 8 bits per variable with x0 in the high byte:
+    multiplying two monomials is one integer add, and keys of one arity
+    compare as ints as their exponent tuples do, so a plain sort puts them
+    in exponent order.  An exponent above 255 raises ValueError, at
+    construction and in any product or substitution whose operands could
+    carry into the next variable's field.  The constructor and
+    `coefficient` take exponent tuples, and `items` yields them.  Any
+    coefficient but an int, and multiplying by anything but an int, raises
+    TypeError.  The variable count is fixed at construction; arithmetic
+    between different arities raises instead of coercing (silent
+    broadcasting hides indexing bugs).  Instances are immutable.
     """
 
     __slots__ = ("num_vars", "_terms")
@@ -592,7 +557,12 @@ class MultiPoly:
         return bool(self._terms)
 
     def coefficient(self, exps: Iterable[int]) -> int:
-        key = _pack(self.num_vars, tuple(exps))
+        """The coefficient of x^exps: 0 for an exponent outside 0..255, which
+        no term has; ValueError for a vector of the wrong length."""
+        exps = tuple(exps)
+        if len(exps) != self.num_vars:
+            raise ValueError(f"{len(exps)} exponents for {self.num_vars} variables")
+        key = _pack(self.num_vars, exps)
         return 0 if key is None else self._terms.get(key, 0)
 
     def coefficient_sum(self) -> int:

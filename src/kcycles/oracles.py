@@ -1,12 +1,9 @@
 """Exhaustive enumeration oracles: increasing trees, cyclic shuffles,
 ordinary shuffle sign sums, permutation cycle statistics and
 compositions, plus the routes the production code replaced and which now
-check it: the P-family recursion run in x coordinates (replaced by the
-packed partial-sum build), the sum over index subsets behind multi-part
-b-coefficients (replaced by sub-multiset blocks), the peel as a sum over
-every composition (replaced by memoized peel kernels), and Gauss-Jordan
-and whole-matrix forward substitution over the rationals (replaced by
-integer a-rows over coarsenings).
+check it: the P-family recursion in x coordinates, the b sum over index
+subsets, the peel over every composition, and Gauss-Jordan and
+whole-matrix forward substitution over the rationals.
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -186,16 +183,10 @@ def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
 
 
 def p_family_x(k: int) -> PFamily:
-    """The level-k P-family by the recursion run directly in x coordinates.
-
-    Each step multiplies MultiPoly values, with z_i = x0 + ... + x_i.  The
-    level build of treepoly runs the same _p_step on the same type and
-    differs only in the z polynomials it passes: variables of partial-sum
-    coordinates, which treepoly._unpack converts to x.  So the check
-    oracle/p-family-coordinates, which compares the two, covers the change
-    of coordinates and _unpack, not the step or the polynomial arithmetic;
-    the checks against enumerated trees through level 5 cover those.
-    Nothing is cached.
+    """The level-k P-family by the recursion run directly in x coordinates:
+    _p_step on MultiPoly values, with z_i = x0 + ... + x_i as sums of
+    variables.  The oracle of the level build's change of coordinates
+    (see verify.check_p_family_coordinates); nothing is cached.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")

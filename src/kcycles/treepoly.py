@@ -6,55 +6,21 @@ odd, |c| <= 2k+1, with P_k^c = P_k^{-c}) via
 
     reduced_tree_poly(k) = 4^(-k) * sum_{s=0..k} P_k^{2s+1},
 
-and the family satisfies a three-term recursion in k that this module
-iterates with x0 kept general.  The same family gives the leaf-weighted
-generalizations l_poly(k, n) = 4^(-k) * sum (2s+1)^(2n) P_k^{2s+1}, whose
-exponential generating function in t satisfies the hyperbolic recursion
-checked by verify_g_recursion.  Closed forms for near-all-ones
-evaluations and the shuffle sign-sum tables live here too, next to the
-recursion they cross-check.
-
-One step of the recursion, _p_step, serves three routes.  Each passes it
-the partial sums z_{2k}, z_{2k+1} and z_{2k+2} of z_j = x0 + ... + x_j,
-and nothing else, and the two polynomial routes run it on the same
-MultiPoly type.  The level build runs it with the z_j as its variables;
-there every P_k^c has exactly 2*4^(k-1) terms (k >= 1) and no exponent
-above 2, against tens of thousands of terms in x.  Converting to x
-substitutes z_j = z_{j-1} + x_j slot by slot on the packed keys of the z
-polynomial, each slot one pass of exact._moved, the expansion loop of
-MultiPoly.substitute, with a binomial moves table in place of
-substitute's powers.  _prefinal stops before slot 1
-and leaves the pre-final store, in z0, z1, x2, ..., x_{2k}: about 30% of
-the x terms.  No P_k^c holds z0, so z1 = x0 + x1 is the last expansion,
-and no two of its terms meet: the x terms of one x0 exponent, in key
-order, are contiguous b-groups of the sorted pre-final store (its terms
-of one z1 exponent b), each moved by one key offset and weighted by one
-binomial, one run per b-group.  _x_runs lists the runs, in key order for
-JSON or in graded order for text and LaTeX, and it is the one expansion
-of slot 1: _unpack writes its runs into an x store for
-l_poly, reduced_tree_poly and p_family, and `kcycles treepoly` renders
-them as they come, through l_poly_runs and p_family_runs, with no x
-store.  Every l_poly(k, n) has integer coefficients: the t^m/m!
-coefficients of sinh^2, sinh cosh and cosh^2 in the hyperbolic recursion
-are integers, so integrality passes from level k to k+1.  The change is
-unimodular, so the 4^k of l_poly divides every z coefficient too; _l_sum
-divides it out of the z terms, exactly, and the conversion runs on
-integers only.  The weighted sums of l_poly sum the z level first and
-convert the sum; the P_k^c are converted one at a time.
-An x exponent is at most 2k, so it stays far below MultiPoly's limit of
-255 through _MAX_LEVEL.
-tree_value, the full tree polynomial at an odd point, runs the step on
-the integer partial sums of the point: O(k^2) multiply-adds, with no
-level built, so it works at any level.  q_eval, the average sign sum that
-the coefficient peel needs, is the tree value over the shuffle count.
-oracles.p_family_x runs the step with the z_j as sums of x variables.
+and the leaf-weighted l_poly(k, n) = 4^(-k) * sum (2s+1)^(2n) P_k^{2s+1}
+generalizes it.  The family satisfies a three-term recursion in k, whose
+step is _p_step.  The levels are built in the partial sums z_j = x0 + ...
++ x_j (_extend_levels), summed and divided by 4^k there (_l_sum), and
+converted to x only when a polynomial is returned: _prefinal expands the
+slots down to slot 2, and _x_runs expands slot 1 as runs, which `kcycles
+treepoly` renders with no x store and _unpack writes into one.
+tree_value runs the step at an odd point, with no level built.  Closed
+forms for near-all-ones evaluations and the shuffle sign-sum tables live
+here too, next to the recursion they cross-check.
 
 Values are immutable.  The z levels and reduced_tree_poly(k) are cached
-per process; p_family and l_poly unpack new polynomials from the cached
-z level on every call, tree_poly multiplies the cached reduced one by
-x0, a monomial, which adds x0's key to each key, and tree_value and
-q_eval cache nothing.  Building a new level or reduced polynomial takes
-an internal lock, and a built one is read without taking the lock.
+per process; p_family and l_poly unpack new polynomials on every call,
+and tree_value and q_eval cache nothing.  Building a new level or reduced
+polynomial takes an internal lock, and a built one is read without it.
 """
 
 from __future__ import annotations
@@ -81,12 +47,14 @@ _MAX_LEVEL = 30
 def _p_step(family: list, z2k, z2k1, z2k2) -> list:
     """One step k -> k+1 of the P-family recursion; family[s] is P_k^{2s+1}.
 
-    z_i = x0 + ... + x_i, all ints (a point) or all MultiPoly in 2k+3
-    variables, in z coordinates (the level build) or in x coordinates (the
-    oracle); the step takes y1 = x_{2k+1} = z_{2k+1} - z_{2k} and y2 =
-    x_{2k+2} = z_{2k+2} - z_{2k+1} as their differences.  With S_c = P_k^c,
-    S_{-1} = S_1 and S_c = 0 beyond c = 2k+1, the terms are grouped by
-    multiplier so that every product has a linear factor:
+    The one implementation of the step, for three routes, which pass it
+    only the partial sums z_i = x0 + ... + x_i: ints at a point
+    (tree_value), or MultiPoly in 2k+3 variables, in z coordinates (the
+    level build) or in x coordinates (oracles.p_family_x).  It takes their
+    differences y1 = x_{2k+1} = z_{2k+1} - z_{2k} and y2 = x_{2k+2} =
+    z_{2k+2} - z_{2k+1}.  With S_c = P_k^c, S_{-1} = S_1 and S_c = 0 beyond
+    c = 2k+1, the terms are grouped by multiplier so that every product has
+    a linear factor:
 
         P_{k+1}^c = y1 y2 (2c^2 S_c + (c-2)^2 S_{c-2} + (c+2)^2 S_{c+2})
                   + z_{2k+1} (y1 + y2) ((c-2) S_{c-2} - (c+2) S_{c+2})
@@ -116,7 +84,8 @@ _reduced_cache: dict[int, MultiPoly] = {}
 def _extend_levels(level: int) -> list[MultiPoly]:
     """The family of the given level in partial-sum coordinates, building
     the missing levels under the lock; element s is P_level^{2s+1}, with
-    variable i standing for z_i."""
+    variable i standing for z_i.  For level >= 1 every P_level^c has
+    exactly 2*4^(level-1) terms and no exponent above 2."""
     if level < 0:
         raise ValueError(f"need k >= 0, got {level}")
     if level > _MAX_LEVEL:
@@ -134,14 +103,15 @@ def _extend_levels(level: int) -> list[MultiPoly]:
 
 def _prefinal(packed: MultiPoly, num_vars: int) -> dict:
     """The z-coordinate polynomial in z0, z1, x2, ..., x_{num_vars-1}, as a
-    term store.
+    term store: the conversion to x, but for slot 1, which _x_runs expands.
 
     Substitutes z_j = z_{j-1} + x_j one slot at a time from the top down to
-    slot 2, each _moved with a binomial moves table: z_j^a expands to
+    slot 2, each one pass of exact._moved, the expansion loop of
+    MultiPoly.substitute, with a binomial moves table: z_j^a expands to
     C(a, b) x_j^b z_{j-1}^(a-b), and the copy is b = a.  A slot's exponent
     stays below num_vars, so no move carries, and the carry check and the
     powers of MultiPoly.substitute, the tests' oracle for this table, are
-    skipped.  _x_runs expands slot 1.
+    skipped.
     """
     terms = packed._terms
     for j in range(num_vars - 1, 1, -1):
@@ -157,17 +127,16 @@ def _x_runs(num_vars: int, store: dict, reverse: bool = False,
             offset: int = 0) -> Iterator[tuple]:
     """The x polynomial of a pre-final store, shifted by the key `offset`,
     as the renderers' runs, in ascending key order, or in descending order
-    if `reverse`.
+    if `reverse`: the one expansion of slot 1.
 
-    The store is in z0, z1, x2, ..., as _prefinal leaves it.  With one z0
-    exponent a in every term, z0^a z1^b expands to the terms x0^(a+i)
-    x1^(b-i), i = 0..b, each with weight C(b, i), and no two terms of the
-    store meet.  So the x terms with x0 exponent a+i, in key order, are the
-    terms with b >= i of the sorted store, contiguous b-groups of it, each
-    moved by one offset and weighted by one weight: one run per b-group.
-    The b+1 runs of a group share its keys and coefficient lists, and
-    their offsets move x0 and x1 only, so a renderer looks up the rest of
-    each key once per group.
+    The store is in z0, z1, x2, ..., as _prefinal leaves it.  No P_k^c
+    holds z0, so with one z0 exponent a in every term, z0^a z1^b expands
+    to the terms x0^(a+i) x1^(b-i), i = 0..b, each with weight C(b, i),
+    and no two terms of the store meet.  So the x terms with x0 exponent
+    a+i, in key order, are the terms with b >= i of the sorted store,
+    contiguous b-groups of it, each moved by one offset and weighted by
+    one weight: one run per b-group.  The b+1 runs of a group share its
+    keys and coefficient lists, and their offsets move x0 and x1 only.
     Raises ArithmeticError on a store whose z0 exponent is not uniform, or,
     for the descending order, which is the text renderer's graded order
     only when every term has one degree, on a store of several degrees.
@@ -183,7 +152,7 @@ def _x_runs(num_vars: int, store: dict, reverse: bool = False,
     coeffs = list(map(store.__getitem__, keys))
     # the sorted lists hold the terms from here on, and the groups' copies
     # of them after the split, so the store and then the lists are dropped
-    # before the first run: a level-8 store has two million terms
+    # before the first run, and one copy of the terms is held at a time
     del store
     if num_vars == 1:
         # no slot 1: the store is already in x
@@ -301,10 +270,15 @@ def tree_poly(k: int) -> MultiPoly:
 
 
 def _l_sum(k: int, n: int) -> MultiPoly:
-    """4^-k sum (2s+1)^(2n) P_k^(2s+1), on the z level.
+    """4^-k sum (2s+1)^(2n) P_k^(2s+1), on the z level, with integer
+    coefficients.
 
-    The quotient is exact; raises ArithmeticError on a z coefficient that
-    4^k does not divide, which no level has.
+    Every l_poly(k, n) has integer coefficients: the t^m/m! coefficients of
+    sinh^2, sinh cosh and cosh^2 in the hyperbolic recursion of
+    verify_g_recursion are integers, so integrality passes from level k to
+    k+1.  The change to z is unimodular, so 4^k divides every z coefficient
+    of the sum too, and the conversion to x runs on integers only.  Raises
+    ArithmeticError on a z coefficient that 4^k does not divide.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
@@ -321,8 +295,7 @@ def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
     l_poly(k, 0) is the reduced tree polynomial; the coefficient sum is
-    (2k)! (2k+1)^(2n).  The sum runs over the z level and is converted to x
-    once.
+    (2k)! (2k+1)^(2n).  The sum is _l_sum's, converted to x once.
     """
     return _unpack(_l_sum(k, n), 2 * k + 1)
 
@@ -340,13 +313,13 @@ def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -
 def tree_value(values: Sequence[int]) -> int:
     """The full tree polynomial tree_poly(k) at an odd point of 2k+1 entries.
 
-    The P-family step of the level build runs on exact integers at the
-    partial sums z_j of the entries, so a level-k call costs O(k^2)
-    multiply-adds at any k; no level is built, cached or locked.  The
-    reduced polynomial has integer coefficients, so 4^k divides the sum of
-    the family, exactly; raises ArithmeticError on a remainder, as _l_sum
-    does.  The verify checks oracle/reduced-tree-poly and
-    oracle/cyclic-shuffles compare it with enumerated trees and words.
+    The point route: the step of the level build, _p_step, runs on exact
+    integers at the partial sums z_j of the entries, so a level-k call costs
+    O(k^2) multiply-adds at any k; no level is built, cached or locked.
+    The 4^k comes out of the family's sum exactly, for the reason given at
+    _l_sum, and a remainder raises ArithmeticError.  The verify checks
+    oracle/reduced-tree-poly and oracle/cyclic-shuffles compare it with
+    enumerated trees and words.
     """
     values = check_odd_tuple(values)
     k = (len(values) - 1) // 2

@@ -1,14 +1,13 @@
 """Self-verification: every identity the package relies on, run as named
 checks that compare an independent route against the production route.
 
-Quick level covers the explicitly tabulated anchor values (seconds);
-full level adds the exhaustive oracle equivalences and closed-form sweeps
-(minutes).  `CHECKS` is the single registry of these identities: the
-`kcycles verify` command and the acceptance suite both run it.  A check
-yields (label, production value, independent value) triples and never
-raises on a mathematical mismatch; the runner compares the two sides and
-reports the first unequal triple so the caller can render a report and
-choose an exit code.
+Quick level covers the explicitly tabulated anchor values; full level
+adds the exhaustive oracle equivalences and closed-form sweeps.  `CHECKS`
+is the single registry of these identities: the `kcycles verify` command
+and the acceptance suite both run it.  A check yields (label, production
+value, independent value) triples and never raises on a mathematical
+mismatch; the runner compares the two sides and reports the first unequal
+triple so the caller can render a report and choose an exit code.
 """
 
 from __future__ import annotations
@@ -111,17 +110,11 @@ def _compare(triples: Iterable[Triple]) -> tuple[bool, str, str]:
 
 
 def _odd_tuples(length: int, max_total: int) -> Iterator[tuple[int, ...]]:
-    def rec(slots: int, budget: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            yield ()
-            return
-        value = 1
-        while value + (slots - 1) <= budget:
-            for rest in rec(slots - 1, budget - value):
-                yield (value,) + rest
-            value += 2
-
-    yield from rec(length, max_total)
+    # the odd tuples of total length + 2m are the compositions of m, doubled
+    # and moved up by one in every slot
+    for m in range((max_total - length) // 2 + 1):
+        for comp in oracles.compositions(m, length):
+            yield tuple(2 * c + 1 for c in comp)
 
 
 def _matrix_product(first: list[list], second: list[list]) -> list[list]:

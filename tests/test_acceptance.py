@@ -22,6 +22,10 @@ one place each identity sweep is written:
   9  anchors/degenerate, degenerate/inverses, anchors/stirling
 
 Criterion 10 drives the command line and runs `kcycles verify --level full`.
+
+`COMPARISONS` pins the number of comparisons each registry check makes,
+which its PASS line does not show: criteria 1-9 assert it for their
+checks, and one more test for the checks outside them.
 """
 
 import hashlib
@@ -30,9 +34,47 @@ import subprocess
 import sys
 import time
 
-from kcycles.verify import run_checks
+from kcycles import cache as cache_mod
+from kcycles.coeffs import table_document
+from kcycles.verify import CHECKS, run_checks
 
 CLI = [sys.executable, "-m", "kcycles.cli"]
+
+# comparisons per registry check; cache/tables is counted with one cached table
+COMPARISONS = {
+    "anchors/reduced-polys": 10,
+    "anchors/coefficients": 20,
+    "anchors/witten-cup": 5,
+    "anchors/pair-closed": 10,
+    "anchors/xe-tables": 10,
+    "anchors/counting": 6,
+    "anchors/q-t-closed": 7,
+    "anchors/l-poly": 6,
+    "anchors/series": 10,
+    "anchors/stirling": 128,
+    "anchors/degenerate": 68,
+    "anchors/double-sum": 6,
+    "cache/tables": 1,
+    "oracle/reduced-tree-poly": 2468,
+    "oracle/p-family-coordinates": 6,
+    "oracle/cyclic-shuffles": 92,
+    "oracle/shuffle-counts": 144,
+    "oracle/xe-sweep": 396,
+    "oracle/counting-sweep": 30,
+    "oracle/even-cycles": 513,
+    "sweep/closed-ones": 2165,
+    "sweep/closed-main": 3086,
+    "sweep/pair-closed": 182,
+    "struct/reduced-poly": 39,
+    "struct/l-poly": 20,
+    "struct/g-recursion": 7,
+    "matrix/duality": 50,
+    "oracle/b-matrix": 33,
+    "matrix/next-coefficient": 1609,
+    "matrix/order-independence": 68,
+    "degenerate/inverses": 8,
+    "cup/symmetry": 74,
+}
 
 
 def _finish(number: int, budget: float, start: float, description: str) -> None:
@@ -41,10 +83,15 @@ def _finish(number: int, budget: float, start: float, description: str) -> None:
     assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s, budget {budget}s"
 
 
+def _assert_passes(results) -> None:
+    for result in results:
+        assert result.ok, f"{result.name}: lhs={result.lhs} rhs={result.rhs}"
+        assert result.lhs == f"{COMPARISONS[result.name]} comparisons", result.name
+
+
 def _criterion(number: int, budget: float, description: str, *checks: str) -> None:
     start = time.perf_counter()
-    for result in run_checks(checks):
-        assert result.ok, f"{result.name}: lhs={result.lhs} rhs={result.rhs}"
+    _assert_passes(run_checks(checks))
     _finish(number, budget, start, description)
 
 
@@ -95,6 +142,16 @@ def test_criterion_08_sign_sum_and_counting_tables():
 def test_criterion_09_degenerate_case():
     _criterion(9, 30.0, "degenerate zero-padded coefficients",
                "anchors/degenerate", "degenerate/inverses", "anchors/stirling")
+
+
+def test_checks_outside_the_criteria_make_their_pinned_comparisons(tmp_path):
+    assert list(COMPARISONS) == [name for name, _, _ in CHECKS]
+    path = cache_mod.document_path(tmp_path, "table", "w2")
+    cache_mod.write_atomic(path, cache_mod.canonical_json(table_document(2)))
+    _assert_passes(run_checks(
+        ["anchors/xe-tables", "anchors/counting", "anchors/q-t-closed", "anchors/l-poly",
+         "anchors/series", "anchors/double-sum", "cache/tables", "oracle/shuffle-counts",
+         "cup/symmetry"], cache_dir=tmp_path))
 
 
 def _run_cli(*args, check=True):

@@ -151,9 +151,10 @@ def test_coeff_values():
 
 
 def test_coeff_weight_mismatch_is_usage_error():
-    result = run_cli("coeff", "b", "--lambda", "1,1", "--mu", "3")
-    assert result.returncode == 2
-    assert "weight mismatch" in result.stderr
+    for kind in ("b", "a"):
+        result = run_cli("coeff", kind, "--lambda", "1,1", "--mu", "3")
+        assert result.returncode == 2
+        assert "weight mismatch" in result.stderr
 
 
 def test_internal_arithmetic_error_exit_code(monkeypatch, capsys):
@@ -362,6 +363,20 @@ def test_table_idempotent_and_cached(tmp_path):
     assert doc["b"][2][0] == "263/6720"
     cached = list(cache.glob("table-w3.v1.json"))
     assert len(cached) == 1
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_the_umask(tmp_path, umask, mode):
+    # the child inherits the umask; the files get what open(path, "w") gives
+    out, cache = tmp_path / "w1.json", tmp_path / "cache"
+    old = os.umask(umask)
+    try:
+        result = run_cli("--cache-dir", str(cache), "table", "--weight", "1", "--out", str(out))
+    finally:
+        os.umask(old)
+    assert result.returncode == 0
+    for path in (out, next(cache.glob("table-w1.v1.json"))):
+        assert path.stat().st_mode & 0o777 == mode
 
 
 def test_table_weight_zero_and_negative(tmp_path):

@@ -135,7 +135,7 @@ def test_binomial_extended():
 def test_partitions_of_order():
     assert partitions_of(0) == [()]
     assert partitions_of(3) == [(3,), (2, 1), (1, 1, 1)]
-    assert partitions_of(4, max_parts=2) == [(4,), (3, 1), (2, 2)]
+    assert [p for p in partitions_of(4) if len(p) <= 2] == [(4,), (3, 1), (2, 2)]
     assert partitions_of(5)[0] == (5,)
     with pytest.raises(ValueError):
         partitions_of(-1)
@@ -187,7 +187,8 @@ def test_arrangements_partition_the_compositions():
         list(arrangements((1, 1, 1), 2))
     for m in range(9):
         for slots in range(1, 8):
-            seen = [c for mu in partitions_of(m, slots) for c in arrangements(mu, slots)]
+            seen = [c for mu in partitions_of(m) if len(mu) <= slots
+                    for c in arrangements(mu, slots)]
             assert len(seen) == len(set(seen))
             assert sorted(seen) == sorted(compositions(m, slots))
 
@@ -227,6 +228,13 @@ def test_poly_arity_errors():
         MultiPoly(2, {(1,): 1})
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 0).eval((1,))
+    # a vector of the wrong length is an error, as it is for + and eval,
+    # not a missing term
+    with pytest.raises(ValueError):
+        MultiPoly.variable(3, 0).coefficient((1, 0))
+    with pytest.raises(ValueError):
+        MultiPoly.variable(3, 0).coefficient((1, 0, 0, 0))
+    assert MultiPoly.variable(3, 0).coefficient((1, 0, 0)) == 1
     with pytest.raises(ValueError):
         MultiPoly.variable(2, 0).substitute(5, MultiPoly.zero(2))
 
