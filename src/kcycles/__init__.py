@@ -10,7 +10,7 @@ Layout:
 * treepoly  -- the production recursion for the integer tree polynomials,
                its hyperbolic generating-function check, and all closed
                forms attached to them
-* coeffs    -- the b coefficients, the a-rows over coarsenings, cup
+* coeffs    -- the b- and a-rows, both built by one surjection rule, cup
                products, and the degenerate zero-padded extension
 * cache     -- the on-disk JSON result cache
 * verify    -- named self-checks comparing independent routes
@@ -18,8 +18,9 @@ Layout:
 
 Importing the package loads none of these.  Each name in `__all__` (and
 each submodule, as `kcycles.verify`) is imported from its home module on
-first use and is the very same object, so a command loads only the
-modules it runs.
+first use and is the very same object.  The `kcycles` command imports
+cache, coeffs, exact, oracles and treepoly at start-up, whatever it runs,
+and verify only for the commands that use it.
 """
 
 from importlib import import_module

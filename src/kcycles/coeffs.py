@@ -9,12 +9,12 @@ are exact rationals.  One-part coefficients are explicit:
 
 b_lambda^mu vanishes unless mu coarsens lambda, and a coarsening has
 fewer parts or is lambda itself, so in partitions_of order (part count
-first) the b-matrix is lower triangular and so is its inverse a.
-CoeffTable._b_row builds the b-rows, b_extend the one-part entries by
-peeling one part through a peel kernel, and CoeffTable._a_row the a-rows,
-in integers.  Zero parts (the degenerate weight-0 class) extend both
-matrices by Stirling-number factors; see CoeffTable.degenerate_b and
-degenerate_a.
+first) the b-matrix is lower triangular and so is its inverse a.  One
+surjection rule (CoeffTable._a_row) builds the rows of both from their
+one-part entries: b_extend peels a part through a peel kernel on the b
+side, and an integer dot product reads a.b = 1 on the a side.  Zero parts
+(the degenerate weight-0 class) extend both matrices by Stirling-number
+factors; see CoeffTable.degenerate_b and degenerate_a.
 
 Every coefficient, the degenerate ones included, is a CoeffTable method,
 and a CoeffTable memoizes everything behind a re-entrant lock.  The module
@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import (
     arrangements,
@@ -123,8 +123,8 @@ def _same_weight(lam: Sequence[int], mu: Sequence[int]) -> tuple[tuple[int, ...]
 
 
 class CoeffTable:
-    """Memoized b-rows (_b_row), peel kernels (b_extend) and a-rows
-    (_a_row) over partitions, one lock per table.
+    """Memoized b-rows and a-rows, both assembled by one surjection rule
+    (_a_row), and peel kernels (b_extend), one lock per table.
 
     Every b reader walks or indexes a b-row, and every a reader an a-row.
     Reads after a memo is filled are cheap dictionary hits; filling takes
@@ -140,32 +140,16 @@ class CoeffTable:
     # -- the b side ----------------------------------------------------------
 
     def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        """The nonzero b_lam^nu by coarsening nu of lam.
-
-        The one-part entry is b_n or the peel of the smallest part.  A
-        multi-part nu is a sum of products over surjections: the block of
-        lam sent to nu[0] contributes its own one-part entry, the rest its
-        entry at nu[1:].  So the row is assembled from the rows of the
-        sub-multisets of lam, each block weighted by the number of slot
-        subsets giving it (_sub_multisets).  The caller holds the lock and
-        must not mutate the memoized row.
-        """
+        """The nonzero b_lam^nu: b_n or the peel of the smallest part lam[-1] at
+        nu = (n), the surjection rule (_a_row) elsewhere.  The caller holds the
+        lock and must not mutate the row."""
         row = self._brows.get(lam)
         if row is None:
             if len(lam) < 2:
                 acc = {lam: b_single(lam[0]) if lam else Fraction(1)}
             else:
-                # canonical order is weakly decreasing, so [-1] is the smallest part
                 acc = {(sum(lam),): self.b_extend(lam[:-1], lam[-1])}
-            # a longer nu sends a block of lam onto its largest part s and the
-            # rest of lam onto the coarsening rho = nu[1:] of the rest
-            for block, rest, count in _sub_multisets(lam):
-                s = sum(block)
-                factor = count * self._b_row(block).get((s,), 0)
-                for rho, value in self._b_row(rest).items():
-                    if rho[0] <= s:
-                        nu = (s,) + rho
-                        acc[nu] = acc.get(nu, 0) + factor * value
+            acc.update(_surjection_sums(lam, self._b_row))
             row = {nu: value for nu, value in acc.items() if value}
             self._brows[lam] = row
         return row
@@ -220,12 +204,8 @@ class CoeffTable:
         return self.b_lambda_mu(lam, (sum(lam),))
 
     def b_lambda_mu(self, lam: Sequence[int], mu: Sequence[int]) -> Fraction:
-        """Sum-of-products rule: sum over surjections of part slots of lam onto
-        part slots of mu whose blocks sum to the targeted part.
-
-        One entry of lam's b-row, zero unless mu coarsens lam; a first query
-        builds the whole row.  A one-part mu is the peel of the smallest part.
-        """
+        """One entry of lam's b-row, zero unless mu coarsens lam; a first
+        query builds the whole row."""
         lam, mu = _same_weight(lam, mu)
         with self._lock:
             return self._b_row(lam).get(mu, _ZERO)
@@ -234,39 +214,37 @@ class CoeffTable:
 
     def _a_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """The ints A_lam^mu = Sym(lam) a_lam^mu in canonical order, nonzero
-        entries only.
+        entries only; the public a-values are Fraction(A, Sym(lam)).
 
-        b.a = 1 read along row lam, over the coarsenings nu != lam, which
-        all have fewer parts than lam, gives
-
-            A_lam = (e_lam - sum b_lam^nu / Sym(nu) A_nu) / (b_lam^lam / Sym(lam)),
-
-        so an a-row needs only the a-rows of its coarsenings.  Scaled by the
-        lcm D of the denominators of b_lam^nu / Sym(nu), nu = lam included,
-        every coefficient is an int and each entry one exact division by
-        D b_lam^lam / Sym(lam); a remainder raises ArithmeticError, never
-        rounds.  The public a-values are Fraction(A, Sym(lam)).  The checks
-        matrix/duality and oracle/b-matrix compare the rows with forward
-        substitution and Gauss-Jordan elimination over the rationals.  The
-        caller holds the lock and must not mutate the memoized row.
+        b is the matrix of an algebra map, so its inverse a is one too, and
+        both follow one rule over the maps f of lam's slots onto nu's slots
+        whose blocks B_j sum to the parts nu_j: b_lam^nu = sum_f prod_j
+        b_{B_j}^(nu_j) and Sym(nu) A_lam^nu = sum_f prod_j A_{B_j}^(nu_j).
+        _surjection_sums assembles both.  Its rest rows hold A^rho, not
+        Sym(rho) A^rho, so the a side divides each sum by Sym(nu)/Sym(rho),
+        the multiplicity of nu[0] in nu.  At nu = (n) the entry is a_n if lam
+        = (n), else row lam of a.b = 1: -a_n sum_{mu != (n)} A_lam^mu
+        b_mu^(n), one int dot product over the lcm of the b_mu^(n)
+        denominators.  A remainder in either division raises ArithmeticError.
+        The checks matrix/duality and oracle/b-matrix compare the rows with
+        forward substitution and Gauss-Jordan elimination over the rationals.
+        The caller holds the lock and must not mutate the row.
         """
         row = self._arows.get(lam)
         if row is None:
-            ratios = [(nu, value / sym_count(nu)) for nu, value in self._b_row(lam).items()]
-            scale = lcm(*(x.denominator for _, x in ratios))
-            factors = {nu: x.numerator * (scale // x.denominator) for nu, x in ratios}
-            pivot = factors.pop(lam)
-            acc = {lam: scale}
-            for nu, factor in factors.items():
-                for mu, value in self._a_row(nu).items():
-                    acc[mu] = acc.get(mu, 0) - factor * value
-            row = {}
-            for mu in sorted(acc, key=partition_order):
-                value, rest = divmod(acc[mu], pivot)
-                if rest:
-                    raise ArithmeticError(f"Sym{lam} a{lam}^{mu} is not an integer")
-                if value:
-                    row[mu] = value
+            if len(lam) < 2:
+                row = {lam: a_single(lam[0]) if lam else 1}
+            else:
+                acc = {nu: _a_quotient(value, nu.count(nu[0]), lam, nu)
+                       for nu, value in _surjection_sums(lam, self._a_row).items()}
+                n = sum(lam)
+                terms = [(value, *self._b_row(mu).get((n,), _ZERO).as_integer_ratio())
+                         for mu, value in acc.items()]
+                scale = lcm(*(den for _, _, den in terms))
+                dot = sum(value * num * (scale // den) for value, num, den in terms)
+                acc[(n,)] = _a_quotient(-a_single(n) * dot, scale, lam, (n,))
+                # partition_order: part count ascending, then parts descending
+                row = {mu: acc[mu] for mu in sorted(sorted(acc, reverse=True), key=len) if acc[mu]}
             self._arows[lam] = row
         return row
 
@@ -373,6 +351,27 @@ class CoeffTable:
             for j in range(i, m + 1)
         )
         return Fraction(total, factorial(m)) * (-2) ** i * base
+
+
+def _surjection_sums(lam: tuple[int, ...], row: Callable[[tuple[int, ...]], dict]) -> dict:
+    """lam's undivided multi-part entries: nu = (s,) + rho sums count *
+    row(block)[(s,)] * row(rest)[rho] over the blocks of lam (_sub_multisets)."""
+    acc: dict = {}
+    for block, rest, count in _sub_multisets(lam):
+        s = sum(block)
+        factor = count * row(block).get((s,), 0)
+        for rho, value in row(rest).items():
+            if rho[0] <= s:
+                nu = (s,) + rho
+                acc[nu] = acc.get(nu, 0) + factor * value
+    return acc
+
+
+def _a_quotient(numerator: int, divisor: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    value, rest = divmod(numerator, divisor)
+    if rest:
+        raise ArithmeticError(f"Sym{lam} a{lam}^{mu} is not an integer")
+    return value
 
 
 def _sub_multisets(lam: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:

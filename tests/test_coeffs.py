@@ -244,16 +244,21 @@ def test_a_rows_are_integers_times_sym():
         assert list(row) == sorted(row, key=partition_order)
         assert fresh.witten_expansion(lam) == {
             mu: Fraction(value, sym_count(lam)) for mu, value in row.items()}
+    # a-rows built before their b-rows pull the b one-part entries themselves,
+    # a path verify never takes: the forward-substitution oracle checks it
+    for n in range(11):
+        assert fresh.a_matrix(n) == invert_lower_triangular(fresh.b_matrix(n))
 
 
 def test_non_integral_a_row_raises(monkeypatch, tmp_path, capsys):
-    # b_1 = 7/12 makes a_1 = 12/7: the integer solve raises rather than round,
+    # b_n = 1/(7 a_n) puts a 7 into the one-part b entries that the a.b = 1
+    # dot product divides by: the integer division raises rather than round,
     # and the table command exits 6 having printed and cached nothing
     from kcycles import cli
 
-    monkeypatch.setattr(coeffs, "b_single", lambda n: Fraction(7, a_single(n)))
-    with pytest.raises(ArithmeticError, match="not an integer"):
-        CoeffTable().a_lambda_mu((1,), (1,))
+    monkeypatch.setattr(coeffs, "b_single", lambda n: Fraction(1, 7 * a_single(n)))
+    with pytest.raises(ArithmeticError, match=r"Sym\(1, 1\) a\(1, 1\)\^\(2,\) is not an integer"):
+        CoeffTable().a_lambda_mu((1, 1), (2,))
     monkeypatch.setattr(coeffs, "_shared", CoeffTable())
     cache = tmp_path / "cache"
     assert cli.main(["--cache-dir", str(cache), "table", "--weight", "4"]) == cli.EXIT_ARITH
