@@ -140,9 +140,8 @@ class CoeffTable:
     # -- the b side ----------------------------------------------------------
 
     def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        """The nonzero b_lam^nu: b_n or the peel of the smallest part lam[-1] at
-        nu = (n), the surjection rule (_a_row) elsewhere.  The caller holds the
-        lock and must not mutate the row."""
+        """The nonzero b_lam^nu: b_n or the peel of the smallest part at nu = (n),
+        the rule at _a_row elsewhere.  The caller holds the lock and must not mutate the row."""
         row = self._brows.get(lam)
         if row is None:
             if len(lam) < 2:
@@ -213,8 +212,7 @@ class CoeffTable:
     # -- the a side and everything built on it --------------------------------
 
     def _a_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """The ints A_lam^mu = Sym(lam) a_lam^mu in canonical order, nonzero
-        entries only; the public a-values are Fraction(A, Sym(lam)).
+        """The ints A_lam^mu = Sym(lam) a_lam^mu in canonical order, nonzero entries only.
 
         b is the matrix of an algebra map, so its inverse a is one too, and
         both follow one rule over the maps f of lam's slots onto nu's slots
@@ -243,7 +241,7 @@ class CoeffTable:
                 scale = lcm(*(den for _, _, den in terms))
                 dot = sum(value * num * (scale // den) for value, num, den in terms)
                 acc[(n,)] = _a_quotient(-a_single(n) * dot, scale, lam, (n,))
-                # partition_order: part count ascending, then parts descending
+                # partition_order (part count, then parts descending), with no key call per entry
                 row = {mu: acc[mu] for mu in sorted(sorted(acc, reverse=True), key=len) if acc[mu]}
             self._arows[lam] = row
         return row
@@ -359,6 +357,8 @@ def _surjection_sums(lam: tuple[int, ...], row: Callable[[tuple[int, ...]], dict
     acc: dict = {}
     for block, rest, count in _sub_multisets(lam):
         s = sum(block)
+        if s < rest[0]:
+            continue  # every coarsening rho of rest has rho[0] >= rest[0]
         factor = count * row(block).get((s,), 0)
         for rho, value in row(rest).items():
             if rho[0] <= s:
