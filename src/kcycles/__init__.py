@@ -20,7 +20,7 @@ Importing the package loads none of these.  Each name in `__all__` (and
 each submodule, as `kcycles.verify`) is imported from its home module on
 first use and is the very same object.  The `kcycles` command imports
 cache, coeffs, exact, oracles and treepoly at start-up, whatever it runs,
-and verify only for the commands that use it.
+and verify only for `kcycles verify`.
 """
 
 from importlib import import_module

@@ -141,7 +141,7 @@ class CoeffTable:
 
     def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         """The nonzero b_lam^nu: b_n or the peel of the smallest part at nu = (n),
-        the rule at _a_row elsewhere.  The caller holds the lock and must not mutate the row."""
+        _a_row's rule elsewhere.  The caller holds the lock; do not mutate the row."""
         row = self._brows.get(lam)
         if row is None:
             if len(lam) < 2:
