@@ -128,11 +128,13 @@ class CoeffTable:
 
     Every b reader walks or indexes a b-row, and every a reader an a-row.
     Reads after a memo is filled are cheap dictionary hits; filling takes
-    the re-entrant lock, so a table can be shared between threads.
+    the re-entrant lock, so a table can be shared between threads.  The
+    memos key every partition by one tuple object per table.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
+        self._partitions: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._brows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
         self._arows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self._kernels: dict[tuple[tuple[int, ...], int], Fraction] = {}
@@ -149,8 +151,9 @@ class CoeffTable:
             else:
                 acc = {(sum(lam),): self.b_extend(lam[:-1], lam[-1])}
             acc.update(_surjection_sums(lam, self._b_row))
-            row = {nu: value for nu, value in acc.items() if value}
-            self._brows[lam] = row
+            key = self._partitions.setdefault
+            row = {key(nu, nu): value for nu, value in acc.items() if value}
+            self._brows[key(lam, lam)] = row
         return row
 
     def _peel_kernel(self, mu: tuple[int, ...], k: int) -> Fraction:
@@ -230,8 +233,9 @@ class CoeffTable:
         """
         row = self._arows.get(lam)
         if row is None:
+            key = self._partitions.setdefault
             if len(lam) < 2:
-                row = {lam: a_single(lam[0]) if lam else 1}
+                row = {key(lam, lam): a_single(lam[0]) if lam else 1}
             else:
                 acc = {nu: _a_quotient(value, nu.count(nu[0]), lam, nu)
                        for nu, value in _surjection_sums(lam, self._a_row).items()}
@@ -242,8 +246,9 @@ class CoeffTable:
                 dot = sum(value * num * (scale // den) for value, num, den in terms)
                 acc[(n,)] = _a_quotient(-a_single(n) * dot, scale, lam, (n,))
                 # partition_order (part count, then parts descending), with no key call per entry
-                row = {mu: acc[mu] for mu in sorted(sorted(acc, reverse=True), key=len) if acc[mu]}
-            self._arows[lam] = row
+                row = {key(mu, mu): acc[mu]
+                       for mu in sorted(sorted(acc, reverse=True), key=len) if acc[mu]}
+            self._arows[key(lam, lam)] = row
         return row
 
     def _a_values(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:

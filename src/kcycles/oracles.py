@@ -1,9 +1,9 @@
 """Exhaustive enumeration oracles: increasing trees, cyclic shuffles,
 ordinary shuffle sign sums, permutation cycle statistics and
 compositions, plus the routes the production code replaced and which now
-check it: the P-family recursion in x coordinates, the b sum over index
-subsets, the peel over every composition, and Gauss-Jordan and
-whole-matrix forward substitution over the rationals.
+check it: the P-family recursion on MultiPoly in z and in x coordinates,
+the b sum over index subsets, the peel over every composition, and
+Gauss-Jordan and whole-matrix forward substitution over the rationals.
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -182,20 +182,38 @@ def tree_poly_bruteforce(kinds: Sequence[int], cap: int | None = None) -> int:
     )
 
 
-def p_family_x(k: int) -> PFamily:
-    """The level-k P-family by the recursion run directly in x coordinates:
-    _p_step on MultiPoly values, with z_i = x0 + ... + x_i as sums of
-    variables.  The oracle of the level build's change of coordinates
-    (see verify.check_p_family_coordinates); nothing is cached.
-    """
+def _p_family_by_multipoly(k: int, in_x: bool) -> list[MultiPoly]:
+    # _p_step on MultiPoly values, one level at a time; element s is
+    # P_k^{2s+1}, in the partial sums z_i or, if in_x, in x with z_i = x0 +
+    # ... + x_i as sums of variables
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     family = [MultiPoly.constant(1, 1)]
     for j in range(k):
         n = 2 * j + 3
-        z = list(itertools.accumulate(MultiPoly.variable(n, i) for i in range(n)))
+        z = [MultiPoly.variable(n, i) for i in range(n)]
+        if in_x:
+            z = list(itertools.accumulate(z))
         family = _p_step([p.extended(n) for p in family], *z[-3:])
-    return PFamily(k, {2 * s + 1: p for s, p in enumerate(family)})
+    return family
+
+
+def p_family_x(k: int) -> PFamily:
+    """The level-k P-family by the recursion run directly in x coordinates:
+    _p_step on MultiPoly values, with z_i = x0 + ... + x_i as sums of
+    variables.  The oracle of the walk's change of coordinates (see
+    verify.check_p_family_coordinates); nothing is cached.
+    """
+    return PFamily(k, {2 * s + 1: p for s, p in enumerate(_p_family_by_multipoly(k, True))})
+
+
+def p_family_z(k: int) -> list[MultiPoly]:
+    """The level-k P-family in partial-sum coordinates by MultiPoly
+    arithmetic: _p_step on the variables z_i, one level at a time, element s
+    P_k^{2s+1}.  The oracle of treepoly._z_level, which reads the level off
+    its words of moves; nothing is cached.
+    """
+    return _p_family_by_multipoly(k, False)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +514,7 @@ __all__ = [
     "oriented_sign_sum",
     "tree_poly_bruteforce",
     "p_family_x",
+    "p_family_z",
     "compositions",
     "b_lambda_mu_subsets",
     "peel_by_compositions",

@@ -8,19 +8,20 @@ odd, |c| <= 2k+1, with P_k^c = P_k^{-c}) via
 
 and the leaf-weighted l_poly(k, n) = 4^(-k) * sum (2s+1)^(2n) P_k^{2s+1}
 generalizes it.  The family satisfies a three-term recursion in k, whose
-step is _p_step.  The levels are built in the partial sums z_j = x0 + ...
-+ x_j (_extend_levels), summed and divided by 4^k there (_l_sum), and
-converted to x only when a polynomial is returned: _prefinal expands the
-slots down to slot 2, and _x_runs expands slot 1 as runs, which `kcycles
-treepoly` renders with no x store and _unpack writes into one.
-tree_value runs the step at an odd point, with no level built.  Closed
-forms for near-all-ones evaluations and the shuffle sign-sum tables live
-here too, next to the recursion they cross-check.
+step is _p_step.  In the partial sums z_j = x0 + ... + x_j each step
+multiplies by one of four monomials and maps the family by a band read off
+_p_step, so a level is read off its words of moves, depth first (_words):
+per P_k^c (_z_level), or summed and divided by 4^k as each word is read
+(_l_sum).  It is converted to x only when a polynomial is returned:
+_prefinal expands the slots down to slot 2, and _x_runs expands slot 1 as
+runs, which `kcycles treepoly` renders with no x store and _unpack writes
+into one.  tree_value runs the step at an odd point, with no level built.
+Closed forms for near-all-ones evaluations and the shuffle sign-sum tables
+live here too, next to the recursion they cross-check.
 
-Values are immutable.  The z levels and reduced_tree_poly(k) are cached
-per process; p_family and l_poly unpack new polynomials on every call,
-and tree_value and q_eval cache nothing.  Building a new level or reduced
-polynomial takes an internal lock, and a built one is read without it.
+Values are immutable.  Only reduced_tree_poly(k) is cached per process,
+built under an internal lock and read without it; every other call walks
+its level afresh, and tree_value and q_eval walk none.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import comb, factorial, prod
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 from .exact import (
@@ -47,10 +48,11 @@ _MAX_LEVEL = 30
 def _p_step(family: list, z2k, z2k1, z2k2) -> list:
     """One step k -> k+1 of the P-family recursion; family[s] is P_k^{2s+1}.
 
-    The one implementation of the step, for three routes, which pass it
+    The one implementation of the step, for every route, which passes it
     only the partial sums z_i = x0 + ... + x_i: ints at a point
-    (tree_value), or MultiPoly in 2k+3 variables, in z coordinates (the
-    level build) or in x coordinates (oracles.p_family_x).  It takes their
+    (tree_value), ints at 0/1 points on basis vectors (_bands, the maps of
+    the level walk), or MultiPoly in 2k+3 variables, in z coordinates
+    (oracles.p_family_z) or in x coordinates (oracles.p_family_x).  It takes their
     differences y1 = x_{2k+1} = z_{2k+1} - z_{2k} and y2 = x_{2k+2} =
     z_{2k+2} - z_{2k+1}.  With S_c = P_k^c, S_{-1} = S_1 and S_c = 0 beyond
     c = 2k+1, the terms are grouped by multiplier so that every product has
@@ -76,29 +78,100 @@ def _p_step(family: list, z2k, z2k1, z2k2) -> list:
     return step
 
 
+# The exponents of (z_{2j}, z_{2j+1}, z_{2j+2}) in the four monomials that
+# step j of _p_step multiplies by: z_{2j+1}^2, z_{2j+1} z_{2j+2},
+# z_{2j} z_{2j+2} and z_{2j} z_{2j+1}.
+_MOVES = ((0, 2, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def _bands(j: int) -> list[list[tuple[int, int, int]]]:
+    """The maps of the four _MOVES on the family at step j -> j+1, read off
+    _p_step: row s of a move's map holds the weights of S_{c-2}, S_c and
+    S_{c+2} in the move's part of P_{j+1}^c, c = 2s+1, with S_{-1} folded
+    into S_1 and zeros outside the family.
+
+    In z coordinates the step is the sum of the moves' monomials, each
+    times a banded map of the family: expand y1 y2, z_{2j+1} (y1 + y2) and
+    the z_{2j} bracket of _p_step.  So at a 0/1 point it is the sum of the
+    maps of the moves whose monomials are 1 there.  At a move's exponents
+    capped at 1 that is the move and, where z_{2j+1} = 1, z_{2j+1}^2, whose
+    map is the step at (0, 1, 0).  Column i of each map is the step of the
+    i-th basis vector of the family.
+    """
+    size = j + 1
+
+    def at(point: tuple[int, int, int]) -> list[tuple[int, ...]]:
+        columns = [_p_step([int(t == i) for t in range(size)], *point) for i in range(size)]
+        return list(zip(*columns))
+
+    stepped = [at(tuple(min(e, 1) for e in move)) for move in _MOVES]
+    square = stepped[0]  # _MOVES[0] is z_{2j+1}^2
+    maps = []
+    for move, rows in zip(_MOVES, stepped):
+        if move[1] == 1:  # z_{2j+1}^2 is 1 at this point too
+            rows = [tuple(map(sub, row, square_row)) for row, square_row in zip(rows, square)]
+        maps.append([(0, *row, 0, 0)[s:s + 3] for s, row in enumerate(rows)])
+    return maps
+
+
+def _steps(k: int) -> list[list[tuple[int, list[tuple[int, int, int]]]]]:
+    """The steps j < k of level k, each as its four _MOVES: (key, band),
+    the key the move's monomial packed in the 2k+1 variables z_0..z_{2k}
+    and the band its map (_bands)."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if k > _MAX_LEVEL:
+        raise ValueError(f"level {k} exceeds the packed-exponent limit {_MAX_LEVEL}")
+    num_vars = 2 * k + 1
+    # a band's rows depend on c alone, and the family of step j is zero past
+    # S_{2j+1}, so the maps of step j are the first j+2 rows of the last step's
+    last = _bands(k - 1) if k else []
+    return [[(sum(e << _shift(num_vars, 2 * j + i) for i, e in enumerate(move)), band[:j + 2])
+             for move, band in zip(_MOVES, last)] for j in range(k)]
+
+
+def _words(steps: list) -> Iterator[tuple[int, list[int]]]:
+    """The words of moves of the given steps (_steps), depth first: (key,
+    vector) per word.
+
+    A word picks one move at each step; its key is the sum of their keys,
+    the product of their monomials, and its vector, (P^1, P^3, ...), is the
+    product of their maps on P_0 = (1).  Distinct words have distinct
+    monomials, read back from the top slot down, so over the words of all k
+    steps P_k^{2s+1} is the sum of vector[s] times the word's monomial, one
+    term per word.  A word whose vector vanishes gives no term and is
+    dropped with its extensions: at step 0, the two moves with z_0, so no
+    term holds z_0.  At most four words per step wait on the stack, and no
+    level is kept.
+    """
+    stack = [(0, 0, [1])]
+    while stack:
+        j, key, vector = stack.pop()
+        if j == len(steps):
+            yield key, vector
+            continue
+        padded = [0, *vector, 0, 0]
+        for move_key, band in steps[j]:
+            moved = [a * x + b * y + c * w for (a, b, c), x, y, w
+                     in zip(band, padded, padded[1:], padded[2:])]
+            if any(moved):
+                stack.append((j + 1, key + move_key, moved))
+
+
+def _z_level(k: int) -> list[MultiPoly]:
+    """The family of level k in partial-sum coordinates, from its words;
+    element s is P_k^{2s+1}, with variable i standing for z_i.  For k >= 1
+    every P_k^c has exactly 2*4^(k-1) terms and no exponent above 2."""
+    stores: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    for key, vector in _words(_steps(k)):
+        for store, value in zip(stores, vector):
+            if value:
+                store[key] = value
+    return [MultiPoly._raw(2 * k + 1, store) for store in stores]
+
+
 _lock = threading.RLock()
-_packed_levels: list[list[MultiPoly]] = [[MultiPoly.constant(1, 1)]]
 _reduced_cache: dict[int, MultiPoly] = {}
-
-
-def _extend_levels(level: int) -> list[MultiPoly]:
-    """The family of the given level in partial-sum coordinates, building
-    the missing levels under the lock; element s is P_level^{2s+1}, with
-    variable i standing for z_i.  For level >= 1 every P_level^c has
-    exactly 2*4^(level-1) terms and no exponent above 2."""
-    if level < 0:
-        raise ValueError(f"need k >= 0, got {level}")
-    if level > _MAX_LEVEL:
-        raise ValueError(f"level {level} exceeds the packed-exponent limit {_MAX_LEVEL}")
-    if level >= len(_packed_levels):
-        with _lock:
-            while len(_packed_levels) <= level:
-                k = len(_packed_levels) - 1
-                n = 2 * k + 3
-                z2k, z2k1, z2k2 = (MultiPoly.variable(n, i) for i in range(2 * k, n))
-                family = [p.extended(n) for p in _packed_levels[k]]
-                _packed_levels.append(_p_step(family, z2k, z2k1, z2k2))
-    return _packed_levels[level]
 
 
 def _prefinal(packed: MultiPoly, num_vars: int) -> dict:
@@ -229,11 +302,12 @@ class PFamily:
 
 
 def p_family(k: int) -> PFamily:
-    """The level-k family, computed by iterating the three-term recursion;
-    each P_k^c is converted from the z level on its own, on every call."""
+    """The level-k family, read off the words of the three-term recursion;
+    the z level is walked and each P_k^c converted on its own, on every
+    call."""
     num_vars = 2 * k + 1
     return PFamily(k, {2 * s + 1: _unpack(packed, num_vars)
-                       for s, packed in enumerate(_extend_levels(k))})
+                       for s, packed in enumerate(_z_level(k))})
 
 
 def p_family_runs(k: int, reverse: bool = False) -> Iterator[tuple[int, Iterator[tuple]]]:
@@ -241,7 +315,7 @@ def p_family_runs(k: int, reverse: bool = False) -> Iterator[tuple[int, Iterator
     _x_runs; each P_k^c's pre-final store is made when it is reached, so a
     caller that renders one at a time holds one."""
     num_vars = 2 * k + 1
-    for s, packed in enumerate(_extend_levels(k)):
+    for s, packed in enumerate(_z_level(k)):
         yield 2 * s + 1, _x_runs(num_vars, _prefinal(packed, num_vars), reverse=reverse)
 
 
@@ -277,18 +351,36 @@ def _l_sum(k: int, n: int) -> MultiPoly:
     sinh^2, sinh cosh and cosh^2 in the hyperbolic recursion of
     verify_g_recursion are integers, so integrality passes from level k to
     k+1.  The change to z is unimodular, so 4^k divides every z coefficient
-    of the sum too, and the conversion to x runs on integers only.  Raises
+    of the sum too, and the conversion to x runs on integers only.  Each
+    word of the level (_words) gives one term, divided as it is read: the
+    last step's bands, each summed with the weights into one row on the
+    family before it, end the words of the other steps.  Raises
     ArithmeticError on a z coefficient that 4^k does not divide.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    acc = MultiPoly.zero(2 * k + 1)
-    for s, packed in enumerate(_extend_levels(k)):
-        acc = acc + packed * (2 * s + 1) ** (2 * n)
+    weights = [(2 * s + 1) ** (2 * n) for s in range(k + 1)]
+    steps = _steps(k)
+    last = [(0, weights)]  # level 0 has no step
+    if steps:
+        last = []
+        for move_key, band in steps.pop():
+            # band row s reads positions s..s+2 of [0, *family, 0, 0]
+            row = [0] * (k + 3)
+            for s, (weight, entries) in enumerate(zip(weights, band)):
+                for t, entry in enumerate(entries, s):
+                    row[t] += weight * entry
+            last.append((move_key, row[1:k + 1]))
     divisor = 4 ** k
-    if any(c % divisor for c in acc._terms.values()):
-        raise ArithmeticError(f"4^{k} does not divide the level-{k} sum for n = {n}")
-    return MultiPoly._raw(acc.num_vars, {e: c // divisor for e, c in acc._terms.items()})
+    terms = {}
+    for key, vector in _words(steps):
+        for move_key, row in last:
+            value, rest = divmod(sum(map(mul, row, vector)), divisor)
+            if rest:
+                raise ArithmeticError(f"4^{k} does not divide the level-{k} sum for n = {n}")
+            if value:
+                terms[key + move_key] = value
+    return MultiPoly._raw(2 * k + 1, terms)
 
 
 def l_poly(k: int, n: int) -> MultiPoly:
@@ -313,7 +405,7 @@ def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -
 def tree_value(values: Sequence[int]) -> int:
     """The full tree polynomial tree_poly(k) at an odd point of 2k+1 entries.
 
-    The point route: the step of the level build, _p_step, runs on exact
+    The point route: the step of the level walk, _p_step, runs on exact
     integers at the partial sums z_j of the entries, so a level-k call costs
     O(k^2) multiply-adds at any k; no level is built, cached or locked.
     The 4^k comes out of the family's sum exactly, for the reason given at

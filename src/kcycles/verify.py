@@ -334,8 +334,8 @@ def check_oracle_reduced() -> Iterator[Triple]:
 
 
 def check_p_family_coordinates() -> Iterator[Triple]:
-    # the z build converted to x against the recursion run in x; both run
-    # the same step on MultiPoly, so this covers the coordinates and the
+    # the walk's z level converted to x against the step run in x on
+    # MultiPoly: this covers the words of moves, the coordinates and the
     # conversion, and the brute-force checks cover the step
     for k in range(6):
         yield f"k={k}", p_family(k).polys, oracles.p_family_x(k).polys
@@ -347,7 +347,7 @@ def check_oracle_shuffles() -> Iterator[Triple]:
         for values in _odd_tuples(length, 9):
             brute = oracles.tree_poly_bruteforce(values)
             yield f"T{values}", brute, poly.eval(values)
-            # the point route against words, not against the level build it
+            # the point route against words, not against the level walk it
             # shares its recursion step with
             yield f"Q{values}", tree_value(values), brute
 

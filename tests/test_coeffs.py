@@ -250,6 +250,19 @@ def test_a_rows_are_integers_times_sym():
         assert fresh.a_matrix(n) == invert_lower_triangular(fresh.b_matrix(n))
 
 
+def test_row_memos_share_one_key_per_partition():
+    # the b-rows and a-rows, and the memos over them, key each partition by
+    # one tuple object per table
+    fresh = CoeffTable()
+    table_document(10, fresh)
+    keys = {}
+    for memo in (fresh._brows, fresh._arows):
+        for lam, row in memo.items():
+            for key in (lam, *row):
+                assert keys.setdefault(key, key) is key
+    assert len(keys) == sum(len(partitions_of(w)) for w in range(1, 11))
+
+
 def test_non_integral_a_row_raises(monkeypatch, tmp_path, capsys):
     # b_n = 1/(7 a_n) puts a 7 into the one-part b entries that the a.b = 1
     # dot product divides by: the integer division raises rather than round,

@@ -15,6 +15,7 @@ from kcycles.oracles import (
     enumerate_cyclic_shuffles,
     enumerate_increasing_trees,
     p_family_x,
+    p_family_z,
     reduced_tree_poly_bruteforce,
     shuffle_sign_sum_bruteforce,
     tree_monomial,
@@ -82,7 +83,7 @@ def test_packed_z_levels_have_the_fixed_shape():
     # the build's speed rests on this shape: 2*4^(k-1) terms per P_k^c, no
     # z exponent above 2, and degree 2k, so converted x exponents fit a slot
     for k in range(1, 8):
-        level = treepoly._extend_levels(k)
+        level = treepoly._z_level(k)
         assert len(level) == k + 1
         for packed in level:
             assert len(packed) == 2 * 4 ** (k - 1)
@@ -92,6 +93,20 @@ def test_packed_z_levels_have_the_fixed_shape():
     for k in range(6):
         for poly in p_family(k).polys.values():
             assert poly.is_homogeneous(2 * k)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_walk_matches_the_multipoly_z_build(k):
+    # the words of moves against _p_step run on MultiPoly in z coordinates:
+    # each P_k^c, and the 4^k-divided sums of _l_sum
+    oracle = p_family_z(k)
+    assert treepoly._z_level(k) == oracle
+    for n in range(4):
+        undivided = sum((p * (2 * s + 1) ** (2 * n) for s, p in enumerate(oracle)),
+                        MultiPoly.zero(2 * k + 1))
+        assert all(c % 4 ** k == 0 for _, c in undivided.items())
+        assert treepoly._l_sum(k, n)._terms == {e: c // 4 ** k
+                                                for e, c in undivided._terms.items()}
 
 
 def test_reduced_examples():
@@ -210,7 +225,7 @@ def test_unpack_divides_on_the_packed_level(k):
     # _l_sum divides by 4^k on the z level, exactly, so the conversion to x
     # runs on ints only; it gives l_poly, the quotients of the x terms of
     # the undivided sum
-    level = treepoly._extend_levels(k)
+    level = treepoly._z_level(k)
     for n in range(3):
         packed = treepoly._l_sum(k, n)
         assert all(type(c) is int for _, c in packed.items())
@@ -230,7 +245,9 @@ def test_l_sum_refuses_a_sum_that_4_k_does_not_divide(monkeypatch, capsys):
     from kcycles import cli
 
     x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
-    monkeypatch.setattr(treepoly, "_extend_levels", lambda k: [x1 * x2])
+    # a level-1 step of one move, z1 z2 with P^1 = 1 and P^3 = 0
+    (key,) = (x1 * x2)._terms
+    monkeypatch.setattr(treepoly, "_steps", lambda k: [[(key, [(0, 1, 0), (0, 0, 0)])]])
     with pytest.raises(ArithmeticError, match="divide"):
         l_poly(1, 0)
     for fmt in ("text", "json", "latex"):
@@ -243,7 +260,7 @@ def test_no_p_family_term_has_a_z0_exponent():
     # the x0 slices of the runs rest on this: no P_k^c in z coordinates
     # holds z0, so every pre-final store has the one z0 exponent 0
     for k in range(8):
-        for packed in treepoly._extend_levels(k):
+        for packed in treepoly._z_level(k):
             assert packed.degree_in(0) == 0
 
 
@@ -311,8 +328,10 @@ def test_runs_refuse_a_store_with_z0_terms(monkeypatch, capsys):
     assert treepoly._unpack(graded, 3) == in_x(graded)
     with pytest.raises(ArithmeticError, match="degrees"):
         next(treepoly._x_runs(3, treepoly._prefinal(graded, 3), reverse=True))
-    # 4 * mixed passes the division by 4^1, so the z0 check is what refuses it
-    monkeypatch.setattr(treepoly, "_extend_levels", lambda k: [4 * mixed])
+    # 4 * mixed, one move per term, passes the division by 4^1, so the z0
+    # check is what refuses it
+    step = [(key, [(0, 4 * c, 0), (0, 0, 0)]) for key, c in mixed._terms.items()]
+    monkeypatch.setattr(treepoly, "_steps", lambda k: [step])
     for fmt in ("text", "json", "latex"):
         assert cli.main(["treepoly", "1", "--format", fmt]) == cli.EXIT_ARITH
         out, err = capsys.readouterr()
@@ -477,12 +496,14 @@ def test_q_closed_ones():
             assert q_eval((n,) + (1,) * (2 * k)) == q_closed_ones(k, n)
 
 
-def test_q_eval_builds_no_level():
-    levels = len(treepoly._packed_levels)
+def test_q_eval_builds_no_level(monkeypatch):
+    def no_steps(k):
+        raise AssertionError(f"level {k} walked")
+
+    monkeypatch.setattr(treepoly, "_steps", no_steps)
     reduced = len(treepoly._reduced_cache)
     for n in (1, 3, 7):
         assert q_eval((n,) + (1,) * 18) == q_closed_ones(9, n)
-    assert len(treepoly._packed_levels) == levels
     assert len(treepoly._reduced_cache) == reduced
 
 
