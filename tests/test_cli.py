@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
+import gc
 import hashlib
 import json
 import os
@@ -346,6 +347,58 @@ def test_startup_loads_only_what_commands_run():
     assert "kcycles.cli" in cli
     deferred = {"kcycles.verify", "kcycles.stats", "dataclasses", "inspect", "json", "hashlib"}
     assert not cli & deferred
+
+
+def _buffered_env():
+    # with PYTHONUNBUFFERED set, each write reaches the fd at once and fails
+    # inside the command; these tests need the buffered stdout of a shell
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_stdout_is_io_error():
+    # the output is short enough to sit in the buffer until the last flush
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(CLI + ["coeff", "b", "--lambda", "5,5"], stdout=full,
+                                stderr=subprocess.PIPE, text=True,
+                                env=_buffered_env(), timeout=300)
+    assert result.returncode == 5
+    assert result.stderr == "error: [Errno 28] No space left on device\n"
+
+
+def test_reader_closing_the_pipe_is_io_error():
+    proc = subprocess.Popen(CLI + ["treepoly", "5", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_buffered_env())
+    # the 0.8 MB document cannot fit in the pipe: the writer is still busy
+    assert proc.stdout.read(100).startswith(b"[")
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 5
+    assert stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_only_the_entry_point_freezes_the_collector(capsys):
+    from kcycles import cli
+
+    script = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+        "sys.argv = ['kcycles', 'coeff', 'b', '--lambda', '1']\n"
+        "from kcycles.cli import run\n"
+        "run()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    value, frozen = result.stdout.splitlines()
+    assert value == "1/12"
+    assert int(frozen) > 0
+    before = gc.get_freeze_count()
+    assert cli.main(["coeff", "b", "--lambda", "1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "1/12\n"
+    assert gc.get_freeze_count() == before
 
 
 def test_table_idempotent_and_cached(tmp_path):
