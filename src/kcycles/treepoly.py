@@ -14,19 +14,20 @@ _p_step, so a level is read off its words of moves, depth first (_words):
 per P_k^c (_z_level), or summed and divided by 4^k as each word is read
 (_l_sum).  It is converted to x only when a polynomial is returned:
 _prefinal expands the slots down to slot 2, and _x_runs expands slot 1 as
-runs, which `kcycles treepoly` renders with no x store and _unpack writes
-into one.  tree_value runs the step at an odd point, with no level built.
-Closed forms for near-all-ones evaluations and the shuffle sign-sum tables
-live here too, next to the recursion they cross-check.
+runs, which `kcycles treepoly` renders with no x store and _store writes
+into one, so each polynomial returned is the store of what the command
+prints for the same variant.  tree_value runs the step at an odd point,
+with no level built.  Closed forms for near-all-ones evaluations and the
+shuffle sign-sum tables live here too, next to the recursion they
+cross-check.
 
-Values are immutable.  Only reduced_tree_poly(k) is cached per process,
-built under an internal lock and read without it; every other call walks
-its level afresh, and tree_value and q_eval walk none.
+Values are immutable, and the module keeps no state: every call walks its
+level afresh, so a caller that reads a level more than once holds on to
+it, and tree_value and q_eval walk none.
 """
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -170,10 +171,6 @@ def _z_level(k: int) -> list[MultiPoly]:
     return [MultiPoly._raw(2 * k + 1, store) for store in stores]
 
 
-_lock = threading.RLock()
-_reduced_cache: dict[int, MultiPoly] = {}
-
-
 def _prefinal(packed: MultiPoly, num_vars: int) -> dict:
     """The z-coordinate polynomial in z0, z1, x2, ..., x_{num_vars-1}, as a
     term store: the conversion to x, but for slot 1, which _x_runs expands.
@@ -252,11 +249,11 @@ def _x_runs(num_vars: int, store: dict, reverse: bool = False,
                 yield group_keys, offset + i * carry, group_coeffs, comb(b, i)
 
 
-def _unpack(packed: MultiPoly, num_vars: int) -> MultiPoly:
-    """The z-coordinate polynomial in x: the pre-final store of _prefinal,
-    with its runs of _x_runs written into one x store."""
+def _store(num_vars: int, runs: Iterator[tuple]) -> MultiPoly:
+    """The polynomial in num_vars variables of the runs of _x_runs, written
+    into one x store."""
     terms: dict = {}
-    for keys, offset, coeffs, weight in _x_runs(num_vars, _prefinal(packed, num_vars)):
+    for keys, offset, coeffs, weight in runs:
         # a run that neither moves nor weights its terms stores the ints it has
         if offset:
             keys = map(add, keys, repeat(offset))
@@ -302,12 +299,9 @@ class PFamily:
 
 
 def p_family(k: int) -> PFamily:
-    """The level-k family, read off the words of the three-term recursion;
-    the z level is walked and each P_k^c converted on its own, on every
-    call."""
-    num_vars = 2 * k + 1
-    return PFamily(k, {2 * s + 1: _unpack(packed, num_vars)
-                       for s, packed in enumerate(_z_level(k))})
+    """The level-k family, read off the words of the three-term recursion:
+    each P_k^c is the store of its runs in p_family_runs(k)."""
+    return PFamily(k, {c: _store(2 * k + 1, runs) for c, runs in p_family_runs(k)})
 
 
 def p_family_runs(k: int, reverse: bool = False) -> Iterator[tuple[int, Iterator[tuple]]]:
@@ -324,23 +318,18 @@ def reduced_tree_poly(k: int) -> MultiPoly:
 
     Homogeneous of degree 2k with nonnegative integer coefficients summing
     to (2k)!; linear in x_{2k}; depends on x0 and x1 only through x0 + x1.
-    The cached l_poly(k, 0).
+    It is l_poly(k, 0).
     """
-    # a built value is read without the lock; the lock makes one build per k,
-    # so every caller gets the same object
-    value = _reduced_cache.get(k)
-    if value is None:
-        with _lock:
-            value = _reduced_cache.get(k)
-            if value is None:
-                value = _reduced_cache[k] = l_poly(k, 0)
-    return value
+    return l_poly(k, 0)
 
 
 def tree_poly(k: int) -> MultiPoly:
-    """x0 times the reduced tree polynomial; homogeneous of degree 2k+1."""
-    reduced = reduced_tree_poly(k)
-    return MultiPoly.variable(reduced.num_vars, 0) * reduced
+    """x0 times the reduced tree polynomial; homogeneous of degree 2k+1.
+
+    The store of l_poly_runs(k, 0, times_x0=True): the reduced runs, each
+    key moved by x0's, so nothing is multiplied.
+    """
+    return _store(2 * k + 1, l_poly_runs(k, 0, times_x0=True))
 
 
 def _l_sum(k: int, n: int) -> MultiPoly:
@@ -387,9 +376,10 @@ def l_poly(k: int, n: int) -> MultiPoly:
     """Tree generating function with 2n extra leaves: 4^-k sum (2s+1)^(2n) P_k^(2s+1).
 
     l_poly(k, 0) is the reduced tree polynomial; the coefficient sum is
-    (2k)! (2k+1)^(2n).  The sum is _l_sum's, converted to x once.
+    (2k)! (2k+1)^(2n).  The sum is _l_sum's, converted to x once: the
+    store of l_poly_runs(k, n).
     """
-    return _unpack(_l_sum(k, n), 2 * k + 1)
+    return _store(2 * k + 1, l_poly_runs(k, n))
 
 
 def l_poly_runs(k: int, n: int, reverse: bool = False, times_x0: bool = False) -> Iterator[tuple]:
@@ -407,7 +397,7 @@ def tree_value(values: Sequence[int]) -> int:
 
     The point route: the step of the level walk, _p_step, runs on exact
     integers at the partial sums z_j of the entries, so a level-k call costs
-    O(k^2) multiply-adds at any k; no level is built, cached or locked.
+    O(k^2) multiply-adds at any k; no level is built.
     The 4^k comes out of the family's sum exactly, for the reason given at
     _l_sum, and a remainder raises ArithmeticError.  The verify checks
     oracle/reduced-tree-poly and oracle/cyclic-shuffles compare it with

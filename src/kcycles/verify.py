@@ -144,16 +144,17 @@ def check_reduced_polys() -> Iterator[Triple]:
     s01 = y[0] + y[1]
     expected2 = s01 * s01 * y[2] * y[4] + s01 * y[2] * y[2] * y[4] \
         + 2 * s01 * s01 * y[3] * y[4] + 5 * s01 * y[2] * y[3] * y[4]
-    t3 = reduced_tree_poly(3)
-    yield "T~0", reduced_tree_poly(0), MultiPoly.constant(1, 1)
-    yield "T~1", reduced_tree_poly(1), (x[0] + x[1]) * x[2]
-    yield "T~2", reduced_tree_poly(2), expected2
-    yield ("T~2|x0=0", reduced_tree_poly(2).substitute(0, MultiPoly.zero(5)),
+    # each level is built once, for every comparison that reads it
+    t0, t1, t2, t3 = map(reduced_tree_poly, range(4))
+    yield "T~0", t0, MultiPoly.constant(1, 1)
+    yield "T~1", t1, (x[0] + x[1]) * x[2]
+    yield "T~2", t2, expected2
+    yield ("T~2|x0=0", t2.substitute(0, MultiPoly.zero(5)),
            expected2.substitute(0, MultiPoly.zero(5)))
     yield "T~3[x1..x6]", t3.coefficient((0, 1, 1, 1, 1, 1, 1)), 61
     yield "T~3[x1x2x3^2x4x6]", t3.coefficient((0, 1, 1, 2, 1, 0, 1)), 5
-    for k in range(4):
-        yield f"total k={k}", reduced_tree_poly(k).coefficient_sum(), factorial(2 * k)
+    for k, level in enumerate((t0, t1, t2, t3)):
+        yield f"total k={k}", level.coefficient_sum(), factorial(2 * k)
 
 
 def check_coefficient_anchors() -> Iterator[Triple]:

@@ -220,6 +220,12 @@ def test_tree_and_family_stores_match_their_multipolys(k):
     assert polys == p_family_x(k).polys
 
 
+def in_x(packed, num_vars):
+    # the z-coordinate polynomial in x: the store of its pre-final runs
+    runs = treepoly._x_runs(num_vars, treepoly._prefinal(packed, num_vars))
+    return treepoly._store(num_vars, runs)
+
+
 @pytest.mark.parametrize("k", range(7))
 def test_unpack_divides_on_the_packed_level(k):
     # _l_sum divides by 4^k on the z level, exactly, so the conversion to x
@@ -229,12 +235,12 @@ def test_unpack_divides_on_the_packed_level(k):
     for n in range(3):
         packed = treepoly._l_sum(k, n)
         assert all(type(c) is int for _, c in packed.items())
-        unpacked = treepoly._unpack(packed, 2 * k + 1)
+        unpacked = in_x(packed, 2 * k + 1)
         assert unpacked == l_poly(k, n)
         assert all(type(c) is int for _, c in unpacked.items())
         undivided = sum((p * (2 * s + 1) ** (2 * n) for s, p in enumerate(level)),
                         MultiPoly.zero(2 * k + 1))
-        x_terms = treepoly._unpack(undivided, 2 * k + 1)._terms
+        x_terms = in_x(undivided, 2 * k + 1)._terms
         assert all(c % 4 ** k == 0 for c in x_terms.values())
         assert unpacked._terms == {e: c // 4 ** k for e, c in x_terms.items()}
 
@@ -312,20 +318,20 @@ def test_runs_refuse_a_store_with_z0_terms(monkeypatch, capsys):
 
     x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
 
-    def in_x(p):
+    def substituted(p):
         return p.substitute(2, x1 + x2).substitute(1, x0 + x1)
 
     uniform = x0 * (x1 * x2 + 2 * x1 * x1)
-    assert treepoly._unpack(uniform, 3) == in_x(uniform)
+    assert in_x(uniform, 3) == substituted(uniform)
     mixed = x0 * x2 + 2 * x1 * x1
     with pytest.raises(ArithmeticError, match="z0"):
-        treepoly._unpack(mixed, 3)
+        in_x(mixed, 3)
     for reverse in (False, True):
         with pytest.raises(ArithmeticError, match="z0"):
             next(treepoly._x_runs(3, treepoly._prefinal(mixed, 3), reverse=reverse))
     # several degrees break only the graded order of text and LaTeX
     graded = x1 * x2 + x1
-    assert treepoly._unpack(graded, 3) == in_x(graded)
+    assert in_x(graded, 3) == substituted(graded)
     with pytest.raises(ArithmeticError, match="degrees"):
         next(treepoly._x_runs(3, treepoly._prefinal(graded, 3), reverse=True))
     # 4 * mixed, one move per term, passes the division by 4^1, so the z0
@@ -372,7 +378,6 @@ def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
         raise AssertionError("the weighted sum unpacked the P family")
 
     monkeypatch.setattr(treepoly, "p_family", refuse)
-    monkeypatch.setattr(treepoly, "_reduced_cache", {})
     assert l_poly(3, 1) * 4 ** 3 == expected[1] == l_poly_bruteforce(3, 1) * 4 ** 3
     assert (reduced_tree_poly(3) * 4 ** 3 == expected[0]
             == reduced_tree_poly_bruteforce(3) * 4 ** 3)
@@ -501,10 +506,8 @@ def test_q_eval_builds_no_level(monkeypatch):
         raise AssertionError(f"level {k} walked")
 
     monkeypatch.setattr(treepoly, "_steps", no_steps)
-    reduced = len(treepoly._reduced_cache)
     for n in (1, 3, 7):
         assert q_eval((n,) + (1,) * 18) == q_closed_ones(9, n)
-    assert len(treepoly._reduced_cache) == reduced
 
 
 def test_t_closed_main():
@@ -624,9 +627,8 @@ def test_sinh_cosh_is_half_sinh_2t():
 
 
 def test_concurrent_family_builds():
-    # the per-process caches admit concurrent callers: reads outside the
-    # lock and builds inside it hand every caller the one cached reduced
-    # polynomial; families are converted anew on every call
+    # treepoly keeps no state, so concurrent callers each walk their own
+    # levels and get the values a serial build gives
     import sys
     import threading
 
@@ -648,7 +650,15 @@ def test_concurrent_family_builds():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8 * 5
+    serial = {k: (p_family(k), reduced_tree_poly(k)) for k in range(5)}
     for k, family, reduced in results:
-        assert family == p_family(k)
-        assert reduced is reduced_tree_poly(k)
+        assert (family, reduced) == serial[k]
     assert reduced_tree_poly(4).coefficient_sum() == factorial(8)
+
+
+def test_treepoly_keeps_no_module_state():
+    # no dict, list or set at module level: every value is built per call,
+    # and a caller that reads a level twice holds on to it
+    state = {name: type(value).__name__ for name, value in vars(treepoly).items()
+             if not name.startswith("__") and isinstance(value, (dict, list, set))}
+    assert state == {}
