@@ -36,6 +36,15 @@ def document_path(cache_dir: Path, operation: str, params: str) -> Path:
     return Path(cache_dir) / f"{operation}-{params}.v{SCHEMA_VERSION}.json"
 
 
+def table_paths(cache_dir: Path) -> list[tuple[int, Path]]:
+    """(weight, path) per file in cache_dir, if it is a directory, named
+    table-w<digits>[.*].v<SCHEMA_VERSION>.json, in path order."""
+    paths = sorted(Path(cache_dir).glob(f"table-w*.v{SCHEMA_VERSION}.json"))
+    names = [path.name.split(".")[0].removeprefix("table-w") for path in paths]
+    return [(int(digits), path) for digits, path in zip(names, paths)
+            if digits.isascii() and digits.isdigit()]
+
+
 def canonical_json(obj) -> str:
     """The single byte-stable rendering used for files and stdout."""
     import json

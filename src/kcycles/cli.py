@@ -169,9 +169,9 @@ def cmd_treepoly(args) -> int:
         n = int(args.variant[2:]) if args.variant.startswith("l:") else 0
         out.writelines(pieces(l_poly_runs(k, n, reverse, args.variant == "full")))
     elif fmt == "json":
-        # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}}
-        out.write(f'{{\n  "k": {k},\n  "polys": {{')
-        separator = "\n    "
+        # the indent-2 json.dumps layout of {"k": k, "polys": {"c": [...], ...}},
+        # its head written with P_k^1, once a walk of the level has succeeded
+        separator = f'{{\n  "k": {k},\n  "polys": {{\n    '
         for c, runs in p_family_runs(k, reverse):
             out.write(f'{separator}"{c}": ')
             out.writelines(pieces(runs, 2))

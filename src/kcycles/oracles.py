@@ -210,7 +210,7 @@ def p_family_x(k: int) -> PFamily:
 def p_family_z(k: int) -> list[MultiPoly]:
     """The level-k P-family in partial-sum coordinates by MultiPoly
     arithmetic: _p_step on the variables z_i, one level at a time, element s
-    P_k^{2s+1}.  The oracle of treepoly._z_level, which reads the level off
+    P_k^{2s+1}.  The oracle of treepoly._z_sum, which reads the level off
     its words of moves; nothing is cached.
     """
     return _p_family_by_multipoly(k, False)

@@ -10,9 +10,10 @@ and the leaf-weighted l_poly(k, n) = 4^(-k) * sum (2s+1)^(2n) P_k^{2s+1}
 generalizes it.  The family satisfies a three-term recursion in k, whose
 step is _p_step.  In the partial sums z_j = x0 + ... + x_j each step
 multiplies by one of four monomials and maps the family by a band read off
-_p_step, so a level is read off its words of moves, depth first (_words):
-per P_k^c (_z_level), or summed and divided by 4^k as each word is read
-(_l_sum).  It is converted to x only when a polynomial is returned:
+_p_step, so a level is read off its words of moves, depth first (_words),
+as one weighted sum (_z_sum): of unit weights for one P_k^c, or of the
+l_poly weights, divided by 4^k as each word is read (_l_sum).  It is
+converted to x only when a polynomial is returned:
 _prefinal expands the slots down to slot 2, and _x_runs expands slot 1 as
 runs, which `kcycles treepoly` renders with no x store and _store writes
 into one, so each polynomial returned is the store of what the command
@@ -131,6 +132,14 @@ def _steps(k: int) -> list[list[tuple[int, list[tuple[int, int, int]]]]]:
              for move, band in zip(_MOVES, last)] for j in range(k)]
 
 
+def _banded(band: list[tuple[int, int, int]], vector: list[int]) -> list[int]:
+    """A move's map (_bands) on a family vector: row s of the band reads
+    positions s..s+2 of [0, *vector, 0, 0]."""
+    padded = [0, *vector, 0, 0]
+    return [a * x + b * y + c * w for (a, b, c), x, y, w
+            in zip(band, padded, padded[1:], padded[2:])]
+
+
 def _words(steps: list) -> Iterator[tuple[int, list[int]]]:
     """The words of moves of the given steps (_steps), depth first: (key,
     vector) per word.
@@ -151,24 +160,36 @@ def _words(steps: list) -> Iterator[tuple[int, list[int]]]:
         if j == len(steps):
             yield key, vector
             continue
-        padded = [0, *vector, 0, 0]
         for move_key, band in steps[j]:
-            moved = [a * x + b * y + c * w for (a, b, c), x, y, w
-                     in zip(band, padded, padded[1:], padded[2:])]
+            moved = _banded(band, vector)
             if any(moved):
                 stack.append((j + 1, key + move_key, moved))
 
 
-def _z_level(k: int) -> list[MultiPoly]:
-    """The family of level k in partial-sum coordinates, from its words;
-    element s is P_k^{2s+1}, with variable i standing for z_i.  For k >= 1
-    every P_k^c has exactly 2*4^(k-1) terms and no exponent above 2."""
-    stores: list[dict[int, int]] = [{} for _ in range(k + 1)]
-    for key, vector in _words(_steps(k)):
-        for store, value in zip(stores, vector):
+def _z_sum(k: int, weights: Sequence[int], divisor: int = 1) -> MultiPoly:
+    """sum_s weights[s] P_k^{2s+1} / divisor in the z_i, read off the words
+    (_words) with the last step pulled back onto the weights: one row per
+    move, its band on each basis vector summed with the weights, so a word
+    of the other steps ends in each move by one dot product.  Each term is
+    divided by a checked divmod (ArithmeticError), and zeros are dropped.
+    Unit weights give one P_k^c: for k >= 1, exactly 2*4^(k-1) terms, with
+    no exponent above 2.
+    """
+    steps = _steps(k)
+    last = [(0, weights)]  # level 0 has no step
+    if steps:
+        basis = [[int(t == i) for t in range(k)] for i in range(k)]
+        last = [(move_key, [sum(map(mul, weights, _banded(band, unit))) for unit in basis])
+                for move_key, band in steps.pop()]
+    terms = {}
+    for key, vector in _words(steps):
+        for move_key, row in last:
+            value, rest = divmod(sum(map(mul, row, vector)), divisor)
+            if rest:
+                raise ArithmeticError(f"{divisor} does not divide a term of the level-{k} sum")
             if value:
-                store[key] = value
-    return [MultiPoly._raw(2 * k + 1, store) for store in stores]
+                terms[key + move_key] = value
+    return MultiPoly._raw(2 * k + 1, terms)
 
 
 def _prefinal(packed: MultiPoly, num_vars: int) -> dict:
@@ -306,10 +327,11 @@ def p_family(k: int) -> PFamily:
 
 def p_family_runs(k: int, reverse: bool = False) -> Iterator[tuple[int, Iterator[tuple]]]:
     """(c, the runs of P_k^c) for c = 1, 3, ..., 2k+1, in the order of
-    _x_runs; each P_k^c's pre-final store is made when it is reached, so a
-    caller that renders one at a time holds one."""
+    _x_runs; each P_k^c's z sum and pre-final store are made when it is
+    reached, so a caller that renders one at a time holds one."""
     num_vars = 2 * k + 1
-    for s, packed in enumerate(_z_level(k)):
+    for s in range(k + 1):
+        packed = _z_sum(k, [int(t == s) for t in range(k + 1)])
         yield 2 * s + 1, _x_runs(num_vars, _prefinal(packed, num_vars), reverse=reverse)
 
 
@@ -334,42 +356,18 @@ def tree_poly(k: int) -> MultiPoly:
 
 def _l_sum(k: int, n: int) -> MultiPoly:
     """4^-k sum (2s+1)^(2n) P_k^(2s+1), on the z level, with integer
-    coefficients.
+    coefficients: the _z_sum of the weights (2s+1)^(2n), divided by 4^k.
 
     Every l_poly(k, n) has integer coefficients: the t^m/m! coefficients of
     sinh^2, sinh cosh and cosh^2 in the hyperbolic recursion of
     verify_g_recursion are integers, so integrality passes from level k to
     k+1.  The change to z is unimodular, so 4^k divides every z coefficient
-    of the sum too, and the conversion to x runs on integers only.  Each
-    word of the level (_words) gives one term, divided as it is read: the
-    last step's bands, each summed with the weights into one row on the
-    family before it, end the words of the other steps.  Raises
+    of the sum too, and the conversion to x runs on integers only.  Raises
     ArithmeticError on a z coefficient that 4^k does not divide.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    weights = [(2 * s + 1) ** (2 * n) for s in range(k + 1)]
-    steps = _steps(k)
-    last = [(0, weights)]  # level 0 has no step
-    if steps:
-        last = []
-        for move_key, band in steps.pop():
-            # band row s reads positions s..s+2 of [0, *family, 0, 0]
-            row = [0] * (k + 3)
-            for s, (weight, entries) in enumerate(zip(weights, band)):
-                for t, entry in enumerate(entries, s):
-                    row[t] += weight * entry
-            last.append((move_key, row[1:k + 1]))
-    divisor = 4 ** k
-    terms = {}
-    for key, vector in _words(steps):
-        for move_key, row in last:
-            value, rest = divmod(sum(map(mul, row, vector)), divisor)
-            if rest:
-                raise ArithmeticError(f"4^{k} does not divide the level-{k} sum for n = {n}")
-            if value:
-                terms[key + move_key] = value
-    return MultiPoly._raw(2 * k + 1, terms)
+    return _z_sum(k, [(2 * s + 1) ** (2 * n) for s in range(k + 1)], 4 ** k)
 
 
 def l_poly(k: int, n: int) -> MultiPoly:

@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
-from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import cache as cache_mod
@@ -30,7 +29,6 @@ from .exact import (
     stirling_second,
 )
 from .coeffs import (
-    SCHEMA_VERSION,
     a_single,
     b_single,
     closed_a_pair,
@@ -304,14 +302,8 @@ def check_cache_consistency(cache_dir=None) -> Iterator[Triple]:
     A file that `kcycles table` would not reuse fails without a build, so a
     name claiming a large weight costs nothing unless its header matches.
     """
-    cache_dir = cache_mod.default_cache_dir() if cache_dir is None else Path(cache_dir)
-    if not cache_dir.is_dir():
-        return
-    for path in sorted(cache_dir.glob(f"table-w*.v{SCHEMA_VERSION}.json")):
-        digits = path.name.split(".")[0].removeprefix("table-w")
-        if not (digits.isascii() and digits.isdigit()):
-            continue  # not a name `table` writes
-        weight = int(digits)
+    cache_dir = cache_mod.default_cache_dir() if cache_dir is None else cache_dir
+    for weight, path in cache_mod.table_paths(cache_dir):
         equal = cache_mod.load_table(path, weight) is not None
         if equal:
             fresh = cache_mod.canonical_json(table_document(weight)).encode()

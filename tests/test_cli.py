@@ -171,6 +171,16 @@ def test_internal_arithmetic_error_exit_code(monkeypatch, capsys):
     assert "non-integer" in capsys.readouterr().err
 
 
+def test_family_past_the_level_limit_prints_nothing(capsys):
+    # the level is refused before the first byte of any format is written
+    from kcycles import cli
+
+    for fmt in ("text", "json", "latex"):
+        assert cli.main(["treepoly", "31", "--variant", "pfamily", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "exceeds the packed-exponent limit" in err
+
+
 def test_bad_partition_is_usage_error():
     assert run_cli("coeff", "b", "--lambda", "1,x").returncode == 2
     assert run_cli("coeff", "b", "--lambda", "0,1").returncode == 2

@@ -79,11 +79,17 @@ def test_p_family_level_two_top():
     assert family[5].substitute(0, zero) == expected
 
 
+def z_level(k):
+    # the family of level k on the z level: the unit-weighted sums, element s
+    # P_k^{2s+1}
+    return [treepoly._z_sum(k, [int(t == s) for t in range(k + 1)]) for s in range(k + 1)]
+
+
 def test_packed_z_levels_have_the_fixed_shape():
     # the build's speed rests on this shape: 2*4^(k-1) terms per P_k^c, no
     # z exponent above 2, and degree 2k, so converted x exponents fit a slot
     for k in range(1, 8):
-        level = treepoly._z_level(k)
+        level = z_level(k)
         assert len(level) == k + 1
         for packed in level:
             assert len(packed) == 2 * 4 ** (k - 1)
@@ -100,7 +106,7 @@ def test_walk_matches_the_multipoly_z_build(k):
     # the words of moves against _p_step run on MultiPoly in z coordinates:
     # each P_k^c, and the 4^k-divided sums of _l_sum
     oracle = p_family_z(k)
-    assert treepoly._z_level(k) == oracle
+    assert z_level(k) == oracle
     for n in range(4):
         undivided = sum((p * (2 * s + 1) ** (2 * n) for s, p in enumerate(oracle)),
                         MultiPoly.zero(2 * k + 1))
@@ -227,22 +233,22 @@ def in_x(packed, num_vars):
 
 
 @pytest.mark.parametrize("k", range(7))
-def test_unpack_divides_on_the_packed_level(k):
+def test_l_sum_divides_on_the_z_level(k):
     # _l_sum divides by 4^k on the z level, exactly, so the conversion to x
     # runs on ints only; it gives l_poly, the quotients of the x terms of
     # the undivided sum
-    level = treepoly._z_level(k)
+    level = z_level(k)
     for n in range(3):
         packed = treepoly._l_sum(k, n)
         assert all(type(c) is int for _, c in packed.items())
-        unpacked = in_x(packed, 2 * k + 1)
-        assert unpacked == l_poly(k, n)
-        assert all(type(c) is int for _, c in unpacked.items())
+        converted = in_x(packed, 2 * k + 1)
+        assert converted == l_poly(k, n)
+        assert all(type(c) is int for _, c in converted.items())
         undivided = sum((p * (2 * s + 1) ** (2 * n) for s, p in enumerate(level)),
                         MultiPoly.zero(2 * k + 1))
         x_terms = in_x(undivided, 2 * k + 1)._terms
         assert all(c % 4 ** k == 0 for c in x_terms.values())
-        assert unpacked._terms == {e: c // 4 ** k for e, c in x_terms.items()}
+        assert converted._terms == {e: c // 4 ** k for e, c in x_terms.items()}
 
 
 def test_l_sum_refuses_a_sum_that_4_k_does_not_divide(monkeypatch, capsys):
@@ -266,8 +272,26 @@ def test_no_p_family_term_has_a_z0_exponent():
     # the x0 slices of the runs rest on this: no P_k^c in z coordinates
     # holds z0, so every pre-final store has the one z0 exponent 0
     for k in range(8):
-        for packed in treepoly._z_level(k):
+        for packed in z_level(k):
             assert packed.degree_in(0) == 0
+
+
+def test_the_first_family_pair_builds_only_its_z_sum(monkeypatch):
+    # p_family_runs walks the level once per P_k^c, when it reaches it
+    calls = []
+    z_sum = treepoly._z_sum
+
+    def recording(k, weights, divisor=1):
+        calls.append((k, list(weights), divisor))
+        return z_sum(k, weights, divisor)
+
+    monkeypatch.setattr(treepoly, "_z_sum", recording)
+    pairs = treepoly.p_family_runs(4)
+    c, _ = next(pairs)
+    assert c == 1 and calls == [(4, [1, 0, 0, 0, 0], 1)]
+    assert [c for c, _ in pairs] == [3, 5, 7, 9]
+    assert [weights for _, weights, _ in calls] == [
+        [int(t == s) for t in range(5)] for s in range(5)]
 
 
 def _run_terms(runs):
@@ -365,7 +389,7 @@ def test_cli_renders_the_store_without_a_multipoly(monkeypatch, capsys, variant)
     assert capsys.readouterr().out == expected
 
 
-def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
+def test_weighted_sums_do_not_build_the_family(monkeypatch):
     # the family sums are 4^3 times the polynomials
     family = p_family(3)
     expected = {
@@ -375,7 +399,7 @@ def test_weighted_sums_do_not_unpack_the_family(monkeypatch):
     }
 
     def refuse(k):
-        raise AssertionError("the weighted sum unpacked the P family")
+        raise AssertionError("the weighted sum built the P family")
 
     monkeypatch.setattr(treepoly, "p_family", refuse)
     assert l_poly(3, 1) * 4 ** 3 == expected[1] == l_poly_bruteforce(3, 1) * 4 ** 3

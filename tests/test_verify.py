@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 from kcycles import cache as cache_mod
-from kcycles.coeffs import table_document
+from kcycles.coeffs import SCHEMA_VERSION, table_document
 from kcycles.verify import run_verify
 
 
@@ -38,6 +38,20 @@ def test_cache_file_that_is_not_text_fails_the_cache_check(tmp_path):
     path.write_bytes(b"\xff" + path.read_bytes())
     report = run_verify("quick", cache_dir=tmp_path)
     assert [r.name for r in report.results if not r.ok] == ["cache/tables"]
+
+
+def test_table_paths_read_the_weight_off_the_name(tmp_path):
+    # the cache check reads the weight off the name: table-w<digits>, then
+    # anything after a dot, then the versioned suffix, in sorted path order
+    suffix = f"v{SCHEMA_VERSION}.json"
+    for stem in ("w-1", "w08", "w10", "w2", "w8.old", "w8x", "w\u00b2", "w3.v0"):
+        (tmp_path / f"table-{stem}.{suffix}").write_text("{}")
+    (tmp_path / f"table-w3.v{SCHEMA_VERSION + 1}.json").write_text("{}")
+    assert [(weight, path.name) for weight, path in cache_mod.table_paths(tmp_path)] == [
+        (8, f"table-w08.{suffix}"), (10, f"table-w10.{suffix}"), (2, f"table-w2.{suffix}"),
+        (3, f"table-w3.v0.{suffix}"), (8, f"table-w8.old.{suffix}"),
+    ]
+    assert cache_mod.table_paths(tmp_path / "absent") == []
 
 
 def test_stray_cache_name_is_skipped(tmp_path):
