@@ -5,6 +5,7 @@ Layout:
 
 * exact     -- rationals, sparse multivariate polynomials, partitions,
                arrangements, Stirling numbers, double factorials
+* caps      -- the oracles' enumeration caps and the error past one
 * oracles   -- brute-force enumerations and the routes the production
                code replaced, each kept to check it
 * treepoly  -- the production recursion for the integer tree polynomials,
@@ -19,8 +20,9 @@ Layout:
 Importing the package loads none of these.  Each name in `__all__` (and
 each submodule, as `kcycles.verify`) is imported from its home module on
 first use and is the very same object.  The `kcycles` command imports
-cache, coeffs, exact, oracles and treepoly at start-up, whatever it runs,
-and verify only for `kcycles verify`.
+cache and caps at start-up, and each command the modules it runs: a
+`kcycles table` that reads its cached file loads no other, and verify
+loads only for `kcycles verify`.
 """
 
 from importlib import import_module
@@ -35,7 +37,7 @@ _HOMES = {
         "stirling_first_signed", "stirling_second",
     ), "exact"),
     **dict.fromkeys((
-        "EnumerationCapError", "compositions", "counting_identity_bruteforce",
+        "compositions", "counting_identity_bruteforce",
         "counting_identity_closed", "enumerate_cyclic_shuffles",
         "enumerate_increasing_trees", "even_cycle_histogram", "oriented_sign_sum",
         "p_family_x", "reduced_tree_poly_bruteforce", "shuffle_sign_sum_bruteforce",
@@ -52,9 +54,11 @@ _HOMES = {
         "closed_b_pair", "cup_coeff", "degenerate_a", "degenerate_b", "h_sequence",
         "shared_table", "sym_count", "witten_expansion",
     ), "coeffs"),
+    "EnumerationCapError": "caps",
     "run_verify": "verify",
 }
-_SUBMODULES = frozenset(("exact", "oracles", "treepoly", "coeffs", "cache", "verify", "cli"))
+_SUBMODULES = frozenset(("exact", "caps", "oracles", "treepoly", "coeffs", "cache", "verify",
+                         "cli"))
 
 __all__ = list(_HOMES)
 

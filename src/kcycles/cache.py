@@ -16,7 +16,9 @@ from pathlib import Path
 # json and tempfile are imported inside the functions that use them, so a
 # command that never touches the cache or renders JSON does not load them
 
-from .coeffs import SCHEMA_VERSION
+# the version of every cached document, in its name and inline, and of the
+# documents the command line prints
+SCHEMA_VERSION = 1
 
 ENV_CACHE_DIR = "KCYCLES_CACHE_DIR"
 

@@ -17,40 +17,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+# Each command imports the modules it runs, so a warm `table`, which
+# reads its cached file, loads no coefficient code and no `fractions`
 from . import cache as cache_mod
-from .coeffs import (
-    SCHEMA_VERSION,
-    a_lambda_mu,
-    b_lambda_mu,
-    cup_coeff,
-    partition_key,
-    table_document,
-    witten_expansion,
-)
-from .exact import (
-    MultiPoly,
-    check_odd_tuple,
-    format_rational,
-    json_pieces,
-    latex_rational,
-    normalize_partition,
-    signed_join,
-    term_pieces,
-)
-from .oracles import (
-    DEFAULT_LETTER_CAP,
-    DEFAULT_TREE_CAP,
-    EnumerationCapError,
-    SIGN_SUM_VARIANTS,
-    counting_identity_bruteforce,
-    counting_identity_closed,
-    reduced_tree_poly_bruteforce,
-    shuffle_sign_sum_bruteforce,
-    tree_poly_bruteforce,
-)
-from .treepoly import (
-    l_poly_runs, p_family_runs, reduced_tree_poly, tree_value, xe_tables,
-)
+from .caps import DEFAULT_LETTER_CAP, DEFAULT_TREE_CAP, SIGN_SUM_VARIANTS, EnumerationCapError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,6 +58,8 @@ def _cap_arg(text: str) -> int:
 
 
 def _partition_arg(text: str) -> tuple[int, ...]:
+    from .exact import normalize_partition
+
     if not text.strip():
         return ()
     try:
@@ -127,6 +99,9 @@ def _emit_terms(terms, fmt: str, head: dict, latex_basis) -> None:
     signed sum of value times `latex_basis(partition)`, and JSON the `head`
     fields followed by a "terms" map in the same order.
     """
+    from .coeffs import partition_key
+    from .exact import format_rational, latex_rational, signed_join
+
     if fmt == "json":
         obj = {**head, "terms": {partition_key(p): format_rational(v) for p, v in terms}}
         _emit(cache_mod.canonical_json(obj))
@@ -140,7 +115,7 @@ def _emit_terms(terms, fmt: str, head: dict, latex_basis) -> None:
         _emit("\n".join(lines) if lines else "0")
 
 
-def _poly_summary(poly: MultiPoly) -> str:
+def _poly_summary(poly) -> str:
     return f"{len(poly)} terms, coefficient sum {poly.coefficient_sum()}"
 
 
@@ -152,6 +127,9 @@ def cmd_treepoly(args) -> int:
     """Print a tree polynomial, or the P family, from the runs of its
     pre-final stores (see treepoly._x_runs), one renderer per format, with
     no x store: the text in flight is one chunk's."""
+    from .exact import json_pieces, term_pieces
+    from .treepoly import l_poly_runs, p_family_runs
+
     k, fmt, out = args.k, args.format, sys.stdout
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -188,6 +166,9 @@ def cmd_treepoly(args) -> int:
 
 
 def cmd_coeff(args) -> int:
+    from .coeffs import a_lambda_mu, b_lambda_mu
+    from .exact import format_rational
+
     lam = args.lam
     if not lam:
         raise ValueError("--lambda must be a nonempty partition")
@@ -205,10 +186,14 @@ def cmd_table(args) -> int:
     cache_path = cache_mod.document_path(cache_dir, "table", f"w{weight}")
     doc = cache_mod.load_table(cache_path, weight)
     if doc is None:
-        doc = table_document(weight)
-        cache_mod.write_atomic(cache_path, cache_mod.canonical_json(doc))
+        from .coeffs import table_document
+
+        text = cache_mod.canonical_json(table_document(weight))
+        cache_mod.write_atomic(cache_path, text)
+    elif args.out:
+        text = cache_mod.canonical_json(doc)
     if args.out:
-        cache_mod.write_atomic(Path(args.out), cache_mod.canonical_json(doc))
+        cache_mod.write_atomic(Path(args.out), text)
         _emit(str(args.out))
     else:
         _emit(str(cache_path))
@@ -216,14 +201,18 @@ def cmd_table(args) -> int:
 
 
 def cmd_cup(args) -> int:
+    from .coeffs import cup_coeff, partition_key
+
     lam, mu = args.lam, args.mu if args.mu is not None else ()
-    head = {"version": SCHEMA_VERSION, "lambda": list(lam), "mu": list(mu)}
+    head = {"version": cache_mod.SCHEMA_VERSION, "lambda": list(lam), "mu": list(mu)}
     _emit_terms(cup_coeff(lam, mu).items(), args.format, head,
                 lambda nu: f"[W^*_{{{partition_key(nu)}}}]")
     return EXIT_OK
 
 
 def cmd_witten(args) -> int:
+    from .coeffs import witten_expansion
+
     lam = args.lam
     _emit_terms(witten_expansion(lam).items(), args.format, {"lambda": list(lam)}, _kappa_latex)
     return EXIT_OK
@@ -248,6 +237,15 @@ def _oracle_report(brute, other, brute_text: str, other_text: str) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracles import (
+        counting_identity_bruteforce,
+        counting_identity_closed,
+        reduced_tree_poly_bruteforce,
+        shuffle_sign_sum_bruteforce,
+        tree_poly_bruteforce,
+    )
+    from .treepoly import reduced_tree_poly, tree_value, xe_tables
+
     caps = _parse_caps_env()
     cap_trees = args.cap_trees if args.cap_trees is not None else caps.get(
         "trees", DEFAULT_TREE_CAP
@@ -278,6 +276,8 @@ def cmd_oracle(args) -> int:
 
 
 def _odd_tuple_arg(text: str) -> tuple[int, ...]:
+    from .exact import check_odd_tuple
+
     try:
         return check_odd_tuple(int(x) for x in text.split(","))
     except ValueError as exc:

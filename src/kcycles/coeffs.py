@@ -16,6 +16,14 @@ side, and an integer dot product reads a.b = 1 on the a side.  Zero parts
 (the degenerate weight-0 class) extend both matrices by Stirling-number
 factors; see CoeffTable.degenerate_b and degenerate_a.
 
+Both sides are built in ints.  An a-row holds Sym(lambda) a_lambda^mu.
+A b-row holds b_lambda^nu prod_i a_{lambda_i} prod_j ((2nu_j+1)!!)^2, and
+the public readers divide by that scale once.  That the scaled one-part
+entries are integers is observed, for every lambda of weight <= 22, not
+proven: the peel that builds each one divides with a checked divmod
+(CoeffTable._b_row), as the a side's dot product does, and a remainder
+raises ArithmeticError (exit 6 on the command line).
+
 Every coefficient, the degenerate ones included, is a CoeffTable method,
 and a CoeffTable memoizes everything behind a re-entrant lock.  The module
 keeps one shared table, and the free names (b_lambda_mu, a_matrix,
@@ -29,9 +37,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .cache import SCHEMA_VERSION
 from .exact import (
     arrangements,
     double_factorial,
@@ -42,10 +51,7 @@ from .exact import (
     stirling_first_signed,
     stirling_second,
 )
-from .oracles import invert_rational_matrix  # noqa: F401 -- perfbench/layers.py imports it here
 from .treepoly import q_eval
-
-SCHEMA_VERSION = 1
 
 _ZERO = Fraction(0)
 
@@ -124,51 +130,103 @@ def _same_weight(lam: Sequence[int], mu: Sequence[int]) -> tuple[tuple[int, ...]
 
 class CoeffTable:
     """Memoized b-rows and a-rows, both assembled by one surjection rule
-    (_a_row), and peel kernels (b_extend), one lock per table.
+    (_a_row), peel kernels (b_extend) and the b scale of each partition
+    (_scale), one lock per table.
 
-    Every b reader walks or indexes a b-row, and every a reader an a-row.
-    Reads after a memo is filled are cheap dictionary hits; filling takes
-    the re-entrant lock, so a table can be shared between threads.  The
-    memos key every partition by one tuple object per table.
+    Both kinds of row hold ints: an a-row holds Sym(lam) times a, and a
+    b-row holds b times a scale that depends on the two partitions of the
+    entry (_b_row).  Every public reader divides by that factor once, so
+    it returns the same rationals.  Every b reader walks or indexes a
+    b-row, and every a reader an a-row.  Reads after a memo is filled are
+    cheap dictionary hits; filling takes the re-entrant lock, so a table
+    can be shared between threads.  The memos key every partition by one
+    tuple object per table.
     """
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
         self._partitions: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._brows: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
+        self._scales: dict[tuple[int, ...], tuple[int, int]] = {}
+        self._brows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         self._arows: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        self._kernels: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        self._kernels: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
 
     # -- the b side ----------------------------------------------------------
 
-    def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        """The nonzero b_lam^nu: b_n or the peel of the smallest part at nu = (n),
-        _a_row's rule elsewhere.  The caller holds the lock; do not mutate the row."""
+    def _scale(self, lam: tuple[int, ...]) -> tuple[int, int]:
+        """(prod_i a_{lam_i}, prod_i ((2 lam_i + 1)!!)^2), memoized per
+        partition: b_lam^nu is scaled by the first of lam's pair times the
+        second of nu's.  The caller holds the lock."""
+        scale = self._scales.get(lam)
+        if scale is None:
+            scale = (prod(map(a_single, lam)),
+                     prod(double_factorial(2 * part + 1) for part in lam) ** 2)
+            self._scales[self._partitions.setdefault(lam, lam)] = scale
+        return scale
+
+    def _b_row(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The nonzero ints B_lam^nu = b_lam^nu prod_i a_{lam_i} prod_j ((2nu_j+1)!!)^2.
+
+        The scale is a product over the slots of lam and of nu, so it splits
+        along every map f of _a_row's rule, and the multi-part entries are
+        _surjection_sums of the int rows of the blocks as they stand.  At
+        nu = (n) the entry is ((2n+1)!!)^2 if lam = (n), else the peel of
+        the smallest part k off lam = rest + {k}: (2k+1) ((2n+1)!!)^2 times
+        the sum over rest's b-row of B_rest^mu K(mu, k) / prod_j
+        ((2mu_j+1)!!)^2, one dot product over the lcm of its denominators
+        (_peel_sum).  That this peel is an integer is observed (for every
+        lam of weight <= 22), not proven, so its division is a checked
+        divmod, and a remainder raises ArithmeticError.
+        oracles.b_row_fractions builds the same rows over the rationals and
+        is the oracle of this route.  The caller holds the lock and must
+        not mutate the row.
+        """
         row = self._brows.get(lam)
         if row is None:
             if len(lam) < 2:
-                acc = {lam: b_single(lam[0]) if lam else Fraction(1)}
+                acc = {lam: self._scale(lam)[1]}
             else:
-                acc = {(sum(lam),): self.b_extend(lam[:-1], lam[-1])}
+                one, k = (sum(lam),), lam[-1]
+                num, den = self._peel_sum(lam[:-1], k)
+                acc = {one: _quotient((2 * k + 1) * self._scale(one)[1] * num, den,
+                                      "the scaled b{0}^{1}", lam, one)}
             acc.update(_surjection_sums(lam, self._b_row))
             key = self._partitions.setdefault
             row = {key(nu, nu): value for nu, value in acc.items() if value}
             self._brows[key(lam, lam)] = row
         return row
 
-    def _peel_kernel(self, mu: tuple[int, ...], k: int) -> Fraction:
-        # K(mu, k): the sum over the compositions with nonzero slots mu of
-        # (2m0+1)/(2m0+3) q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1); the caller
-        # holds the lock
+    def _peel_kernel(self, mu: tuple[int, ...], k: int) -> tuple[int, int]:
+        # K(mu, k), the sum over the compositions with nonzero slots mu of
+        # (2m0+1)/(2m0+3) q_eval(2m0+3, 2m1+1, ..., 2m_{2k}+1), as a reduced
+        # (numerator, denominator), summed in ints over a running lcm; the
+        # caller holds the lock
         key = mu, k
         value = self._kernels.get(key)
         if value is None:
-            value = Fraction(0)
+            num, den = 0, 1
             for comp in arrangements(mu, 2 * k + 1):
-                tuple_q = (2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
-                value += Fraction(2 * comp[0] + 1, 2 * comp[0] + 3) * q_eval(tuple_q)
-            self._kernels[key] = value
+                q_num, q_den = q_eval((2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:])
+                                      ).as_integer_ratio()
+                q_den *= 2 * comp[0] + 3
+                common = lcm(den, q_den)
+                num = num * (common // den) + (2 * comp[0] + 1) * q_num * (common // q_den)
+                den = common
+            divisor = gcd(num, den)
+            value = self._kernels[key] = (num // divisor, den // divisor)
         return value
+
+    def _peel_sum(self, lam: tuple[int, ...], k: int) -> tuple[int, int]:
+        # the sum over lam's b-row of B_lam^mu K(mu, k) / prod_j ((2mu_j+1)!!)^2
+        # over the entries with at most 2k+1 parts, as (numerator, lcm of the
+        # denominators); the caller holds the lock
+        terms = []
+        for mu, value in self._b_row(lam).items():
+            if len(mu) <= 2 * k + 1:
+                num, den = self._peel_kernel(mu, k)
+                terms.append((value * num, den * self._scale(mu)[1]))
+        den = lcm(*(den for _, den in terms))
+        return sum(num * (den // term_den) for num, term_den in terms), den
 
     def b_extend(self, lam: Sequence[int], k: int) -> Fraction:
         """Peel step: the b-coefficient of lam + {k} with one-part superscript.
@@ -179,18 +237,17 @@ class CoeffTable:
         (-2)^(k+1) (2k-1)!!.  The compositions of one mu add up to the peel
         kernel K(mu, k), which does not depend on lam and is memoized per
         table, so the peel is sum over lam's b-row of b_lam^mu K(mu, k) over
-        the entries with at most 2k+1 parts.  oracles.peel_by_compositions
-        is the sum over every composition, and the oracle of this one.
+        the entries with at most 2k+1 parts, read off the int row and
+        divided by its scale once.  oracles.peel_by_compositions is the sum
+        over every composition, and the oracle of this one.
         """
         if k < 1:
             raise ValueError(f"need a peeled part k >= 1, got {k}")
         lam = normalize_partition(lam)
         with self._lock:
-            total = Fraction(0)
-            for mu, weight in self._b_row(lam).items():
-                if len(mu) <= 2 * k + 1:
-                    total += weight * self._peel_kernel(mu, k)
-            return total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))
+            num, den = self._peel_sum(lam, k)
+            return Fraction(num, den * self._scale(lam)[0]
+                            * (-2) ** (k + 1) * double_factorial(2 * k - 1))
 
     def b_lambda_n(self, lam: Sequence[int]) -> Fraction:
         """b of the partition lam with the one-part superscript sum(lam).
@@ -210,7 +267,9 @@ class CoeffTable:
         query builds the whole row."""
         lam, mu = _same_weight(lam, mu)
         with self._lock:
-            return self._b_row(lam).get(mu, _ZERO)
+            value = self._b_row(lam).get(mu)
+            return _ZERO if value is None else Fraction(
+                value, self._scale(lam)[0] * self._scale(mu)[1])
 
     # -- the a side and everything built on it --------------------------------
 
@@ -225,8 +284,10 @@ class CoeffTable:
         Sym(rho) A^rho, so the a side divides each sum by Sym(nu)/Sym(rho),
         the multiplicity of nu[0] in nu.  At nu = (n) the entry is a_n if lam
         = (n), else row lam of a.b = 1: -a_n sum_{mu != (n)} A_lam^mu
-        b_mu^(n), one int dot product over the lcm of the b_mu^(n)
-        denominators.  A remainder in either division raises ArithmeticError.
+        b_mu^(n), with b_mu^(n) = B_mu^(n) / (prod_i a_{mu_i} ((2n+1)!!)^2)
+        read off the int b-rows (_b_row), one int dot product over the lcm
+        of the prod_i a_{mu_i}.  A remainder in either division raises
+        ArithmeticError.
         The checks matrix/duality and oracle/b-matrix compare the rows with
         forward substitution and Gauss-Jordan elimination over the rationals.
         The caller holds the lock and must not mutate the row.
@@ -237,14 +298,19 @@ class CoeffTable:
             if len(lam) < 2:
                 row = {key(lam, lam): a_single(lam[0]) if lam else 1}
             else:
-                acc = {nu: _a_quotient(value, nu.count(nu[0]), lam, nu)
+                entry = "Sym{0} a{0}^{1}"
+                acc = {nu: _quotient(value, nu.count(nu[0]), entry, lam, nu)
                        for nu, value in _surjection_sums(lam, self._a_row).items()}
-                n = sum(lam)
-                terms = [(value, *self._b_row(mu).get((n,), _ZERO).as_integer_ratio())
-                         for mu, value in acc.items()]
+                one = (sum(lam),)
+                terms = []
+                for mu, value in acc.items():
+                    num, den = self._b_row(mu).get(one, 0), self._scale(mu)[0]
+                    g = gcd(num, den)
+                    terms.append((value, num // g, den // g))
                 scale = lcm(*(den for _, _, den in terms))
                 dot = sum(value * num * (scale // den) for value, num, den in terms)
-                acc[(n,)] = _a_quotient(-a_single(n) * dot, scale, lam, (n,))
+                acc[one] = _quotient(-a_single(one[0]) * dot, scale * self._scale(one)[1],
+                                     entry, lam, one)
                 # partition_order (part count, then parts descending), with no key call per entry
                 row = {key(mu, mu): acc[mu]
                        for mu in sorted(sorted(acc, reverse=True), key=len) if acc[mu]}
@@ -263,8 +329,10 @@ class CoeffTable:
         because a coarsening has fewer parts or is the partition itself."""
         parts = partitions_of(n)
         with self._lock:
-            rows = [self._b_row(lam) for lam in parts]
-        return [[row.get(mu, _ZERO) for mu in parts] for row in rows]
+            rows = [(self._b_row(lam), self._scale(lam)[0]) for lam in parts]
+            columns = [(mu, self._scale(mu)[1]) for mu in parts]
+        return [[_ZERO if (value := row.get(mu)) is None else Fraction(value, scale * den)
+                 for mu, den in columns] for row, scale in rows]
 
     def a_matrix(self, n: int) -> list[list[Fraction]]:
         """Exact inverse of b_matrix(n), lower triangular like it: row i is the
@@ -296,21 +364,33 @@ class CoeffTable:
 
         m_{lam,mu}^nu = sum over alpha, beta of a_lam^alpha a_mu^beta times
         b of the concatenation alpha+beta with superscript nu, read off the
-        b-row of alpha+beta.  The nonzero terms come back in partitions_of
-        order.
+        b-row of alpha+beta, summed in ints over the lcm of the b scales of
+        the alphas and of the betas, and divided once.  The nonzero terms
+        come back in partitions_of order.
         """
         lam = normalize_partition(lam)
         mu = normalize_partition(mu)
-        out: dict[tuple[int, ...], Fraction] = {}
+
+        def over_lcm(row: dict) -> tuple[list, int]:
+            # each A^alpha times L / prod_i a_{alpha_i}, and L, the lcm of
+            # those products; the caller holds the lock
+            den = lcm(*(self._scale(alpha)[0] for alpha in row))
+            return [(alpha, value * (den // self._scale(alpha)[0]))
+                    for alpha, value in row.items()], den
+
+        out: dict[tuple[int, ...], int] = {}
         with self._lock:
-            for alpha, a_left in self._a_row(lam).items():
-                for beta, a_right in self._a_row(mu).items():
+            (left, left_den), (right, right_den) = (over_lcm(self._a_row(p)) for p in (lam, mu))
+            for alpha, a_left in left:
+                for beta, a_right in right:
                     scale = a_left * a_right
                     for nu, factor in self._b_row(normalize_partition(alpha + beta)).items():
                         out[nu] = out.get(nu, 0) + scale * factor
-        # the a-rows hold Sym times a, so the sum carries Sym(lam) Sym(mu)
-        sym = sym_count(lam) * sym_count(mu)
-        return {nu: out[nu] / sym for nu in sorted(out, key=partition_order) if out[nu]}
+            # the b scale of alpha + beta is the product of those of alpha and
+            # beta, and the a-rows hold Sym times a; divide by both once
+            den = sym_count(lam) * sym_count(mu) * left_den * right_den
+            return {nu: Fraction(out[nu], den * self._scale(nu)[1])
+                    for nu in sorted(out, key=partition_order) if out[nu]}
 
     # -- degenerate (zero-padded) extension ------------------------------------
 
@@ -372,10 +452,14 @@ def _surjection_sums(lam: tuple[int, ...], row: Callable[[tuple[int, ...]], dict
     return acc
 
 
-def _a_quotient(numerator: int, divisor: int, lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+def _quotient(numerator: int, divisor: int, entry: str,
+              lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """numerator / divisor, which must be exact: a remainder raises
+    ArithmeticError naming the entry, entry.format(lam, mu), that is not
+    an integer."""
     value, rest = divmod(numerator, divisor)
     if rest:
-        raise ArithmeticError(f"Sym{lam} a{lam}^{mu} is not an integer")
+        raise ArithmeticError(f"{entry.format(lam, mu)} is not an integer")
     return value
 
 
@@ -396,6 +480,16 @@ def _sub_multisets(lam: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tupl
             count *= comb(mult, t)
         if block and rest:
             yield block, rest, count
+
+
+def __getattr__(name: str):
+    # perfbench/layers.py imports the Gauss-Jordan oracle from here; it loads
+    # on that first use, so the commands that build tables never load oracles
+    if name == "invert_rational_matrix":
+        from .oracles import invert_rational_matrix
+
+        return invert_rational_matrix
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- shared table and document export ------------------------------------------

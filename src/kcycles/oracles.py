@@ -2,8 +2,9 @@
 ordinary shuffle sign sums, permutation cycle statistics and
 compositions, plus the routes the production code replaced and which now
 check it: the P-family recursion on MultiPoly in z and in x coordinates,
-the b sum over index subsets, the peel over every composition, and
-Gauss-Jordan and whole-matrix forward substitution over the rationals.
+the b sum over index subsets, the peel over every composition, the
+b-rows over the rationals, and Gauss-Jordan and whole-matrix forward
+substitution over the rationals.
 
 The enumerations are deliberately written from first definitions
 (explicit words, inversion counts, full enumeration) so they can serve as
@@ -28,27 +29,20 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .exact import Coeff, MultiPoly, check_odd_tuple, double_factorial, normalize_partition
+from .caps import (
+    DEFAULT_COUNTING_CAP,
+    DEFAULT_CYCLE_CAP,
+    DEFAULT_LETTER_CAP,
+    DEFAULT_SHUFFLE_CAP,
+    DEFAULT_TREE_CAP,
+    SIGN_SUM_VARIANTS,
+    EnumerationCapError,
+)
+from .coeffs import _surjection_sums, b_single
+from .exact import (
+    Coeff, MultiPoly, arrangements, check_odd_tuple, double_factorial, normalize_partition,
+)
 from .treepoly import PFamily, _p_step, q_eval
-
-DEFAULT_TREE_CAP = 5        # full enumeration of (2k)! increasing trees
-DEFAULT_LETTER_CAP = 11     # total letters in a cyclic-shuffle alphabet
-DEFAULT_SHUFFLE_CAP = 12    # n + m for plain two-letter shuffles
-DEFAULT_CYCLE_CAP = 10      # permutation degree for cycle statistics
-DEFAULT_COUNTING_CAP = 10 ** 7  # n**s grid size for the counting identity
-
-SIGN_SUM_VARIANTS = ("X0", "X1", "X2")
-
-
-class EnumerationCapError(RuntimeError):
-    """An enumeration would exceed its configured cap."""
-
-    def __init__(self, what: str, requested, cap, override: str):
-        super().__init__(
-            f"{what} {requested} exceeds the cap {cap}; raise it with {override} "
-            f"if you really want the full enumeration"
-        )
-        self.cap = cap
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +297,41 @@ def peel_by_compositions(
     return total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))
 
 
+def b_row_fractions(
+    lam: tuple[int, ...], rows: dict, kernels: dict
+) -> dict[tuple[int, ...], Fraction]:
+    """lam's b-row over the rationals, nonzero entries only, by the route
+    that coeffs.CoeffTable._b_row replaced, and its oracle.
+
+    The entry at nu = (n) is b_n if lam = (n), else the peel of the
+    smallest part k off lam = rest + {k}: the Fraction sum over rest's row
+    of b_rest^mu K(mu, k), with each peel kernel K(mu, k) a Fraction sum of
+    q_eval values, divided by (-2)^(k+1) (2k-1)!!.  The other entries are
+    coeffs._surjection_sums of these rows.  `rows` and `kernels` keep the
+    rows and kernels built so far between calls.
+    """
+    row = rows.get(lam)
+    if row is None:
+        if len(lam) < 2:
+            acc = {lam: b_single(lam[0]) if lam else Fraction(1)}
+        else:
+            rest, k = lam[:-1], lam[-1]
+            total = Fraction(0)
+            for mu, value in b_row_fractions(rest, rows, kernels).items():
+                if len(mu) <= 2 * k + 1:
+                    if (mu, k) not in kernels:
+                        kernels[mu, k] = sum(
+                            (Fraction(2 * comp[0] + 1, 2 * comp[0] + 3)
+                             * q_eval((2 * comp[0] + 3,) + tuple(2 * x + 1 for x in comp[1:]))
+                             for comp in arrangements(mu, 2 * k + 1)),
+                            Fraction(0))
+                    total += value * kernels[mu, k]
+            acc = {(sum(lam),): total / ((-2) ** (k + 1) * double_factorial(2 * k - 1))}
+        acc.update(_surjection_sums(lam, lambda part: b_row_fractions(part, rows, kernels)))
+        row = rows[lam] = {nu: value for nu, value in acc.items() if value}
+    return row
+
+
 def invert_rational_matrix(rows: Sequence[Sequence[Coeff]]) -> list[list[Fraction]]:
     """Exact inverse by Gauss-Jordan elimination over the rationals."""
     n = len(rows)
@@ -518,6 +547,7 @@ __all__ = [
     "compositions",
     "b_lambda_mu_subsets",
     "peel_by_compositions",
+    "b_row_fractions",
     "invert_rational_matrix",
     "invert_lower_triangular",
     "shuffle_sign_sum_bruteforce",

@@ -339,7 +339,7 @@ def test_negative_cap_is_usage_error():
         assert "bad cap" in result.stderr, flag
 
 
-def test_startup_loads_only_what_commands_run():
+def test_startup_loads_only_what_commands_run(tmp_path):
     # one process, so whatever `site` preloads is in both snapshots
     script = (
         "import sys\n"
@@ -357,6 +357,20 @@ def test_startup_loads_only_what_commands_run():
     assert "kcycles.cli" in cli
     deferred = {"kcycles.verify", "kcycles.stats", "dataclasses", "inspect", "json", "hashlib"}
     assert not cli & deferred
+    # a warm table reads its cached file and loads no coefficient code
+    cache = str(tmp_path / "cache")
+    assert run_cli("--cache-dir", cache, "table", "--weight", "4").returncode == 0
+    script = (
+        "import sys\n"
+        "from kcycles import cli\n"
+        f"code = cli.main(['--cache-dir', {cache!r}, 'table', '--weight', '4'])\n"
+        "print(code, ' '.join(sorted(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, check=True)
+    code, *warm = result.stdout.splitlines()[-1].split()
+    assert code == "0" and "kcycles.cache" in warm
+    assert not set(warm) & {"kcycles.coeffs", "kcycles.treepoly", "kcycles.oracles", "fractions"}
 
 
 def _buffered_env():
@@ -426,6 +440,27 @@ def test_table_idempotent_and_cached(tmp_path):
     assert doc["b"][2][0] == "263/6720"
     cached = list(cache.glob("table-w3.v1.json"))
     assert len(cached) == 1
+
+
+def test_table_out_renders_the_document_once(tmp_path, monkeypatch, capsys):
+    # a cold table writes the same rendering to the cache and to --out; a
+    # warm one renders the document it loaded
+    from kcycles import cache as cache_mod
+    from kcycles import cli
+
+    renders = []
+    production = cache_mod.canonical_json
+    monkeypatch.setattr(cache_mod, "canonical_json",
+                        lambda obj: renders.append(obj) or production(obj))
+    cache, out = tmp_path / "cache", tmp_path / "w5.json"
+    argv = ["--cache-dir", str(cache), "table", "--weight", "5", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK and len(renders) == 1
+    cached = cache / "table-w5.v1.json"
+    assert out.read_bytes() == cached.read_bytes()
+    out.unlink()
+    assert cli.main(argv) == cli.EXIT_OK and len(renders) == 2
+    assert out.read_bytes() == cached.read_bytes()
+    assert capsys.readouterr().out == f"{out}\n" * 2
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])

@@ -260,16 +260,25 @@ def test_row_memos_share_one_key_per_partition():
         for lam, row in memo.items():
             for key in (lam, *row):
                 assert keys.setdefault(key, key) is key
+    for key in fresh._scales:
+        assert keys.setdefault(key, key) is key
     assert len(keys) == sum(len(partitions_of(w)) for w in range(1, 11))
 
 
 def test_non_integral_a_row_raises(monkeypatch, tmp_path, capsys):
-    # b_n = 1/(7 a_n) puts a 7 into the one-part b entries that the a.b = 1
-    # dot product divides by: the integer division raises rather than round,
-    # and the table command exits 6 having printed and cached nothing
+    # a 7 in the scales prod_i a_{mu_i} puts one into the one-part b entries
+    # b_mu^(n) that the a.b = 1 dot product divides by: the integer division
+    # raises rather than round, and the table command exits 6 having printed
+    # and cached nothing
     from kcycles import cli
 
-    monkeypatch.setattr(coeffs, "b_single", lambda n: Fraction(1, 7 * a_single(n)))
+    production = CoeffTable._scale
+
+    def sevenfold(self, lam):
+        a_scale, df_scale = production(self, lam)
+        return 7 * a_scale, df_scale
+
+    monkeypatch.setattr(CoeffTable, "_scale", sevenfold)
     with pytest.raises(ArithmeticError, match=r"Sym\(1, 1\) a\(1, 1\)\^\(2,\) is not an integer"):
         CoeffTable().a_lambda_mu((1, 1), (2,))
     monkeypatch.setattr(coeffs, "_shared", CoeffTable())
@@ -278,6 +287,41 @@ def test_non_integral_a_row_raises(monkeypatch, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "not an integer" in err
     assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_non_integral_b_row_raises(monkeypatch, tmp_path, capsys):
+    # q_eval / 7 puts a 7 into every peel kernel's denominator, so the
+    # scaled one-part b entries leave a remainder: the checked division
+    # raises rather than round, and the table command exits 6 having printed
+    # and cached nothing
+    from kcycles import cli
+
+    production = coeffs.q_eval
+    monkeypatch.setattr(coeffs, "q_eval", lambda point: production(point) / 7)
+    with pytest.raises(ArithmeticError, match=r"the scaled b\(1, 1\)\^\(2,\) is not an integer"):
+        CoeffTable().b_lambda_mu((1, 1), (2,))
+    monkeypatch.setattr(coeffs, "_shared", CoeffTable())
+    cache = tmp_path / "cache"
+    assert cli.main(["--cache-dir", str(cache), "table", "--weight", "4"]) == cli.EXIT_ARITH
+    out, err = capsys.readouterr()
+    assert out == "" and "is not an integer" in err
+    assert not cache.exists() or not any(cache.iterdir())
+
+
+def test_int_b_rows_match_the_fraction_route():
+    # every b-row of weight <= 14 holds ints, and divided by its scale it is
+    # the row of the Fraction route that the int route replaced, entry by entry
+    fresh, rows, kernels = CoeffTable(), {}, {}
+    count = 0
+    for w in range(15):
+        for lam in partitions_of(w):
+            row = fresh._b_row(lam)
+            assert all(type(value) is int for value in row.values())
+            a_scale = fresh._scale(lam)[0]
+            assert {nu: Fraction(value, a_scale * fresh._scale(nu)[1])
+                    for nu, value in row.items()} == oracles.b_row_fractions(lam, rows, kernels)
+            count += 1
+    assert count == 508
 
 
 def test_matrix_weight_one(table):

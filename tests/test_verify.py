@@ -6,7 +6,8 @@ import subprocess
 import sys
 
 from kcycles import cache as cache_mod
-from kcycles.coeffs import SCHEMA_VERSION, table_document
+from kcycles.cache import SCHEMA_VERSION
+from kcycles.coeffs import table_document
 from kcycles.verify import run_verify
 
 
