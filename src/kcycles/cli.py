@@ -32,6 +32,12 @@ EXIT_ARITH = 6
 ENV_CAPS = "KCYCLES_CAPS"
 
 
+def _is_digits(text: str) -> bool:
+    # ASCII only, the rule of cache.table_paths: str.isdigit alone admits
+    # other scripts' digits, which int() reads, and superscripts, which it refuses
+    return text.isascii() and text.isdigit()
+
+
 def _parse_caps_env() -> dict[str, int]:
     raw = os.environ.get(ENV_CAPS, "")
     caps: dict[str, int] = {}
@@ -42,7 +48,7 @@ def _parse_caps_env() -> dict[str, int]:
         if not chunk:
             continue
         name, _, value = chunk.partition("=")
-        if name.strip() not in ("trees", "letters") or not value.strip().isdigit():
+        if name.strip() not in ("trees", "letters") or not _is_digits(value.strip()):
             raise ValueError(
                 f"cannot parse {ENV_CAPS}={raw!r}; expected e.g. trees=5,letters=11"
             )
@@ -52,7 +58,7 @@ def _parse_caps_env() -> dict[str, int]:
 
 def _cap_arg(text: str) -> int:
     # the digits-only rule of KCYCLES_CAPS, so a negative cap is a usage error
-    if not text.strip().isdigit():
+    if not _is_digits(text.strip()):
         raise argparse.ArgumentTypeError(f"bad cap {text!r}; need an integer >= 0")
     return int(text)
 
@@ -71,7 +77,7 @@ def _partition_arg(text: str) -> tuple[int, ...]:
 
 def _variant_arg(text: str) -> str:
     if text in ("reduced", "full", "pfamily") or (
-        text.startswith("l:") and text[2:].isdigit()
+        text.startswith("l:") and _is_digits(text[2:])
     ):
         return text
     raise argparse.ArgumentTypeError(

@@ -35,7 +35,6 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -73,29 +72,24 @@ def sym_count(values: Iterable[int]) -> int:
     return prod(map(factorial, Counter(values).values()))
 
 
-@lru_cache(maxsize=None)
 def h_sequence(n: int) -> Fraction:
     """h(0) = 1 and h(n+1) = sum over a+b+c = n of h(a)h(b)h(c)(2a+1)(2c+1)/((2a+3)(n+1)).
 
     Normalizes the all-ones coefficients: b over the partition 1^n equals
-    4^-n n! h(n).
+    4^-n n! h(n).  Builds h(0..n) in one loop and keeps none of it.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    if n == 0:
-        return Fraction(1)
-    prev = n - 1
-    total = Fraction(0)
-    for a in range(prev + 1):
-        for b in range(prev + 1 - a):
-            c = prev - a - b
-            total += (
-                h_sequence(a)
-                * h_sequence(b)
-                * h_sequence(c)
-                * Fraction((2 * a + 1) * (2 * c + 1), (2 * a + 3) * (prev + 1))
-            )
-    return total
+    h = [Fraction(1)]
+    for prev in range(n):
+        total = Fraction(0)
+        for a in range(prev + 1):
+            for b in range(prev + 1 - a):
+                c = prev - a - b
+                total += h[a] * h[b] * h[c] * Fraction(
+                    (2 * a + 1) * (2 * c + 1), (2 * a + 3) * (prev + 1))
+        h.append(total)
+    return h[n]
 
 
 def closed_b_pair(r: int, k: int) -> Fraction:

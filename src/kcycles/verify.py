@@ -8,6 +8,15 @@ and the acceptance suite both run it.  A check yields (label, production
 value, independent value) triples and never raises on a mathematical
 mismatch; the runner compares the two sides and reports the first unequal
 triple so the caller can render a report and choose an exit code.
+
+Every check takes one argument, the `Run` that `run_checks` builds for
+each call: the cache directory, a coefficient table and the reduced tree
+levels, each level walked once per run, by the first check that reads it
+(so `--timings` charges the walk to that check).  The full tree
+polynomials are not held: each check that reads one rebuilds it.  Holding
+them would keep the level-6 and level-7 stores, which only
+struct/reduced-poly reads, and raised the peak of a full run from 177 to
+233 MiB in a trial, to save rebuilds of about 0.01 s per level up to 5.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from . import cache as cache_mod
 from . import oracles
 from .exact import (
     MultiPoly,
+    _Memo,
     double_factorial,
     normalize_partition,
     partitions_of,
@@ -29,14 +39,12 @@ from .exact import (
     stirling_second,
 )
 from .coeffs import (
+    CoeffTable,
     a_single,
     b_single,
     closed_a_pair,
     closed_b_pair,
-    degenerate_a,
-    degenerate_b,
     h_sequence,
-    shared_table,
     sym_count,
     table_document,
 )
@@ -98,6 +106,18 @@ class VerifyReport(NamedTuple):
 Triple = tuple[str, object, object]
 
 
+class Run:
+    """The one argument of every registry check, built per run_checks call:
+    `cache_dir`, whose cached tables the cache check compares, `table`, a
+    CoeffTable of the run's own, and `reduced`, the reduced tree
+    polynomial of level k at key k, walked on its first read."""
+
+    def __init__(self, cache_dir=None) -> None:
+        self.cache_dir = cache_mod.default_cache_dir() if cache_dir is None else cache_dir
+        self.table = CoeffTable()
+        self.reduced = _Memo(reduced_tree_poly)
+
+
 def _compare(triples: Iterable[Triple]) -> tuple[bool, str, str]:
     count = 0
     for label, lhs, rhs in triples:
@@ -136,14 +156,13 @@ def _closed_diagonal(lam: tuple[int, ...]) -> Fraction:
 # quick checks: tabulated anchors
 # ---------------------------------------------------------------------------
 
-def check_reduced_polys() -> Iterator[Triple]:
+def check_reduced_polys(run: Run) -> Iterator[Triple]:
     x = [MultiPoly.variable(3, i) for i in range(3)]
     y = [MultiPoly.variable(5, i) for i in range(5)]
     s01 = y[0] + y[1]
     expected2 = s01 * s01 * y[2] * y[4] + s01 * y[2] * y[2] * y[4] \
         + 2 * s01 * s01 * y[3] * y[4] + 5 * s01 * y[2] * y[3] * y[4]
-    # each level is built once, for every comparison that reads it
-    t0, t1, t2, t3 = map(reduced_tree_poly, range(4))
+    t0, t1, t2, t3 = (run.reduced[k] for k in range(4))
     yield "T~0", t0, MultiPoly.constant(1, 1)
     yield "T~1", t1, (x[0] + x[1]) * x[2]
     yield "T~2", t2, expected2
@@ -155,8 +174,8 @@ def check_reduced_polys() -> Iterator[Triple]:
         yield f"total k={k}", level.coefficient_sum(), factorial(2 * k)
 
 
-def check_coefficient_anchors() -> Iterator[Triple]:
-    table = shared_table()
+def check_coefficient_anchors(run: Run) -> Iterator[Triple]:
+    table = run.table
     yield "b_1^1", table.b_lambda_n((1,)), Fraction(1, 12)
     yield "b_11^2", table.b_lambda_n((1, 1)), Fraction(29, 720)
     yield "b_111^3", table.b_lambda_n((1, 1, 1)), Fraction(263, 6720)
@@ -177,8 +196,8 @@ def check_coefficient_anchors() -> Iterator[Triple]:
                Fraction(factorial(n), 4 ** n) * h_sequence(n))
 
 
-def check_witten_and_cup_anchors() -> Iterator[Triple]:
-    table = shared_table()
+def check_witten_and_cup_anchors(run: Run) -> Iterator[Triple]:
+    table = run.table
     yield ("W*_111", table.witten_expansion((1, 1, 1)),
            {(1, 1, 1): 288, (2, 1): 4176, (3,): 20736})
     yield "W*_1", table.witten_expansion((1,)), {(1,): 12}
@@ -187,8 +206,8 @@ def check_witten_and_cup_anchors() -> Iterator[Triple]:
     yield "cup 1,empty", table.cup_coeff((1,), ()), {(1,): 1}
 
 
-def check_pair_closed_anchors() -> Iterator[Triple]:
-    table = shared_table()
+def check_pair_closed_anchors(run: Run) -> Iterator[Triple]:
+    table = run.table
     yield "b_pair(1,1)", closed_b_pair(1, 1), Fraction(29, 720)
     yield "b_pair(2,1)", closed_b_pair(2, 1), Fraction(-19, 3360)
     yield "b_pair(1,1) vs recursion", closed_b_pair(1, 1), table.b_lambda_n((1, 1))
@@ -199,7 +218,7 @@ def check_pair_closed_anchors() -> Iterator[Triple]:
         yield f"a_pair({n},1)", closed_a_pair(n, 1), expected
 
 
-def check_xe_anchors() -> Iterator[Triple]:
+def check_xe_anchors(run: Run) -> Iterator[Triple]:
     for variant, n, m, expected in [
         ("X0", 2, 2, 4),
         ("X0", 2, 1, 0),
@@ -213,13 +232,13 @@ def check_xe_anchors() -> Iterator[Triple]:
                oracles.shuffle_sign_sum_bruteforce(variant, n, m), expected)
 
 
-def check_counting_anchors() -> Iterator[Triple]:
+def check_counting_anchors(run: Run) -> Iterator[Triple]:
     for n, s, expected in [(3, 1, 1), (5, 2, 5), (4, 3, -16)]:
         yield f"brute({n},{s})", oracles.counting_identity_bruteforce(n, s), expected
         yield f"closed({n},{s})", oracles.counting_identity_closed(n, s), expected
 
 
-def check_q_t_closed_anchors() -> Iterator[Triple]:
+def check_q_t_closed_anchors(run: Run) -> Iterator[Triple]:
     yield "Q_2(3,1,1,1,1)", q_eval((3, 1, 1, 1, 1)), Fraction(3, 5)
     yield "q_closed(2,3)", q_closed_ones(2, 3), Fraction(3, 5)
     yield "Q_1(5,3,7)", q_eval((5, 3, 7)), 7
@@ -229,7 +248,7 @@ def check_q_t_closed_anchors() -> Iterator[Triple]:
     yield "T_1 eval", tree_poly(1).eval((3, 1, 1)), 12
 
 
-def check_l_poly_anchors() -> Iterator[Triple]:
+def check_l_poly_anchors(run: Run) -> Iterator[Triple]:
     x0, x1, x2 = (MultiPoly.variable(3, i) for i in range(3))
     s01 = x0 + x1
     for n in range(4):
@@ -239,7 +258,7 @@ def check_l_poly_anchors() -> Iterator[Triple]:
     yield "L_2^1(1..1)", l_poly(2, 1).coefficient_sum(), factorial(4) * 25
 
 
-def check_series_anchors() -> Iterator[Triple]:
+def check_series_anchors(run: Run) -> Iterator[Triple]:
     # the products of the exponential series of cosh (1 at even m) and sinh
     # (1 at odd m), coefficient by coefficient: sum_j C(m, j) f_j h_(m-j)
     def cosh(m):
@@ -255,7 +274,7 @@ def check_series_anchors() -> Iterator[Triple]:
     yield "g recursion k=0", verify_g_recursion(0, 4), True
 
 
-def check_stirling() -> Iterator[Triple]:
+def check_stirling(run: Run) -> Iterator[Triple]:
     yield "s1(3,1)", stirling_first_signed(3, 1), 2
     yield "s1(4,2)", stirling_first_signed(4, 2), 11
     yield "S2(3,2)", stirling_second(3, 2), 3
@@ -271,23 +290,24 @@ def check_stirling() -> Iterator[Triple]:
             yield f"duality({n},{m})", lhs, int(n == m)
 
 
-def check_degenerate_anchors() -> Iterator[Triple]:
+def check_degenerate_anchors(run: Run) -> Iterator[Triple]:
+    table = run.table
     for m in range(7):
         for n in range(7):
             expected = Fraction(factorial(n) * stirling_second(m, n), (-2) ** m)
-            yield f"b_0^{m},{n}", degenerate_b((), m, (), n), expected
+            yield f"b_0^{m},{n}", table.degenerate_b((), m, (), n), expected
     for k in range(1, 4):
-        yield (f"one zero, k={k}", degenerate_b((k,), 1, (k,), 0),
+        yield (f"one zero, k={k}", table.degenerate_b((k,), 1, (k,), 0),
                Fraction(-(2 * k + 1), 2) * b_single(k))
     for m in range(5):
         for i in range(m + 1):
             expected = Fraction(stirling_first_signed(m, i) * (-2) ** i, factorial(m))
-            yield f"a_0^{m},{i}", degenerate_a((), m, (), i), expected
-    yield ("p=q=0", degenerate_b((2, 1), 0, (3,), 0),
-           shared_table().b_lambda_mu((2, 1), (3,)))
+            yield f"a_0^{m},{i}", table.degenerate_a((), m, (), i), expected
+    yield ("p=q=0", table.degenerate_b((2, 1), 0, (3,), 0),
+           table.b_lambda_mu((2, 1), (3,)))
 
 
-def check_double_sum_anchors() -> Iterator[Triple]:
+def check_double_sum_anchors(run: Run) -> Iterator[Triple]:
     for k, r in [(1, 0), (1, 1), (2, 0), (2, 1)]:
         lhs, rhs = double_sum_identity(k, r)
         yield f"double sum k={k} r={r}", lhs, rhs
@@ -295,18 +315,17 @@ def check_double_sum_anchors() -> Iterator[Triple]:
     yield "value k=1 r=1", double_sum_identity(1, 1)[0], Fraction(4)
 
 
-def check_cache_consistency(cache_dir=None) -> Iterator[Triple]:
-    """Every table document cached in `cache_dir` (None: the default cache
-    directory) equals a fresh build, byte for byte.
+def check_cache_consistency(run: Run) -> Iterator[Triple]:
+    """Every table document cached in the run's cache directory equals a
+    fresh build, byte for byte.
 
     A file that `kcycles table` would not reuse fails without a build, so a
     name claiming a large weight costs nothing unless its header matches.
     """
-    cache_dir = cache_mod.default_cache_dir() if cache_dir is None else cache_dir
-    for weight, path in cache_mod.table_paths(cache_dir):
+    for weight, path in cache_mod.table_paths(run.cache_dir):
         equal = cache_mod.load_table(path, weight) is not None
         if equal:
-            fresh = cache_mod.canonical_json(table_document(weight)).encode()
+            fresh = cache_mod.canonical_json(table_document(weight, run.table)).encode()
             equal = path.read_bytes() == fresh
         # a boolean keeps a failure line short; the documents can be large
         yield f"{path.name} equals a fresh build", equal, True
@@ -316,17 +335,17 @@ def check_cache_consistency(cache_dir=None) -> Iterator[Triple]:
 # full checks: oracle equivalences and sweeps
 # ---------------------------------------------------------------------------
 
-def check_oracle_reduced() -> Iterator[Triple]:
+def check_oracle_reduced(run: Run) -> Iterator[Triple]:
     # the levels, and the tree value at every odd tuple of total <= 17,
     # against the enumerated trees
     for k in range(6):
         brute = oracles.reduced_tree_poly_bruteforce(k)
-        yield f"k={k}", reduced_tree_poly(k), brute
+        yield f"k={k}", run.reduced[k], brute
         for values in _odd_tuples(2 * k + 1, 17):
             yield f"Q{values}", tree_value(values), values[0] * brute.eval(values)
 
 
-def check_p_family_coordinates() -> Iterator[Triple]:
+def check_p_family_coordinates(run: Run) -> Iterator[Triple]:
     # the walk's z level converted to x against the step run in x on
     # MultiPoly: this covers the words of moves, the coordinates and the
     # conversion, and the brute-force checks cover the step
@@ -334,7 +353,7 @@ def check_p_family_coordinates() -> Iterator[Triple]:
         yield f"k={k}", p_family(k).polys, oracles.p_family_x(k).polys
 
 
-def check_oracle_shuffles() -> Iterator[Triple]:
+def check_oracle_shuffles(run: Run) -> Iterator[Triple]:
     for length in (1, 3, 5):
         poly = tree_poly((length - 1) // 2)
         for values in _odd_tuples(length, 9):
@@ -345,14 +364,14 @@ def check_oracle_shuffles() -> Iterator[Triple]:
             yield f"Q{values}", tree_value(values), brute
 
 
-def check_shuffle_counts() -> Iterator[Triple]:
+def check_shuffle_counts(run: Run) -> Iterator[Triple]:
     for length in (1, 3, 5, 7, 9, 11):
         for values in _odd_tuples(length, 11):
             count = sum(1 for _ in oracles.enumerate_cyclic_shuffles(values))
             yield f"count{values}", count, prod(accumulate(values[:-1]))
 
 
-def check_xe_sweep() -> Iterator[Triple]:
+def check_xe_sweep(run: Run) -> Iterator[Triple]:
     for variant in oracles.SIGN_SUM_VARIANTS:
         for n in range(11):
             for m in range(11 - n):
@@ -362,14 +381,14 @@ def check_xe_sweep() -> Iterator[Triple]:
                 yield f"{variant}({n},{m}) E", e_closed * comb(n + m, n), x_closed
 
 
-def check_counting_sweep() -> Iterator[Triple]:
+def check_counting_sweep(run: Run) -> Iterator[Triple]:
     for n in range(1, 7):
         for s in range(5):
             yield (f"({n},{s})", oracles.counting_identity_bruteforce(n, s),
                    oracles.counting_identity_closed(n, s))
 
 
-def check_even_cycles() -> Iterator[Triple]:
+def check_even_cycles(run: Run) -> Iterator[Triple]:
     # histograms by full permutation enumeration up to degree 8, and the
     # x0-degree profile of the reduced polynomial through level 7, where no
     # enumeration reaches
@@ -378,7 +397,7 @@ def check_even_cycles() -> Iterator[Triple]:
         if k <= 4:
             yield f"2k={2 * k}", oracles.even_cycle_histogram(2 * k), closed
         by_x0: dict[int, int] = {}
-        for exps, coeff in reduced_tree_poly(k).items():
+        for exps, coeff in run.reduced[k].items():
             by_x0[exps[0]] = by_x0.get(exps[0], 0) + coeff
         yield f"T~{k}(x,1..1)", [by_x0.get(i, 0) for i in range(k + 1)], closed
         yield f"deg T~{k}(x,1..1)", max(by_x0), k
@@ -393,7 +412,7 @@ def check_even_cycles() -> Iterator[Triple]:
                    n * sum(c * n ** i for i, c in enumerate(closed)))
 
 
-def check_closed_ones_sweep() -> Iterator[Triple]:
+def check_closed_ones_sweep(run: Run) -> Iterator[Triple]:
     # q_eval reaches any level; the tree polynomials stop at the buildable ones
     for k in range(1, 13):
         for n in range(1, 10, 2):
@@ -415,7 +434,7 @@ def check_closed_ones_sweep() -> Iterator[Triple]:
             yield f"T k={k} n=1 m={v}", tree_value((1, *ones, v)), t_closed_ones(k, 1, v)
 
 
-def check_closed_main_sweep() -> Iterator[Triple]:
+def check_closed_main_sweep(run: Run) -> Iterator[Triple]:
     for k in range(1, 5):
         poly = tree_poly(k)
         for r in range(5):
@@ -437,8 +456,8 @@ def check_closed_main_sweep() -> Iterator[Triple]:
                 yield f"k={k} r={r} p={p}", tree_value(values), t_closed_main(k, p, q, r)
 
 
-def check_pair_closed_sweep() -> Iterator[Triple]:
-    table = shared_table()
+def check_pair_closed_sweep(run: Run) -> Iterator[Triple]:
+    table = run.table
     for total in range(2, 15):
         for r in range(1, total):
             k = total - r
@@ -446,9 +465,9 @@ def check_pair_closed_sweep() -> Iterator[Triple]:
             yield f"a({r},{k})", table.a_lambda_mu((r, k), (total,)), closed_a_pair(r, k)
 
 
-def check_structural() -> Iterator[Triple]:
+def check_structural(run: Run) -> Iterator[Triple]:
     for k in range(8):
-        reduced = reduced_tree_poly(k)
+        reduced = run.reduced[k]
         num_vars = 2 * k + 1
         yield f"homog k={k}", reduced.is_homogeneous(2 * k), True
         yield (f"nonneg int k={k}",
@@ -461,20 +480,20 @@ def check_structural() -> Iterator[Triple]:
             yield f"x0+x1 k={k}", at_zero.substitute(1, x0_plus_x1), reduced
 
 
-def check_l_poly_sweep() -> Iterator[Triple]:
+def check_l_poly_sweep(run: Run) -> Iterator[Triple]:
     for k in range(5):
         for n in range(4):
             yield (f"L_{k}^{n}(1..1)", l_poly(k, n).coefficient_sum(),
                    factorial(2 * k) * (2 * k + 1) ** (2 * n))
 
 
-def check_g_recursion_sweep() -> Iterator[Triple]:
+def check_g_recursion_sweep(run: Run) -> Iterator[Triple]:
     for k in range(7):
         yield f"k={k}", verify_g_recursion(k, 6), True
 
 
-def check_matrix_duality() -> Iterator[Triple]:
-    table = shared_table()
+def check_matrix_duality(run: Run) -> Iterator[Triple]:
+    table = run.table
     for n in range(1, 7):
         a_rows = table.a_matrix(n)
         product = _matrix_product(table.b_matrix(n), a_rows)
@@ -487,11 +506,11 @@ def check_matrix_duality() -> Iterator[Triple]:
                oracles.invert_lower_triangular(table.b_matrix(n)))
 
 
-def check_oracle_b_matrix() -> Iterator[Triple]:
+def check_oracle_b_matrix(run: Run) -> Iterator[Triple]:
     # every entry of the b-matrix by index subsets, none assumed zero,
     # against the triangular production matrix, and its Gauss-Jordan
     # inverse against the a-rows
-    table = shared_table()
+    table = run.table
     memo: dict = {}
     for n in range(11):
         parts = partitions_of(n)
@@ -506,11 +525,11 @@ def check_oracle_b_matrix() -> Iterator[Triple]:
         yield f"a weight {n}", table.a_matrix(n), oracles.invert_rational_matrix(full)
 
 
-def check_next_coefficient() -> Iterator[Triple]:
+def check_next_coefficient(run: Run) -> Iterator[Triple]:
     # merging two parts of lam gives a mu with no partition strictly between
     # them in the coarsening order, so a_lam^mu = -D_lam b_lam^mu D_mu with
     # the closed-form diagonal D, independent of the rest of the inverse
-    table = shared_table()
+    table = run.table
     for n in range(2, 15):
         parts = partitions_of(n)
         index = {lam: i for i, lam in enumerate(parts)}
@@ -525,8 +544,8 @@ def check_next_coefficient() -> Iterator[Triple]:
                 yield f"{lam} -> {mu}", a_rows[i][index[mu]], closed
 
 
-def check_order_independence() -> Iterator[Triple]:
-    table = shared_table()
+def check_order_independence(run: Run) -> Iterator[Triple]:
+    table = run.table
     for weight in range(2, 8):
         for lam in partitions_of(weight):
             if len(lam) < 2:
@@ -541,8 +560,8 @@ def check_order_independence() -> Iterator[Triple]:
                 yield f"{lam} peel {part}", table.b_extend(rest, part), default
 
 
-def check_degenerate_inverses() -> Iterator[Triple]:
-    table = shared_table()
+def check_degenerate_inverses(run: Run) -> Iterator[Triple]:
+    table = run.table
     for weight in range(4):
         index = [(lam, pad) for lam in partitions_of(weight) for pad in range(4)]
         b_rows = [
@@ -557,8 +576,8 @@ def check_degenerate_inverses() -> Iterator[Triple]:
         yield f"A.B weight {weight}", _matrix_product(a_rows, b_rows), _identity(len(index))
 
 
-def check_cup_symmetry() -> Iterator[Triple]:
-    table = shared_table()
+def check_cup_symmetry(run: Run) -> Iterator[Triple]:
+    table = run.table
     for wl in range(6):
         for wm in range(6 - wl):
             for lam in partitions_of(wl):
@@ -566,7 +585,7 @@ def check_cup_symmetry() -> Iterator[Triple]:
                     yield f"{lam}x{mu}", table.cup_coeff(lam, mu), table.cup_coeff(mu, lam)
 
 
-CHECKS: tuple[tuple[str, str, Callable[..., Iterable[Triple]]], ...] = (
+CHECKS: tuple[tuple[str, str, Callable[[Run], Iterable[Triple]]], ...] = (
     ("anchors/reduced-polys", "quick", check_reduced_polys),
     ("anchors/coefficients", "quick", check_coefficient_anchors),
     ("anchors/witten-cup", "quick", check_witten_and_cup_anchors),
@@ -603,16 +622,14 @@ CHECKS: tuple[tuple[str, str, Callable[..., Iterable[Triple]]], ...] = (
 
 
 def run_checks(names: Iterable[str], cache_dir=None) -> list[CheckResult]:
-    """Run the named registry checks in the given order; `cache_dir` goes to
-    the cache check."""
+    """Run the named registry checks in the given order, as one Run over
+    `cache_dir` (None: the default cache directory)."""
     registry = {name: func for name, _, func in CHECKS}
+    run = Run(cache_dir)
     results = []
     for name in names:
-        func = registry[name]
         start = time.perf_counter()
-        # the cache check is the one check that reads state outside the process
-        triples = func(cache_dir) if func is check_cache_consistency else func()
-        ok, lhs, rhs = _compare(triples)
+        ok, lhs, rhs = _compare(registry[name](run))
         results.append(CheckResult(name, ok, lhs, rhs, time.perf_counter() - start))
     return results
 

@@ -339,6 +339,25 @@ def test_negative_cap_is_usage_error():
         assert "bad cap" in result.stderr, flag
 
 
+@pytest.mark.parametrize(
+    "args, env, message",
+    [
+        # an Arabic-Indic three, which int() reads as 3, and a superscript
+        # two, which str.isdigit admits but int() refuses: digits are ASCII
+        (("oracle", "treepoly", "0"), "trees=\u0663", "cannot parse KCYCLES_CAPS="),
+        (("oracle", "treepoly", "0"), "trees=\u00b2", "cannot parse KCYCLES_CAPS="),
+        (("--cap-trees", "\u0663", "oracle", "treepoly", "0"), None, "bad cap"),
+        (("--cap-trees", "\u00b2", "oracle", "treepoly", "0"), None, "bad cap"),
+        (("treepoly", "1", "--variant", "l:\u00b2"), None, "bad variant"),
+    ],
+)
+def test_non_ascii_digits_are_usage_errors(args, env, message):
+    result = run_cli(*args, env_extra={"KCYCLES_CAPS": env} if env else None)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
 def test_startup_loads_only_what_commands_run(tmp_path):
     # one process, so whatever `site` preloads is in both snapshots
     script = (

@@ -1,14 +1,17 @@
-"""The verify runner called in-process, with the cache directory as an argument."""
+"""The verify runner called in-process: the cache directory as an argument,
+and the state that one run of checks holds."""
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 from kcycles import cache as cache_mod
+from kcycles import oracles, treepoly, verify
 from kcycles.cache import SCHEMA_VERSION
-from kcycles.coeffs import table_document
-from kcycles.verify import run_verify
+from kcycles.coeffs import shared_table, table_document
+from kcycles.verify import run_checks, run_verify
 
 
 def _write_table(cache_dir, weight):
@@ -77,3 +80,34 @@ def test_cache_file_with_a_bad_header_fails_without_a_build(tmp_path):
     assert result.returncode == 4
     failed = [line for line in result.stdout.splitlines() if line.startswith("FAIL ")]
     assert [line.split(":")[0] for line in failed] == ["FAIL cache/tables"]
+
+
+def test_a_run_walks_each_reduced_level_once(monkeypatch):
+    builds = Counter()
+
+    def counting(k):
+        builds[k] += 1
+        return treepoly.reduced_tree_poly(k)
+
+    monkeypatch.setattr(verify, "reduced_tree_poly", counting)
+    # the enumerated levels take seconds and walk no production level, so the
+    # production walk stands in for them here; criterion 4 runs the enumeration
+    monkeypatch.setattr(oracles, "reduced_tree_poly_bruteforce", treepoly.reduced_tree_poly)
+    # the registry checks that read reduced tree levels, 0-7 between them
+    names = ["anchors/reduced-polys", "oracle/reduced-tree-poly", "oracle/even-cycles",
+             "struct/reduced-poly"]
+    assert all(result.ok for result in run_checks(names))
+    assert builds == Counter(range(8))
+    # a run drops its levels: the next one walks them again, and
+    # struct/reduced-poly alone reads all eight
+    assert all(result.ok for result in run_checks(["struct/reduced-poly"]))
+    assert builds == Counter(2 * list(range(8)))
+
+
+def test_a_run_leaves_the_shared_table_as_it_was(tmp_path):
+    shared = shared_table()
+    memos = ("_scales", "_brows", "_arows", "_kernels")
+    before = {name: dict(getattr(shared, name)) for name in memos}
+    assert run_verify("quick", cache_dir=tmp_path).ok
+    assert all(result.ok for result in run_checks(["matrix/duality"], cache_dir=tmp_path))
+    assert {name: dict(getattr(shared, name)) for name in memos} == before
